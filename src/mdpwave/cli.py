@@ -350,6 +350,7 @@ def _sample_points(fids, param_sets, n, seed):
     rng = np.random.default_rng(seed)
     guards = [catalog.build_guard_xt(f, p) for f, p in zip(fids, param_sets)]
     builds = [catalog.build(f, p) for f, p in zip(fids, param_sets)]
+    tape = ex.Tape(guards + builds)
     xs_out, ts_out = [], []
     for _ in range(50):
         need = n - len(xs_out)
@@ -357,12 +358,11 @@ def _sample_points(fids, param_sets, n, seed):
             break
         xs = rng.uniform(-5.0, 5.0, size=4 * need)
         ts = rng.uniform(0.0, 2.0, size=4 * need)
+        vals = ex.evaluate_many(tape, {}, {"x": xs, "t": ts})
         ok = np.ones(xs.shape, dtype=bool)
-        for g in guards:
-            gv = ex.evaluate_many(g, {}, {"x": xs, "t": ts})
+        for gv in vals[:len(guards)]:
             ok &= np.abs(gv) >= 1e-3
-        for u in builds:
-            uv = ex.evaluate_many(u, {}, {"x": xs, "t": ts})
+        for uv in vals[len(guards):]:
             ok &= np.isfinite(uv)
         xs_out.extend(xs[ok][:need])
         ts_out.extend(ts[ok][:need])
@@ -380,8 +380,8 @@ def _cmd_equiv(args):
             raise ConstraintViolation([f"{fid}: {v}" for v in bad])
     xs, ts = _sample_points([args.left, args.right],
                             [left_params, right_params], args.points, args.seed)
-    lv = ex.evaluate_many(catalog.build(args.left, left_params), {}, {"x": xs, "t": ts})
-    rv = ex.evaluate_many(catalog.build(args.right, right_params), {}, {"x": xs, "t": ts})
+    lv, rv = ex.evaluate_many([catalog.build(args.left, left_params),
+                               catalog.build(args.right, right_params)], {}, {"x": xs, "t": ts})
     max_diff = float(np.max(np.abs(lv - rv)))
     passed = bool(max_diff < args.tol)
     doc = {
@@ -407,8 +407,7 @@ def _cmd_plot_data(args):
     guard = catalog.build_guard_xt(args.family, params)
     xs = np.linspace(args.x_min, args.x_max, args.nx)
     ts = np.full(xs.shape, args.t)
-    uv = ex.evaluate_many(u, {}, {"x": xs, "t": ts})
-    gv = ex.evaluate_many(guard, {}, {"x": xs, "t": ts})
+    uv, gv = ex.evaluate_many([u, guard], {}, {"x": xs, "t": ts})
     ok = (np.abs(gv) >= args.eps_den) & np.isfinite(uv)
     lines = ["x,u"]
     for i in range(xs.size):

@@ -11,6 +11,14 @@ tree is evaluated.  Differentiation is structural and closed over the
 function set (e.g. csc' = -csc*cot), so derived trees never introduce new
 node kinds.  All values are immutable and all operations are pure, so
 trees are safe to share across workers.
+
+Evaluation compiles one or more roots into a single `Tape` that evaluates
+each structurally distinct subtree once and frees its value after the
+last use.  The tape has two backends: a scalar one (`evaluate`) with loud
+domain errors, and a vectorized numpy one (`evaluate_many`) whose inf/NaN
+values callers screen with their own guards.  Equal-but-distinct nodes
+share a slot, so the `DomainError.subtree` of a failure is a structurally
+equal node, not necessarily the same object.
 """
 from __future__ import annotations
 
@@ -26,7 +34,7 @@ __all__ = [
     "FUNCTIONS", "as_expr", "add", "mul", "sub", "div", "pow_", "fun",
     "exp", "sinh", "cosh", "tanh", "tan", "cot", "csc", "sqrt", "log",
     "var", "param", "sym_sqrt", "differentiate", "nth_derivative", "substitute",
-    "with_params", "evaluate", "evaluate_many", "free_symbols", "to_prefix",
+    "with_params", "Tape", "evaluate", "evaluate_many", "free_symbols", "to_prefix",
     "ZERO", "ONE",
 ]
 
@@ -161,7 +169,11 @@ class Div(Expr):
 
 
 class Pow(Expr):
-    """Constant exponent only: a Fraction (covers integers) or a float."""
+    """Constant exponent only: a Fraction (covers integers) or a float.
+
+    Equality includes the exponent's type: the scalar evaluator treats
+    Fraction(2) and 2.0 differently at a negative base.
+    """
 
     __slots__ = ("base", "exponent")
 
@@ -174,6 +186,7 @@ class Pow(Expr):
         return self is other or (
             type(other) is Pow and self._hash == other._hash
             and self.base == other.base and self.exponent == other.exponent
+            and type(self.exponent) is type(other.exponent)
         )
 
     __hash__ = Expr.__hash__
@@ -275,9 +288,17 @@ def div(num, den):
 
 
 def pow_(base, exponent):
+    """Constant power.  Integral float exponents become Fractions, so
+    `pow_(e, 2.0) == pow_(e, 2)` and both take the integer-power path."""
     base = as_expr(base)
     if isinstance(exponent, Rational):
         exponent = exponent.value
+    if isinstance(exponent, float):
+        if not math.isfinite(exponent):
+            raise ValueError("non-finite exponent")
+        if not exponent.is_integer():
+            return Pow(base, exponent)
+        exponent = Fraction(exponent)
     if isinstance(exponent, (int, Fraction)):
         e = Fraction(exponent)
         if e == 1:
@@ -289,14 +310,6 @@ def pow_(base, exponent):
                 raise ZeroDivisionError("zero base with negative exponent")
             return Rational(base.value ** e)
         return Pow(base, e)
-    if isinstance(exponent, float):
-        if not math.isfinite(exponent):
-            raise ValueError("non-finite exponent")
-        if exponent == 1.0:
-            return base
-        if exponent == 0.0:
-            return ONE
-        return Pow(base, exponent)
     raise TypeError("exponent must be a constant number")
 
 
@@ -519,211 +532,192 @@ def with_params(e, bindings):
 
 def free_symbols(e):
     """Return (parameter names, variable names) occurring in `e`."""
-    params, vs = set(), set()
-    seen = set()
-    stack = [as_expr(e)]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if isinstance(node, Param):
-            params.add(node.name)
-        elif isinstance(node, Var):
-            vs.add(node.name)
-        elif isinstance(node, Add):
-            stack.extend(node.terms)
-        elif isinstance(node, Mul):
-            stack.extend(node.factors)
-        elif isinstance(node, Div):
-            stack.append(node.num)
-            stack.append(node.den)
-        elif isinstance(node, Pow):
-            stack.append(node.base)
-        elif isinstance(node, Fun):
-            stack.append(node.arg)
-    return params, vs
+    code = Tape((e,)).code
+    return ({name for op, name, *_ in code if op == "param"},
+            {name for op, name, *_ in code if op == "var"})
+
+
+def _instruction(node):
+    """(op, payload, children) of the tape instruction for one node."""
+    if isinstance(node, Rational):
+        return "rat", float(node.value), ()
+    if isinstance(node, (Param, Var)):
+        return type(node).__name__.lower(), node.name, ()
+    if isinstance(node, Add):
+        return "add", None, node.terms
+    if isinstance(node, Mul):
+        return "mul", None, node.factors
+    if isinstance(node, Div):
+        return "div", None, (node.num, node.den)
+    if isinstance(node, Pow):
+        e0 = node.exponent
+        integral = isinstance(e0, Fraction) and e0.denominator == 1
+        return "pow", int(e0) if integral else float(e0), (node.base,)
+    return node.kind, None, (node.arg,)
+
+
+class Tape:
+    """Root expressions compiled into one topologically ordered tape.
+
+    There is one slot, and one instruction, per structurally distinct
+    node: nodes are keyed by their own `__hash__`/`__eq__`, and `Pow`
+    equality includes the exponent's type.  A subtree shared between
+    roots, or repeated inside one, is therefore evaluated once.  A slot is
+    released right after its last consumer runs; root slots are never
+    released.
+    """
+
+    __slots__ = ("code", "outputs")
+
+    def __init__(self, roots):
+        slots = {}
+        code = []  # [op, payload, node, argument slots, slots to free after]
+
+        def visit(node):
+            slot = slots.get(node)
+            if slot is None:
+                op, payload, kids = _instruction(node)
+                args = tuple([visit(k) for k in kids])
+                slot = slots[node] = len(code)
+                code.append([op, payload, node, args, ()])
+            return slot
+
+        self.outputs = tuple(visit(as_expr(r)) for r in roots)
+        last_use = {a: i for i, ins in enumerate(code) for a in ins[3]}
+        for slot, i in last_use.items():
+            if slot not in self.outputs:
+                code[i][4] += (slot,)
+        self.code = code
+
+    def run(self, step, params, point):
+        """Values of the roots, computing each instruction with `step`."""
+        vals = [None] * len(self.code)
+        for slot, (op, payload, node, args, free) in enumerate(self.code):
+            vals[slot] = step(op, payload, node, [vals[a] for a in args], params, point)
+            for s in free:
+                vals[s] = None
+        return [vals[s] for s in self.outputs]
+
+
+def _bound(table, name, what):
+    try:
+        return table[name]
+    except KeyError:
+        raise UnboundSymbol(f"unbound {what} {name!r}") from None
+
+
+def _scalar_step(op, payload, node, xs, params, point):
+    if op == "rat":
+        out = payload
+    elif op == "param":
+        out = float(_bound(params, payload, "parameter"))
+    elif op == "var":
+        out = float(_bound(point, payload, "variable"))
+    elif op == "add":
+        out = 0.0
+        for v in xs:
+            out += v
+    elif op == "mul":
+        out = math.prod(xs, start=1.0)
+    elif op == "div":
+        if xs[1] == 0.0:
+            raise DomainError("division by zero", node)
+        out = xs[0] / xs[1]
+    elif op == "pow":
+        out = _scalar_pow(xs[0], payload, node)
+    else:
+        out = _scalar_fun(op, xs[0], node)
+    if out != out:  # NaN guard
+        raise DomainError("evaluation produced NaN", node)
+    return out
+
+
+def _scalar_pow(base, e0, node):
+    if base == 0.0 and e0 < 0:
+        raise DomainError("zero base with negative exponent", node)
+    if type(e0) is not int and base < 0.0:
+        raise DomainError("negative base with non-integer exponent", node)
+    try:
+        return base ** e0 if type(e0) is int else math.pow(base, e0)
+    except (OverflowError, ValueError):
+        raise DomainError("overflow in power", node) from None
+
+
+def _scalar_fun(kind, a, node):
+    if kind in ("cot", "csc"):
+        s = math.sin(a)
+        if s == 0.0:
+            raise DomainError(f"{kind} at a pole", node)
+        return math.cos(a) / s if kind == "cot" else 1.0 / s
+    if kind == "sqrt" and a < 0.0:
+        raise DomainError("sqrt of a negative", node)
+    if kind == "log" and a <= 0.0:
+        raise DomainError("log of a nonpositive", node)
+    try:
+        return getattr(math, kind)(a)
+    except OverflowError:
+        raise DomainError("overflow in function evaluation", node) from None
+
+
+def _vector_step(op, payload, node, xs, params, point):
+    if op == "rat":
+        return payload
+    if op == "param":
+        return float(_bound(params, payload, "parameter"))
+    if op == "var":
+        return _bound(point, payload, "variable")
+    if op in ("add", "mul"):
+        out = xs[0]
+        for v in xs[1:]:
+            out = out + v if op == "add" else out * v
+        return out
+    if op == "div":
+        return xs[0] / xs[1]
+    if op == "pow":
+        return np.power(xs[0], payload)
+    if op == "cot":
+        return np.cos(xs[0]) / np.sin(xs[0])
+    if op == "csc":
+        return 1.0 / np.sin(xs[0])
+    return getattr(np, op)(xs[0])
+
+
+def _compiled(e):
+    """(tape, whether `e` is one expression rather than several roots)."""
+    single = not isinstance(e, (Tape, tuple, list))
+    return (e if isinstance(e, Tape) else Tape((e,) if single else e)), single
 
 
 def evaluate(e, params=None, point=None):
     """Evaluate to a float.  Every parameter and variable must be bound.
 
-    Domain violations (division by zero, sqrt of a negative, log of a
+    `e` is one expression (one float back), or a sequence of expressions
+    or a compiled Tape (a list of floats back, one per root).  Domain
+    violations (division by zero, sqrt of a negative, log of a
     nonpositive, trig poles, overflow) raise DomainError carrying the
     offending subtree; a NaN never propagates out.
     """
-    params = params or {}
-    point = point or {}
-    memo = {}
-
-    def ev(node):
-        key = id(node)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if isinstance(node, Rational):
-            out = float(node.value)
-        elif isinstance(node, Param):
-            try:
-                out = float(params[node.name])
-            except KeyError:
-                raise UnboundSymbol(f"unbound parameter {node.name!r}") from None
-        elif isinstance(node, Var):
-            try:
-                out = float(point[node.name])
-            except KeyError:
-                raise UnboundSymbol(f"unbound variable {node.name!r}") from None
-        elif isinstance(node, Add):
-            out = 0.0
-            for t in node.terms:
-                out += ev(t)
-        elif isinstance(node, Mul):
-            out = 1.0
-            for f in node.factors:
-                out *= ev(f)
-        elif isinstance(node, Div):
-            den = ev(node.den)
-            if den == 0.0:
-                raise DomainError("division by zero", node)
-            out = ev(node.num) / den
-        elif isinstance(node, Pow):
-            base = ev(node.base)
-            e0 = node.exponent
-            if isinstance(e0, Fraction) and e0.denominator == 1:
-                if base == 0.0 and e0 < 0:
-                    raise DomainError("zero base with negative exponent", node)
-                try:
-                    out = base ** int(e0)
-                except OverflowError:
-                    raise DomainError("overflow in power", node) from None
-            else:
-                fe = float(e0)
-                if base < 0.0:
-                    raise DomainError("negative base with non-integer exponent", node)
-                if base == 0.0 and fe < 0:
-                    raise DomainError("zero base with negative exponent", node)
-                try:
-                    out = math.pow(base, fe)
-                except (OverflowError, ValueError):
-                    raise DomainError("overflow in power", node) from None
-        elif isinstance(node, Fun):
-            a = ev(node.arg)
-            k = node.kind
-            try:
-                if k == "exp":
-                    out = math.exp(a)
-                elif k == "sinh":
-                    out = math.sinh(a)
-                elif k == "cosh":
-                    out = math.cosh(a)
-                elif k == "tanh":
-                    out = math.tanh(a)
-                elif k == "tan":
-                    out = math.tan(a)
-                elif k == "cot":
-                    s = math.sin(a)
-                    if s == 0.0:
-                        raise DomainError("cot at a pole", node)
-                    out = math.cos(a) / s
-                elif k == "csc":
-                    s = math.sin(a)
-                    if s == 0.0:
-                        raise DomainError("csc at a pole", node)
-                    out = 1.0 / s
-                elif k == "sqrt":
-                    if a < 0.0:
-                        raise DomainError("sqrt of a negative", node)
-                    out = math.sqrt(a)
-                else:  # log
-                    if a <= 0.0:
-                        raise DomainError("log of a nonpositive", node)
-                    out = math.log(a)
-            except OverflowError:
-                raise DomainError("overflow in function evaluation", node) from None
-        else:  # pragma: no cover
-            raise TypeError(f"unknown node {type(node).__name__}")
-        if out != out:  # NaN guard
-            raise DomainError("evaluation produced NaN", node)
-        memo[key] = out
-        return out
-
-    return ev(as_expr(e))
+    tape, single = _compiled(e)
+    vals = tape.run(_scalar_step, params or {}, point or {})
+    return vals[0] if single else vals
 
 
 def evaluate_many(e, params=None, point=None):
     """Vectorized evaluation over numpy arrays of variable values.
 
-    Unlike `evaluate`, domain violations do not raise: they yield inf/NaN
-    under suppressed numpy warnings, which callers screen with their own
-    guards.  Unbound symbols still raise.
+    `e` is taken as in `evaluate`; constant roots are broadcast to the
+    points' shape.  Unlike `evaluate`, domain violations do not raise:
+    they yield inf/NaN under suppressed numpy warnings, which callers
+    screen with their own guards.  Unbound symbols still raise.
     """
-    params = params or {}
+    tape, single = _compiled(e)
     point = {k: np.asarray(v, dtype=float) for k, v in (point or {}).items()}
     shape = np.broadcast_shapes(*(a.shape for a in point.values())) if point else ()
-    memo = {}
-
-    def ev(node):
-        key = id(node)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if isinstance(node, Rational):
-            out = float(node.value)
-        elif isinstance(node, Param):
-            try:
-                out = float(params[node.name])
-            except KeyError:
-                raise UnboundSymbol(f"unbound parameter {node.name!r}") from None
-        elif isinstance(node, Var):
-            try:
-                out = point[node.name]
-            except KeyError:
-                raise UnboundSymbol(f"unbound variable {node.name!r}") from None
-        elif isinstance(node, Add):
-            out = ev(node.terms[0])
-            for t in node.terms[1:]:
-                out = out + ev(t)
-        elif isinstance(node, Mul):
-            out = ev(node.factors[0])
-            for f in node.factors[1:]:
-                out = out * ev(f)
-        elif isinstance(node, Div):
-            out = ev(node.num) / ev(node.den)
-        elif isinstance(node, Pow):
-            e0 = node.exponent
-            if isinstance(e0, Fraction) and e0.denominator == 1:
-                out = np.power(ev(node.base), int(e0))
-            else:
-                out = np.power(ev(node.base), float(e0))
-        else:
-            a = ev(node.arg)
-            k = node.kind
-            if k == "exp":
-                out = np.exp(a)
-            elif k == "sinh":
-                out = np.sinh(a)
-            elif k == "cosh":
-                out = np.cosh(a)
-            elif k == "tanh":
-                out = np.tanh(a)
-            elif k == "tan":
-                out = np.tan(a)
-            elif k == "cot":
-                out = np.cos(a) / np.sin(a)
-            elif k == "csc":
-                out = 1.0 / np.sin(a)
-            elif k == "sqrt":
-                out = np.sqrt(a)
-            else:  # log
-                out = np.log(a)
-        memo[key] = out
-        return out
-
     with np.errstate(all="ignore"):
-        result = ev(as_expr(e))
-    if np.ndim(result) == 0:
-        return np.full(shape, float(result))
-    return np.asarray(result, dtype=float)
+        vals = tape.run(_vector_step, params or {}, point)
+    out = [np.full(shape, float(v)) if np.ndim(v) == 0 else np.asarray(v, dtype=float)
+           for v in vals]
+    return out[0] if single else out
 
 
 def to_prefix(e):

@@ -147,13 +147,13 @@ def collocation_identity_check(u, b, lam, denominator=None):
     """
     den = ex.ONE if denominator is None else ex.as_expr(denominator)
     den5 = ex.pow_(den, 5)
-    terms = [ex.mul(t, den5) for t in ode_residual_terms(u, b, lam)]
+    tape = ex.Tape([den] + [ex.mul(t, den5) for t in ode_residual_terms(u, b, lam)])
 
     points = np.linspace(-2.0, 2.0, DEGREE_BOUND + 1)
     term_vals = None
     for attempt in range(MAX_RESAMPLES + 1):
-        den_vals = ex.evaluate_many(den, {}, {"xi": points})
-        term_vals = np.stack([ex.evaluate_many(t, {}, {"xi": points}) for t in terms])
+        den_vals, *term_vals = ex.evaluate_many(tape, {}, {"xi": points})
+        term_vals = np.stack(term_vals)
         bad = (~np.isfinite(den_vals)) | (np.abs(den_vals) < POLE_EPS)
         bad |= ~np.isfinite(term_vals).all(axis=0)
         if not bad.any():

@@ -157,12 +157,13 @@ def _fd_terms(u, b, xs, ts, h=FD_STEP):
     differences of u itself: an evaluation path fully independent of the
     symbolic differentiator."""
     b = float(b)
+    tape = ex.Tape((u,))
     cache = {}
 
     def u_at(i, j):
         key = (i, j)
         if key not in cache:
-            cache[key] = ex.evaluate_many(u, {}, {"x": xs + i * h, "t": ts + j * h})
+            [cache[key]] = ex.evaluate_many(tape, {}, {"x": xs + i * h, "t": ts + j * h})
         return cache[key]
 
     def d_x(weights, scale, j=0):
@@ -213,14 +214,14 @@ def verify_on_grid(u, b, grid=None, tol=None, guard=None, method="symbolic"):
         )
 
     xk, tk = xs[keep], ts[keep]
-    if method == "symbolic":
-        terms = [ex.evaluate_many(term, {}, {"x": xk, "t": tk})
-                 for term in mdp_residual_terms(u, b)]
-    else:
-        terms = list(_fd_terms(u, b, xk, tk))
-    residual = sum(terms)
-    scale = sum(np.abs(t) for t in terms)
-    scaled = np.abs(residual) / np.maximum(1.0, scale)
+    with np.errstate(all="ignore"):  # non-finite points are screened below
+        if method == "symbolic":
+            terms = ex.evaluate_many(mdp_residual_terms(u, b), {}, {"x": xk, "t": tk})
+        else:
+            terms = _fd_terms(u, b, xk, tk)
+        residual = sum(terms)
+        scale = sum(np.abs(t) for t in terms)
+        scaled = np.abs(residual) / np.maximum(1.0, scale)
     scaled = np.where(np.isfinite(residual) & np.isfinite(scale), scaled, np.inf)
 
     abs_res = np.abs(residual)

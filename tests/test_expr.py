@@ -7,6 +7,8 @@ Covers:
     finite-difference agreement, closure over the function set)
   - iterated derivatives, substitution, evaluate/substitute commutation
   - vectorized evaluation matching the scalar path
+  - the compiled tape: one slot per structurally distinct node, shared
+    roots equal to per-root evaluation, roots never freed, broadcasting
 """
 import math
 import random
@@ -15,6 +17,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from mdpwave import catalog, verifier
 from mdpwave import expr as ex
 from mdpwave.errors import DomainError, UnboundSymbol
 
@@ -77,6 +80,27 @@ def test_evaluate_errors():
         ex.evaluate(ex.param("mystery"), {}, {})
     with pytest.raises(UnboundSymbol):
         ex.evaluate(X, {}, {})
+
+
+def test_pow_normalises_integral_float_exponent():
+    e = ex.pow_(X, 2.0)
+    assert e == ex.pow_(X, 2)
+    assert type(e.exponent) is F
+    assert ex.evaluate(e, {}, {"x": -3.0}) == 9.0
+    assert ex.pow_(X, 2.5).exponent == 2.5
+
+
+def test_float_and_fraction_exponents_keep_separate_slots():
+    # the scalar backend treats 2.0 and Fraction(2) differently at a
+    # negative base, so no tape may share a slot between their parents
+    as_float = ex.add(X, ex.Pow(X, 2.0))
+    as_fraction = ex.add(X, ex.Pow(X, F(2)))
+    assert as_float != as_fraction
+    tape = ex.Tape([as_float, as_fraction])
+    assert tape.outputs[0] != tape.outputs[1]
+    with pytest.raises(DomainError):
+        ex.evaluate(as_float, {}, {"x": -3.0})
+    assert ex.evaluate(as_fraction, {}, {"x": -3.0}) == 6.0
 
 
 def test_domain_error_carries_subtree():
@@ -200,6 +224,20 @@ def test_evaluate_substitute_commute():
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), abs(rhs))
 
 
+def _children(node):
+    if isinstance(node, ex.Add):
+        return node.terms
+    if isinstance(node, ex.Mul):
+        return node.factors
+    if isinstance(node, ex.Div):
+        return (node.num, node.den)
+    if isinstance(node, ex.Pow):
+        return (node.base,)
+    if isinstance(node, ex.Fun):
+        return (node.arg,)
+    return ()
+
+
 def _function_kinds(e):
     kinds = set()
     stack = [e]
@@ -207,15 +245,7 @@ def _function_kinds(e):
         node = stack.pop()
         if isinstance(node, ex.Fun):
             kinds.add(node.kind)
-            stack.append(node.arg)
-        elif isinstance(node, ex.Add):
-            stack.extend(node.terms)
-        elif isinstance(node, ex.Mul):
-            stack.extend(node.factors)
-        elif isinstance(node, ex.Div):
-            stack.extend((node.num, node.den))
-        elif isinstance(node, ex.Pow):
-            stack.append(node.base)
+        stack.extend(_children(node))
     return kinds
 
 
@@ -229,13 +259,75 @@ def test_derivatives_closed_over_function_set():
 
 def test_vectorized_matches_scalar():
     rng = random.Random(45)
-    for _ in range(10):
-        e = _random_tree(rng)
-        xs = np.linspace(-2, 2, 17)
-        env = {"p": 0.7}
-        vec = ex.evaluate_many(e, env, {"x": xs})
-        for i in (0, 5, 16):
-            assert abs(vec[i] - ex.evaluate(e, env, {"x": xs[i]})) < 1e-12
+    trees = [_random_tree(rng) for _ in range(10)]
+    tape = ex.Tape(trees)
+    xs = np.linspace(-2, 2, 17)
+    env = {"p": 0.7}
+    shared = ex.evaluate_many(tape, env, {"x": xs})
+    for e, vec in zip(trees, shared):
+        assert np.array_equal(vec, ex.evaluate_many(e, env, {"x": xs}))
+    for i in (0, 5, 16):
+        scalar = ex.evaluate(tape, env, {"x": xs[i]})
+        for e, vec, sv in zip(trees, shared, scalar):
+            assert sv == ex.evaluate(e, env, {"x": xs[i]})
+            assert abs(vec[i] - sv) < 1e-12
+
+
+def _residual_term_sets(samples):
+    for fid in ("u14", "u22", "u7", "cole_hopf"):
+        params = samples[fid][0]
+        yield fid, verifier.mdp_residual_terms(catalog.build(fid, params), params["b"])
+
+
+def test_shared_tape_matches_per_term_evaluation(catalog_samples):
+    xs, ts = verifier.GridSpec().points()  # u14's pole lines cross this grid
+    point = {"x": xs, "t": ts}
+    for fid, terms in _residual_term_sets(catalog_samples):
+        shared = ex.evaluate_many(ex.Tape(terms), {}, point)
+        if fid == "u14":
+            assert not all(np.isfinite(v).all() for v in shared)
+        for term, got in zip(terms, shared):
+            assert np.array_equal(got, ex.evaluate_many(term, {}, point), equal_nan=True)
+
+
+def test_tape_has_one_slot_per_distinct_node(catalog_samples):
+    for _, terms in _residual_term_sets(catalog_samples):
+        distinct = set()
+        stack = list(terms)
+        while stack:
+            node = stack.pop()
+            if node not in distinct:
+                distinct.add(node)
+                stack.extend(_children(node))
+        tape = ex.Tape(terms)
+        assert len(tape.code) == len(distinct)
+        # every non-root slot is freed once, by its last consumer
+        freed = {}
+        for i, (_, _, _, args, free) in enumerate(tape.code):
+            for slot in free:
+                assert slot in args and slot not in freed
+                freed[slot] = i
+        assert set(freed) | set(tape.outputs) == set(range(len(tape.code)))
+        assert not set(freed) & set(tape.outputs)
+        for slot, i in freed.items():
+            assert all(slot not in ins[3] for ins in tape.code[i + 1:])
+
+
+def test_tape_keeps_a_root_that_is_also_a_subtree():
+    inner = ex.cosh(X)
+    outer = ex.add(1, ex.mul(2, ex.cosh(X)))  # equal to, not the same as, inner
+    xs = np.linspace(-1.0, 1.0, 5)
+    got_outer, got_inner = ex.evaluate_many([outer, inner], {}, {"x": xs})
+    assert np.array_equal(got_inner, np.cosh(xs))
+    assert np.array_equal(got_outer, 1.0 + 2.0 * np.cosh(xs))
+    assert ex.evaluate([outer, inner], {}, {"x": 0.0}) == [3.0, 1.0]
+
+
+def test_constant_root_broadcasts_to_grid_shape():
+    grid = np.zeros((3, 4))
+    half, root2, x = ex.evaluate_many([ex.Rational(F(1, 2)), ex.sqrt(2), X], {}, {"x": grid})
+    assert half.shape == root2.shape == x.shape == (3, 4)
+    assert (half == 0.5).all() and (root2 == math.sqrt(2)).all()
 
 
 def test_with_params_binds_exactly():

@@ -6,6 +6,7 @@ Covers:
   - frame consistency between the (x, t) and traveling-wave residuals
   - grid reports: pass/fail, skip counting, guard handling, grid halving,
     the all-skipped error, and the finite-difference cross-check path
+  - no numpy warning escapes an unguarded verification
 """
 import random
 from fractions import Fraction as F
@@ -111,6 +112,16 @@ def test_verify_non_solution_fails():
     rep = verify_on_grid(X, 3)
     assert not rep.passed
     assert rep.max_scaled > 0.1
+
+
+@pytest.mark.filterwarnings("error")
+def test_unguarded_poles_fail_without_numpy_warnings(catalog_samples):
+    # u14's pole lines cross the default grid; without a guard the terms
+    # are non-finite there, and the reductions must not warn about it
+    u = catalog.build("u14", catalog_samples["u14"][0])
+    rep = verify_on_grid(u, 3)
+    assert rep.passed is False
+    assert rep.max_scaled == float("inf")
 
 
 def test_grid_halving_never_changes_verdict():
