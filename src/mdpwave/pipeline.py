@@ -285,8 +285,14 @@ def ansatz_tuple(fid, alpha, beta, gamma, b):
 
 
 class _CompiledSystem:
-    """Float-compiled view of a specialized system for fast iteration:
-    one stacked monomial matrix for the residual and one per partial."""
+    """Float-compiled view of a specialized system, evaluated at a batch of
+    points at once: one stacked monomial matrix for the residual and one
+    per partial.
+
+    Each point's row is bitwise what evaluating that point alone gives: the
+    powers come from one table, each monomial is multiplied column by column
+    in the unknowns' order, and np.bincount adds each equation's terms in
+    their stored order, one segment per point."""
 
     def __init__(self, polys):
         self.n_eq = len(polys)
@@ -307,88 +313,112 @@ class _CompiledSystem:
 
         self.res = compile_stack(polys)
         self.jac = [compile_stack([p.diff(u) for p in polys]) for u in UNKNOWNS]
+        self.degree = 1 + max(int(E.max()) for E, _, _ in (self.res, *self.jac))
 
-    def _eval_stack(self, stack, x, want_scale=False):
+    def powers(self, X):
+        """Table of X[s, j] ** k for k < degree, shared by every stack."""
+        return np.power(X[:, :, None], np.arange(self.degree))
+
+    def _eval_stack(self, stack, table, want_scale=False):
         E, c, owner = stack
-        mono = np.prod(np.power(x[None, :], E), axis=1)
-        vals = np.bincount(owner, weights=c * mono, minlength=self.n_eq)
+        n = len(table)
+        terms = table[:, 0, E[:, 0]]
+        for j in range(1, E.shape[1]):
+            terms *= table[:, j, E[:, j]]
+        terms *= c
+        bins = (np.arange(n)[:, None] * self.n_eq + owner).ravel()
+        size = n * self.n_eq
+        vals = np.bincount(bins, weights=terms.ravel(), minlength=size)
+        vals = vals.reshape(n, self.n_eq)
         if not want_scale:
             return vals
-        scale = np.bincount(owner, weights=np.abs(c * mono), minlength=self.n_eq)
-        return vals, scale
+        np.abs(terms, out=terms)
+        scale = np.bincount(bins, weights=terms.ravel(), minlength=size)
+        return vals, scale.reshape(n, self.n_eq)
 
-    def residual(self, x):
-        return self._eval_stack(self.res, x)
+    def residual(self, table):
+        return self._eval_stack(self.res, table)
 
-    def residual_scaled(self, x):
-        vals, scale = self._eval_stack(self.res, x, want_scale=True)
+    def residual_scaled(self, table):
+        vals, scale = self._eval_stack(self.res, table, want_scale=True)
         return vals, np.abs(vals) / np.maximum(1.0, scale)
 
-    def jacobian(self, x):
-        cols = [self._eval_stack(stack, x) for stack in self.jac]
-        return np.stack(cols, axis=1)
+    def jacobian(self, table):
+        cols = [self._eval_stack(stack, table) for stack in self.jac]
+        return np.stack(cols, axis=2)
 
 
 def newton_solve(system, fixed, seeds, rng_seed=0, box=(-20.0, 20.0),
                  max_iter=80, converge_tol=1e-12, dedup_tol=1e-6):
     """Multistart damped Gauss-Newton over the six unknowns.
 
-    `fixed` binds alpha, beta, gamma, b (rationals).  Seeds are drawn
-    uniformly from box^6 with a fixed generator, iterated with least-squares
-    steps and step halving (up to 30 halvings on residual increase;
-    non-improving or singular starts are abandoned, never perturbed).
-    Convergence requires the scaled residual infinity-norm below
-    `converge_tol`, where each equation is scaled by max(1, sum of its
-    term magnitudes) -- the absolute criterion is unattainable in double
-    precision for roots of size O(10).  Roots are deduplicated at
-    `dedup_tol` and returned lexicographically sorted; an empty list is a
-    valid outcome.
+    `fixed` binds alpha, beta, gamma, b (rationals).  All `seeds` starts are
+    drawn at once, uniformly from box^6 with a fixed generator (the same
+    stream as one draw per seed), and advance in lockstep, one iteration at
+    a time, over the seeds still live.  Each seed takes a least-squares step
+    of its own (one np.linalg.lstsq call per seed and step) with step
+    halving (up to 30 halvings on residual increase); non-improving or
+    singular starts are abandoned, never perturbed.  A seed does exactly the
+    float operations, in the same order, that it would do iterated alone,
+    so the roots are byte-identical to a per-seed loop.  Convergence
+    requires the scaled residual infinity-norm below `converge_tol`, where
+    each equation is scaled by max(1, sum of its term magnitudes) -- the
+    absolute criterion is unattainable in double precision for roots of
+    size O(10).  Roots are deduplicated at `dedup_tol` and returned
+    lexicographically sorted; an empty list is a valid outcome.  Raises
+    ValueError on a negative seed count.
     """
     missing = [p for p in PARAMETERS if p not in fixed]
     if missing:
         raise KeyError(f"missing fixed parameter(s): {', '.join(missing)}")
+    if seeds < 0:
+        raise ValueError("seeds must be >= 0")
     specialized = [eq.subs({k: Fraction(v) for k, v in fixed.items()})
                    for eq in system.equations]
     compiled = _CompiledSystem(specialized)
     rng = np.random.default_rng(rng_seed)
     lo, hi = box
-    roots = []
+    X = rng.uniform(lo, hi, size=(seeds, len(UNKNOWNS)))
+    converged = np.zeros(seeds, dtype=bool)
+    live = np.arange(seeds)
 
     with np.errstate(all="ignore"):
-        for _ in range(seeds):
-            x = rng.uniform(lo, hi, size=len(UNKNOWNS))
-            r = compiled.residual(x)
-            norm = np.max(np.abs(r))
-            if not np.isfinite(norm):
-                continue
-            converged = False
-            for _ in range(max_iter):
-                _, scaled = compiled.residual_scaled(x)
-                if np.max(scaled) < converge_tol:
-                    converged = True
-                    break
-                J = compiled.jacobian(x)
-                if not np.all(np.isfinite(J)):
-                    break
+        for _ in range(max_iter):
+            table = compiled.powers(X[live])
+            r, scaled = compiled.residual_scaled(table)
+            norm = np.max(np.abs(r), axis=1)
+            # drops starts with a non-finite residual; accepted steps are finite
+            finite = np.isfinite(norm)
+            done = finite & (np.max(scaled, axis=1) < converge_tol)
+            converged[live[done]] = True
+            keep = finite & ~done
+            live, table, r, norm = live[keep], table[keep], r[keep], norm[keep]
+            if not live.size:
+                break
+            J = compiled.jacobian(table)
+            step = np.zeros((live.size, len(UNKNOWNS)))
+            solved = np.all(np.isfinite(J), axis=(1, 2))
+            for i in np.flatnonzero(solved):
                 try:
-                    step, *_ = np.linalg.lstsq(J, -r, rcond=None)
+                    step[i], *_ = np.linalg.lstsq(J[i], -r[i], rcond=None)
                 except np.linalg.LinAlgError:
+                    solved[i] = False
+            trying = np.flatnonzero(solved)
+            accepted = np.zeros(live.size, dtype=bool)
+            for _ in range(31):
+                if not trying.size:
                     break
-                accepted = False
-                for _ in range(31):
-                    xn = x + step
-                    rn = compiled.residual(xn)
-                    nn = np.max(np.abs(rn))
-                    if np.isfinite(nn) and nn <= norm:
-                        x, r, norm = xn, rn, nn
-                        accepted = True
-                        break
-                    step = step / 2
-                if not accepted:
-                    break
-            if converged:
-                roots.append(tuple(float(v) for v in x))
+                xn = X[live[trying]] + step[trying]
+                rn = compiled.residual(compiled.powers(xn))
+                nn = np.max(np.abs(rn), axis=1)
+                good = np.isfinite(nn) & (nn <= norm[trying])
+                X[live[trying[good]]] = xn[good]
+                accepted[trying[good]] = True
+                trying = trying[~good]
+                step[trying] = step[trying] / 2
+            live = live[accepted]
 
+    roots = [tuple(float(v) for v in X[i]) for i in np.flatnonzero(converged)]
     roots.sort()
     distinct = []
     for root in roots:

@@ -127,15 +127,20 @@ class MultiPoly:
     def subs(self, bindings):
         """Partially evaluate some variables at exact rationals."""
         vals = {_INDEX[k]: Fraction(v) for k, v in bindings.items()}
-        out = MultiPoly()
+        out = {}
         for e, c in self.terms.items():
             coef = c
             e2 = list(e)
             for i, v in vals.items():
                 coef *= v ** e[i]
                 e2[i] = 0
-            out = out + MultiPoly({tuple(e2): coef} if coef != 0 else {})
-        return out
+            e2 = tuple(e2)
+            s = out.get(e2, Fraction(0)) + coef
+            if s == 0:
+                out.pop(e2, None)
+            else:
+                out[e2] = s
+        return MultiPoly(out)
 
     def evaluate(self, bindings):
         """Full evaluation.  Exact when every binding is rational; float

@@ -143,6 +143,14 @@ def test_pipeline_solve_contains_expected_root():
     assert out == out2
 
 
+def test_pipeline_solve_negative_seeds_exit_2():
+    code, out = run(["pipeline", "solve", "--param", "b=3", "--param", "alpha=0",
+                     "--param", "beta=1", "--param", "gamma=-1", "--seeds", "-3"])
+    assert code == 2
+    assert json.loads(out) == {"error": "invalid-input",
+                               "message": "seeds must be >= 0"}
+
+
 def test_equiv_subcommand():
     code, out = run(["equiv", "--left", "u3", "--left-param", "b=3",
                      "--right", "u1", "--right-param", "b=3",

@@ -9,9 +9,13 @@ Covers:
     third-case instances
   - serialization round trip, bit exact
   - multistart root recovery and root self-consistency
+  - byte-identical Newton roots (golden hashes), the seed-count check,
+    and batch independence of the compiled residual and Jacobian
+  - partial evaluation (subs) against term-by-term addition
   - round trip: a numeric root composed with the matching phi solves the
     traveling-wave equation on a grid
 """
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -20,8 +24,9 @@ import pytest
 
 from mdpwave import expr as ex
 from mdpwave import pipeline as pl
+from mdpwave import report
 from mdpwave.errors import ConstraintViolation, UnsupportedOrder
-from mdpwave.polyalg import MultiPoly, PhiLaurent
+from mdpwave.polyalg import VARS, MultiPoly, PhiLaurent
 from mdpwave.riccati import RiccatiCoefficients, phi_expr
 from mdpwave.verifier import GridSpec, ode_residual, verify_on_grid
 
@@ -90,8 +95,6 @@ def test_generated_system_shape(system):
 def test_top_power_equation_dependencies(system):
     # the highest collected power comes from the cubic and dispersion
     # leaders only, so it involves just a2, gamma, and b
-    from mdpwave.polyalg import VARS
-
     top = system.equations[list(system.powers).index(14)]
     used = {VARS[i] for e, _ in top.sorted_terms() for i, k in enumerate(e) if k}
     assert used == {"a2", "gamma", "b"}
@@ -107,6 +110,36 @@ def test_pure_positive_power_specialization_collapses(system):
         sub = eq.subs({"c1": 0, "c2": 0})
         if k < 7:
             assert sub.is_zero, k
+
+
+_BENCH_CASES = {
+    "first": dict(alpha=F(1), beta=F(2), gamma=F(1), b=F(3)),
+    "second": dict(alpha=F(0), beta=F(1), gamma=F(-1), b=F(3)),
+    "third": dict(alpha=F(1, 2), beta=F(0), gamma=F(1, 2), b=F(3)),
+}
+
+
+def _subs_by_addition(poly, bindings):
+    # reference: fold one single-term polynomial per term through __add__
+    vals = {VARS.index(k): F(v) for k, v in bindings.items()}
+    out = MultiPoly()
+    for e, c in poly.terms.items():
+        e2 = list(e)
+        for i, v in vals.items():
+            c *= v ** e[i]
+            e2[i] = 0
+        out = out + MultiPoly({tuple(e2): c} if c != 0 else {})
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(_BENCH_CASES))
+def test_subs_matches_termwise_addition(system, case):
+    for eq in system.equations:
+        got = eq.subs(_BENCH_CASES[case])
+        want = _subs_by_addition(eq, _BENCH_CASES[case])
+        assert got == want
+        assert got.sorted_terms() == want.sorted_terms()
+        assert list(got.terms) == list(want.terms)
 
 
 def _residuals(system, fid, alpha, beta, gamma, b):
@@ -226,3 +259,60 @@ def test_round_trip_root_to_waveform(system):
     grid = GridSpec(x_min=-3.0, x_max=3.0, nx=61, t_min=0.0, t_max=1.0, nt=6)
     rep = verify_on_grid(u_xt, 3, grid=grid)
     assert rep.passed
+
+
+# sha256 of report.dumps([list(r) for r in roots]), recorded from the
+# per-seed Newton loop (one rng.uniform draw and one full iteration per
+# seed) before the seeds were batched; lockstep iteration must not move a
+# single bit of any root
+_GOLDEN_ROOTS = [
+    ("first", 60, 0, 19, "0edabea9957464cfdaa2544f731756f30de976c0c702782220693298ab96fd0e"),
+    ("first", 60, 7, 18, "bcec51a12f81f0453b9840856a204374df624a9b00e58e4356d010ee921744d6"),
+    ("second", 60, 0, 16, "4f89665358f723520daf24adbaaf49b792aaebd5098a8205d186054e028984d8"),
+    ("second", 60, 7, 18, "e567c9a7c85b31ce6736a6d9e7a928b1157c9f538407436f41228ba2fbc78bee"),
+    ("third", 60, 0, 18, "4070274266a3e97d18d68c277c915649b472ffae2af85a5e7783f5ea21bbbdb6"),
+    ("third", 60, 7, 18, "748b149569ac668bdb7a870fb9c14e70b1d6b0435ffe245f508d902f2b30b882"),
+    ("fourth", 60, 0, 19, "4a5f7c3613cccb36b3f8c5ea7ac37d8b05286fdca96296bb4ce45be3d19bd863"),
+    ("fourth", 60, 7, 22, "345b52d5091621ff9df8be9c7769741da3f2319c48b8278c5990dee650896c29"),
+    ("second", 1, 0, 1, "dfe757fdb60c8cb9e7a6525d23662dec58e6f74bfeba97371926e638ec9f00af"),
+    ("second", 1, 7, 1, "fd1d55dff6e07c09e606d3db9fb334513a74a83d6a8d50f656637b9516503c94"),
+]
+_GOLDEN_CASES = dict(_BENCH_CASES, fourth=dict(alpha=F(2), beta=F(3), gamma=F(1), b=F(3)))
+
+
+@pytest.mark.parametrize("case, seeds, rng_seed, count, digest", _GOLDEN_ROOTS)
+def test_newton_roots_byte_identical(system, case, seeds, rng_seed, count, digest):
+    roots = pl.newton_solve(system, _GOLDEN_CASES[case], seeds=seeds, rng_seed=rng_seed)
+    assert len(roots) == count
+    text = report.dumps([list(r) for r in roots])
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_newton_seed_count(system):
+    fixed = _BENCH_CASES["second"]
+    assert pl.newton_solve(system, fixed, seeds=0) == []
+    with pytest.raises(ValueError, match="seeds must be >= 0"):
+        pl.newton_solve(system, fixed, seeds=-3)
+
+
+def test_compiled_system_rows_are_batch_independent(system):
+    fixed = _BENCH_CASES["first"]
+    polys = [eq.subs(fixed) for eq in system.equations]
+    compiled = pl._CompiledSystem(polys)
+    X = np.random.default_rng(11).uniform(-3.0, 3.0, size=(7, len(pl.UNKNOWNS)))
+    table = compiled.powers(X)
+    r, scaled = compiled.residual_scaled(table)
+    J = compiled.jacobian(table)
+    assert np.array_equal(compiled.residual(table), r)
+    assert r.shape == (7, len(polys)) and J.shape == (7, len(polys), len(pl.UNKNOWNS))
+    for s, x in enumerate(X):
+        one = compiled.powers(x[None, :])
+        r1, scaled1 = compiled.residual_scaled(one)
+        assert np.array_equal(r[s], r1[0])
+        assert np.array_equal(scaled[s], scaled1[0])
+        assert np.array_equal(J[s], compiled.jacobian(one)[0])
+        bindings = {u: float(v) for u, v in zip(pl.UNKNOWNS, x)}
+        for i, p in enumerate(polys):
+            for j, u in enumerate(pl.UNKNOWNS):
+                want = float(p.diff(u).evaluate(bindings))
+                assert J[s, i, j] == pytest.approx(want, rel=1e-9, abs=1e-12)
