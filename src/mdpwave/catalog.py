@@ -110,7 +110,7 @@ def _u11_validator(p):
     out = _base_violations(p)
     if p["beta"] == 0:
         out.append("beta != 0")
-    elif not is_degenerate(float(p["alpha"]), float(p["beta"]), float(p["gamma"])):
+    elif not is_degenerate(p["alpha"], p["beta"], p["gamma"]):
         out.append("beta^2 = 4*alpha*gamma")
     return out
 

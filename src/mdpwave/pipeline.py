@@ -23,6 +23,20 @@ import numpy as np
 
 from .errors import ConstraintViolation, UnsupportedOrder
 from .polyalg import VARS, MultiPoly, PhiLaurent
+from .riccati import is_degenerate
+
+# The gufunc behind np.linalg.lstsq (see _lstsq_stack).  It is private numpy
+# API, and older numpy split it into lstsq_m and lstsq_n, so a numpy without
+# it fails at import rather than mid-solve.
+try:
+    from numpy.linalg._umath_linalg import lstsq as _gelsd
+    if "ddd->ddid" not in _gelsd.types:
+        raise ImportError("no 'ddd->ddid' loop")
+except ImportError as err:
+    raise ImportError(
+        "mdpwave.pipeline needs numpy.linalg._umath_linalg.lstsq with a "
+        f"'ddd->ddid' loop (numpy >= 2.4); numpy {np.__version__} lacks it"
+    ) from err
 
 __all__ = [
     "UNKNOWNS", "PARAMETERS", "CASE_FAMILIES", "balance", "ansatz_laurent",
@@ -183,7 +197,7 @@ def _case_violations(case, alpha, beta, gamma, b):
     if case == "first":
         if beta == 0:
             out.append("beta != 0")
-        if beta * beta != 4 * alpha * gamma:
+        if not is_degenerate(alpha, beta, gamma):
             out.append("beta^2 = 4*alpha*gamma")
     elif case == "second":
         if alpha != 0:
@@ -348,6 +362,20 @@ class _CompiledSystem:
         return np.stack(cols, axis=2)
 
 
+def _lstsq_stack(A, B):
+    """Row i is np.linalg.lstsq(A[i], B[i], rcond=None)[0], bit for bit, for
+    a (k, m, n) stack A and (k, m) stack B.
+
+    np.linalg.lstsq is a 2-D front end to the same gufunc, which runs LAPACK
+    dgelsd on each matrix of a stack in turn, with the same workspace size
+    and rcond.  A matrix on which dgelsd fails gives a NaN row here instead
+    of LinAlgError; call this under np.errstate(invalid="ignore") or wider.
+    """
+    rcond = np.finfo(float).eps * max(A.shape[1:])
+    x, *_ = _gelsd(A, B[:, :, None], rcond, signature="ddd->ddid")
+    return x[:, :, 0]
+
+
 def newton_solve(system, fixed, seeds, rng_seed=0, box=(-20.0, 20.0),
                  max_iter=80, converge_tol=1e-12, dedup_tol=1e-6):
     """Multistart damped Gauss-Newton over the six unknowns.
@@ -355,18 +383,21 @@ def newton_solve(system, fixed, seeds, rng_seed=0, box=(-20.0, 20.0),
     `fixed` binds alpha, beta, gamma, b (rationals).  All `seeds` starts are
     drawn at once, uniformly from box^6 with a fixed generator (the same
     stream as one draw per seed), and advance in lockstep, one iteration at
-    a time, over the seeds still live.  Each seed takes a least-squares step
-    of its own (one np.linalg.lstsq call per seed and step) with step
-    halving (up to 30 halvings on residual increase); non-improving or
-    singular starts are abandoned, never perturbed.  A seed does exactly the
-    float operations, in the same order, that it would do iterated alone,
-    so the roots are byte-identical to a per-seed loop.  Convergence
-    requires the scaled residual infinity-norm below `converge_tol`, where
-    each equation is scaled by max(1, sum of its term magnitudes) -- the
-    absolute criterion is unattainable in double precision for roots of
-    size O(10).  Roots are deduplicated at `dedup_tol` and returned
-    lexicographically sorted; an empty list is a valid outcome.  Raises
-    ValueError on a negative seed count.
+    a time, over the seeds still live.  Each iteration solves every live
+    seed's least-squares step in one stacked LAPACK dgelsd call: the gufunc
+    behind np.linalg.lstsq factors each matrix on its own, with the same
+    workspace and rcond, so every step has the bits of a per-seed
+    np.linalg.lstsq call.  Steps are then halved (up to 30 halvings on
+    residual increase).  A start whose Jacobian or step is non-finite (a
+    failed dgelsd returns NaN) or that stops improving is abandoned, never
+    perturbed.  A seed does exactly the float operations, in the same order,
+    that it would do iterated alone, so the roots are byte-identical to a
+    per-seed loop.  Convergence requires the scaled residual infinity-norm
+    below `converge_tol`, where each equation is scaled by max(1, sum of
+    its term magnitudes) -- the absolute criterion is unattainable in double
+    precision for roots of size O(10).  Roots are deduplicated at
+    `dedup_tol` and returned lexicographically sorted; an empty list is a
+    valid outcome.  Raises ValueError on a negative seed count.
     """
     missing = [p for p in PARAMETERS if p not in fixed]
     if missing:
@@ -397,13 +428,9 @@ def newton_solve(system, fixed, seeds, rng_seed=0, box=(-20.0, 20.0),
                 break
             J = compiled.jacobian(table)
             step = np.zeros((live.size, len(UNKNOWNS)))
-            solved = np.all(np.isfinite(J), axis=(1, 2))
-            for i in np.flatnonzero(solved):
-                try:
-                    step[i], *_ = np.linalg.lstsq(J[i], -r[i], rcond=None)
-                except np.linalg.LinAlgError:
-                    solved[i] = False
-            trying = np.flatnonzero(solved)
+            trying = np.flatnonzero(np.all(np.isfinite(J), axis=(1, 2)))
+            step[trying] = _lstsq_stack(J[trying], -r[trying])
+            trying = trying[np.all(np.isfinite(step[trying]), axis=1)]
             accepted = np.zeros(live.size, dtype=bool)
             for _ in range(31):
                 if not trying.size:

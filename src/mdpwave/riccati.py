@@ -54,9 +54,13 @@ class RiccatiCase:
 
 
 def is_degenerate(alpha, beta, gamma):
-    """beta^2 == 4*alpha*gamma up to a relative guard for round-trip noise."""
+    """beta^2 == 4*alpha*gamma: exactly when all three are exact rationals
+    (int or Fraction), otherwise up to a relative guard for round-trip
+    noise."""
     b2 = beta * beta
     fourac = 4 * alpha * gamma
+    if all(isinstance(v, (int, Fraction)) for v in (alpha, beta, gamma)):
+        return b2 == fourac
     return abs(b2 - fourac) <= DEGENERACY_RTOL * max(1.0, abs(b2), abs(fourac))
 
 

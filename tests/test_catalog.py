@@ -3,6 +3,7 @@
 Covers:
   - listing: 24 entries with the right parameter signatures
   - build values at hand-derived points, wave speeds, validation verdicts
+  - u11 degeneracy decided exactly, and alike, by catalog and pipeline
   - singular denominators (structural)
   - derivative/finite-difference agreement for catalogued expressions
   - numerically tracked phase velocity vs the declared wave speed
@@ -16,6 +17,7 @@ import pytest
 
 from mdpwave import catalog
 from mdpwave import expr as ex
+from mdpwave import pipeline as pl
 from mdpwave.errors import ConstraintViolation
 
 XI = ex.var("xi")
@@ -66,6 +68,18 @@ def test_validation_verdicts():
         catalog.build("u6", {"b": 3, "zeta": 1})
     with pytest.raises(ValueError):
         catalog.build("u7", {"b": 3})
+
+
+def test_u11_degeneracy_is_exact_on_both_paths(catalog_samples):
+    # catalog and pipeline must agree: exact inputs are decided exactly, so
+    # a 1e-14 miss is rejected although it is within the float tolerance
+    near = {"b": 3, "alpha": 1, "beta": 2, "gamma": 1 + F(1, 10**14)}
+    assert catalog.validate("u11", near) == ["beta^2 = 4*alpha*gamma"]
+    with pytest.raises(ConstraintViolation):
+        pl.ansatz_tuple("u11", near["alpha"], near["beta"], near["gamma"], near["b"])
+    for p in catalog_samples["u11"]:
+        assert catalog.validate("u11", p) == []
+        pl.ansatz_tuple("u11", p["alpha"], p["beta"], p["gamma"], p["b"])
 
 
 def test_singular_denominators():

@@ -9,8 +9,10 @@ Covers:
     third-case instances
   - serialization round trip, bit exact
   - multistart root recovery and root self-consistency
-  - byte-identical Newton roots (golden hashes), the seed-count check,
-    and batch independence of the compiled residual and Jacobian
+  - byte-identical Newton roots (golden hashes, also on the failure
+    paths), the seed-count check, batch independence of the compiled
+    residual and Jacobian, and the stacked least-squares solve against
+    per-matrix np.linalg.lstsq bit for bit
   - partial evaluation (subs) against term-by-term addition
   - round trip: a numeric root composed with the matching phi solves the
     traveling-wave equation on a grid
@@ -286,6 +288,64 @@ def test_newton_roots_byte_identical(system, case, seeds, rng_seed, count, diges
     assert len(roots) == count
     text = report.dumps([list(r) for r in roots])
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# the same digests, recorded the same way before the per-seed lstsq calls
+# were stacked, for the second case on the paths where a failed or
+# overflowing least-squares step could be handled differently
+_GOLDEN_FAILURE_ROOTS = [
+    ("box=1e100", dict(box=(-1e100, 1e100)), 0, 0, "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
+    ("box=1e100", dict(box=(-1e100, 1e100)), 7, 0, "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
+    ("box=1e6", dict(box=(-1e6, 1e6)), 0, 16, "c4277013b20af316890cb3e8fb97ba2c9b6943f2a064efef6a1f031c104e8417"),
+    ("box=1e6", dict(box=(-1e6, 1e6)), 7, 15, "6dbe2b3fee8faf18e37477023fff938337ddd806f551cd2d86de6db79cd3bc54"),
+    ("max_iter=0", dict(max_iter=0), 0, 0, "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
+    ("max_iter=0", dict(max_iter=0), 7, 0, "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
+    ("max_iter=1", dict(max_iter=1), 0, 0, "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
+    ("max_iter=1", dict(max_iter=1), 7, 0, "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
+    ("max_iter=3", dict(max_iter=3), 0, 0, "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
+    ("max_iter=3", dict(max_iter=3), 7, 0, "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
+    ("box=0", dict(box=(0.0, 0.0)), 0, 1, "39410f843f1505fb668f492360b4db3488224f128a13e9a77511170caf5ad72b"),
+    ("box=0", dict(box=(0.0, 0.0)), 7, 1, "39410f843f1505fb668f492360b4db3488224f128a13e9a77511170caf5ad72b"),
+    ("converge_tol=1e-3", dict(converge_tol=1e-3), 0, 60, "be0ab506f0a6ddf0a771fdae3be3fa6ad9750cdf152a1b9ab1c498cd997af780"),
+    ("converge_tol=1e-3", dict(converge_tol=1e-3), 7, 60, "b3bc8ad945904b55003be049f5a740ae77a12227f367b825afa64e58c771dd07"),
+]
+
+
+@pytest.mark.parametrize("label, kwargs, rng_seed, count, digest", _GOLDEN_FAILURE_ROOTS,
+                         ids=[f"{row[0]}-{row[2]}" for row in _GOLDEN_FAILURE_ROOTS])
+def test_newton_failure_paths_byte_identical(system, label, kwargs, rng_seed, count, digest):
+    roots = pl.newton_solve(system, _BENCH_CASES["second"], seeds=60, rng_seed=rng_seed,
+                            **kwargs)
+    assert len(roots) == count
+    text = report.dumps([list(r) for r in roots])
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_batched_lstsq_matches_numpy_bitwise():
+    # pins the private dgelsd gufunc behind newton_solve to the public
+    # per-matrix np.linalg.lstsq on the installed numpy
+    rng = np.random.default_rng(5)
+    mats = list(rng.standard_normal((180, 15, 6)))
+    for k in range(6):
+        A = rng.standard_normal((15, 6))
+        A[:, k] = 0.0
+        mats.append(A)
+        A = rng.standard_normal((15, 6))
+        A[:, k] = A[:, (k + 1) % 6]
+        mats.append(A)
+    mats += [np.zeros((15, 6))] * 3
+    for scale in (1e150, 1e-150):
+        mats += list(scale * rng.standard_normal((12, 15, 6)))
+    A = np.array(mats)
+    B = rng.standard_normal((len(A), 15))
+    B[:10] *= 1e150
+    B[10:20] *= 1e-150
+    assert A.shape == (219, 15, 6)
+    x = pl._lstsq_stack(A, B)
+    for i in range(len(A)):
+        want = np.linalg.lstsq(A[i], B[i], rcond=None)[0]
+        assert np.array_equal(x[i], want), i
+    assert pl._lstsq_stack(A[:0], B[:0]).shape == (0, 6)
 
 
 def test_newton_seed_count(system):

@@ -8,6 +8,7 @@ Covers:
   - discriminant caching consistency
 """
 import random
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -45,6 +46,8 @@ def test_degeneracy_guard_accepts_roundoff():
     assert is_degenerate(1, 2, 1)
     assert is_degenerate(1, 2, 1 + 1e-14)
     assert not is_degenerate(1, 2, 1.001)
+    # exact inputs get no tolerance
+    assert not is_degenerate(1, 2, 1 + F(1, 10**14))
 
 
 def test_phi_values():
