@@ -1,8 +1,9 @@
 """Authoritative registry of the closed-form traveling-wave families
 u1..u23 plus the generic kink-profile form ("cole_hopf").
 
-Every family records its parameter signature, admissibility predicates,
-wave speed, singularity locus, and a builder.  Profiles are expressions in
+Every family records its parameter signature, one table of (label,
+predicate) admissibility checks, wave speed, singularity locus, and a
+builder.  Profiles are expressions in
 xi with all constants embedded exactly; `build` expands xi = x + lam*t.
 Internally lam always satisfies xi = x + lam*t, so the familiar
 "x - c*t" phases correspond to c = -lam.
@@ -20,7 +21,8 @@ from typing import Callable
 from . import expr as ex
 from . import rational_hyperbolic as rh
 from .errors import ConstraintViolation
-from .riccati import is_degenerate
+from .riccati import (BASE_CHECKS, MU_LABEL, S_LABEL, discriminant,
+                      is_degenerate)
 
 __all__ = [
     "family_ids", "list_families", "validate", "build", "profile",
@@ -40,63 +42,69 @@ class _Family:
     fid: str
     parameters: tuple
     optional: dict
-    constraints: tuple
+    checks: tuple  # (label, fails(params)) pairs, in report order
     speed_doc: str
-    validator: Callable
     maker: Callable  # params -> (profile Expr in xi, lam Expr, guard Expr in xi)
 
 
-def _base_violations(p):
-    out = []
-    if p["b"] == -1:
-        out.append("b != -1")
-    if p["b"] == -2:
-        out.append("b != -2")
-    return out
+# --- admissibility checks ----------------------------------------------------
+
+_BASE = tuple((label, lambda p, excluded=excluded: p["b"] == excluded)
+              for label, excluded in BASE_CHECKS)
+_MU = (MU_LABEL, lambda p: p["mu"] == 0)
+_BETA = ("beta != 0", lambda p: p["beta"] == 0)
 
 
-def _sqrt_or_violation(value, label, out):
-    if value < 0:
-        out.append(label)
+def _s_check(k):
+    """S >= 0 for S = discriminant(b, k(params))."""
+    return (S_LABEL, lambda p: discriminant(p["b"], k(p)) < 0)
+
+
+def _delta(p):
+    return p["beta"] ** 2 - 4 * p["alpha"] * p["gamma"]
+
+
+def _zero_speed(p):
+    """lam = -(b + 1 - branch*sqrt(S))/2 vanishes: branch*sqrt(S) = b + 1."""
+    b = p["b"]
+    return discriminant(b, p["mu"] ** 4) == (b + 1) ** 2 and p["branch"] * (b + 1) > 0
+
+
+_KINK = _BASE + (_MU, _s_check(lambda p: p["mu"] ** 4))
+_COLE_HOPF = _BASE + (_MU, ("branch in {+1, -1}", lambda p: p["branch"] ** 2 != 1),
+                      _s_check(lambda p: p["mu"] ** 4))
+# the frequency mu*lam must not vanish, a side condition of the form that is
+# checked only once every other check holds
+_COLE_HOPF += (("lambda != 0", lambda p, rest=_COLE_HOPF:
+                not any(fails(p) for _, fails in rest) and _zero_speed(p)),)
+_U11 = _BASE + (_BETA, ("beta^2 = 4*alpha*gamma", lambda p: p["beta"] != 0
+                        and not is_degenerate(p["alpha"], p["beta"], p["gamma"])))
+_EXP_PAIR = _BASE + (_BETA, _s_check(lambda p: p["beta"] ** 4))
+
+
+def _trig(coef):
+    return _BASE + (("alpha*gamma > 0", lambda p: p["alpha"] * p["gamma"] <= 0),
+                    _s_check(lambda p: coef * (p["alpha"] * p["gamma"]) ** 2))
+
+
+_TANH = _BASE + (("Delta > 0", lambda p: _delta(p) <= 0),
+                 (S_LABEL, lambda p: _delta(p) > 0 and discriminant(p["b"], _delta(p) ** 2) < 0))
+
+
+def _radical(b, k, sign):
+    """(sign*sqrt(S), lam) for S = discriminant(b, k), lam = -(b + 1 - sign*sqrt(S))/2."""
+    root = ex.mul(sign, ex.sym_sqrt(discriminant(b, k)))
+    return root, ex.mul(-HALF, ex.sub(b + 1, root))
 
 
 # --- kink-profile families (u1, u2, generic) -------------------------------
 
-def _kink_discriminant(b, mu):
-    return 1 - b * (b + 2) * (mu ** 4 - 1)
-
-
-def _kink_validator(p, *, need_branch=False):
-    out = _base_violations(p)
-    if p["mu"] == 0:
-        out.append("mu != 0")
-    if need_branch and p["branch"] ** 2 != 1:
-        out.append("branch in {+1, -1}")
-    if p["b"] not in (-1, -2):
-        _sqrt_or_violation(_kink_discriminant(p["b"], p["mu"]),
-                           "discriminant S >= 0", out)
-    if need_branch and not out:
-        # the frequency mu*lam must not vanish (side condition of the form)
-        S = _kink_discriminant(p["b"], p["mu"])
-        sign = p["branch"]
-        if S == (p["b"] + 1) ** 2 and sign * (p["b"] + 1) > 0:
-            out.append("lambda != 0")
-    return out
-
-
 def _kink_maker(p, sign):
     """sign +1: +sqrt(S) branch; sign -1: -sqrt(S) branch."""
     b, mu, delta = p["b"], p["mu"], p.get("delta", F(0))
-    S = _kink_discriminant(b, mu)
-    root = ex.sym_sqrt(S)
-    if sign > 0:
-        background = ex.div(ex.add(ex.as_expr(2 * mu * mu - 1 + b * (mu * mu - 1)), root),
-                            2 * (b + 1))
-        lam = ex.mul(-HALF, ex.sub(b + 1, root))
-    else:
-        background = ex.div(ex.sub(ex.as_expr(b * mu * mu + 2 * mu * mu - 1 - b), root),
-                            2 * (b + 1))
-        lam = ex.mul(-HALF, ex.add(b + 1, root))
+    root, lam = _radical(b, mu ** 4, sign)
+    background = ex.div(ex.add(ex.as_expr(2 * mu * mu - 1 + b * (mu * mu - 1)), root),
+                        2 * (b + 1))
     phase = ex.add(ex.mul(mu, XI), ex.as_expr(delta))
     prof = ex.sub(background,
                   ex.div(ex.mul(6 * (b + 2), mu * mu),
@@ -106,15 +114,6 @@ def _kink_maker(p, sign):
 
 # --- phi-power families (u11..u23) -----------------------------------------
 
-def _u11_validator(p):
-    out = _base_violations(p)
-    if p["beta"] == 0:
-        out.append("beta != 0")
-    elif not is_degenerate(p["alpha"], p["beta"], p["gamma"]):
-        out.append("beta^2 = 4*alpha*gamma")
-    return out
-
-
 def _u11_maker(p):
     b, beta = p["b"], p["beta"]
     den = ex.mul(b + 1, ex.pow_(ex.add(ex.mul(beta, XI), 2), 2))
@@ -123,114 +122,74 @@ def _u11_maker(p):
     return prof, ex.as_expr(-b - 1), guard
 
 
-def _exp_pair_validator(p):
-    out = _base_violations(p)
-    if p["beta"] == 0:
-        out.append("beta != 0")
-    if p["b"] not in (-1, -2):
-        _sqrt_or_violation(1 - p["b"] * (p["b"] + 2) * (p["beta"] ** 4 - 1),
-                           "discriminant S >= 0", out)
-    return out
-
-
 def _exp_pair_maker(p, sign):
     b, beta, gamma = p["b"], p["beta"], p["gamma"]
-    S = 1 - b * (b + 2) * (beta ** 4 - 1)
-    root = ex.sym_sqrt(S)
+    root, lam = _radical(b, beta ** 4, sign)
     const_num = ex.as_expr((b + 2) * beta * beta - b - 1)
-    const = ex.div(ex.add(const_num, ex.mul(sign, root)), 2 * (b + 1))
+    const = ex.div(ex.add(const_num, root), 2 * (b + 1))
     D = ex.sub(ex.mul(beta, ex.exp(ex.mul(-beta, XI))), ex.as_expr(gamma))
     tail = ex.mul(F(6) * (b + 2) * gamma * beta * beta / (b + 1),
                   ex.add(ex.div(1, D), ex.div(ex.as_expr(gamma), ex.pow_(D, 2))))
-    lam = ex.mul(-HALF, ex.sub(b + 1, ex.mul(sign, root)))
     return ex.add(const, tail), lam, D
-
-
-def _trig_validator(p, coef):
-    out = _base_violations(p)
-    if p["alpha"] * p["gamma"] <= 0:
-        out.append("alpha*gamma > 0")
-    if p["b"] not in (-1, -2):
-        S = p["b"] * (p["b"] + 2) * (1 - coef * (p["alpha"] * p["gamma"]) ** 2) + 1
-        _sqrt_or_violation(S, "discriminant S >= 0", out)
-    return out
 
 
 def _csc_maker(p, sign):
     b, ag = p["b"], p["alpha"] * p["gamma"]
-    S = b * (b + 2) * (1 - 256 * ag * ag) + 1
-    root = ex.sym_sqrt(S)
+    root, lam = _radical(b, 256 * ag * ag, sign)
     arg = ex.mul(2, ex.sym_sqrt(ag), XI)
     num = ex.add(ex.as_expr(-(b + 1) - 16 * ag * (b + 2)),
-                 ex.mul(sign, root),
+                 root,
                  ex.mul(48 * ag * (b + 2), ex.pow_(ex.csc(arg), 2)))
-    lam = ex.mul(-HALF, ex.sub(b + 1, ex.mul(sign, root)))
     return ex.div(num, 2 * (b + 1)), lam, ex.div(1, ex.csc(arg))
 
 
 def _tan_cot_maker(p, sign, kind):
     b, ag = p["b"], p["alpha"] * p["gamma"]
-    S = b * (b + 2) * (1 - 16 * ag * ag) + 1
-    root = ex.sym_sqrt(S)
+    root, lam = _radical(b, 16 * ag * ag, sign)
     arg = ex.mul(ex.sym_sqrt(ag), XI)
     trig = ex.cot(arg) if kind == "cot" else ex.tan(arg)
     num = ex.add(ex.as_expr(-(b + 1) + 8 * ag * (b + 2)),
-                 ex.mul(sign, root),
+                 root,
                  ex.mul(12 * ag * (b + 2), ex.pow_(trig, 2)))
-    lam = ex.mul(-HALF, ex.sub(b + 1, ex.mul(sign, root)))
     guard = ex.div(1, ex.csc(arg)) if kind == "cot" else ex.cot(arg)
     return ex.div(num, 2 * (b + 1)), lam, guard
 
 
-def _tanh_validator(p):
-    out = _base_violations(p)
-    delta = p["beta"] ** 2 - 4 * p["alpha"] * p["gamma"]
-    if delta <= 0:
-        out.append("Delta > 0")
-    if p["b"] not in (-1, -2) and delta > 0:
-        _sqrt_or_violation(1 - p["b"] * (p["b"] + 2) * (delta ** 2 - 1),
-                           "discriminant S >= 0", out)
-    return out
-
-
 def _tanh_sq_maker(p, sign):
     b = p["b"]
-    delta = p["beta"] ** 2 - 4 * p["alpha"] * p["gamma"]
-    S = 1 - b * (b + 2) * (delta ** 2 - 1)
-    root = ex.sym_sqrt(S)
+    delta = _delta(p)
+    root, lam = _radical(b, delta ** 2, sign)
     tval = ex.tanh(ex.mul(HALF, ex.sym_sqrt(delta), XI))
-    const = ex.div(ex.sub(ex.as_expr(-(2 * delta * (b + 2) + b + 1)),
-                          ex.mul(-sign, root)),
+    const = ex.div(ex.add(ex.as_expr(-(2 * delta * (b + 2) + b + 1)), root),
                    2 * (b + 1))
     prof = ex.add(const,
                   ex.mul(F(3) * (b + 2) * delta / (2 * (b + 1)), ex.pow_(tval, 2)))
-    lam = ex.mul(-HALF, ex.sub(b + 1, ex.mul(sign, root)))
     return prof, lam, ex.ONE
 
 
 def _tanh_inv_maker(p, sign):
     b, alpha, beta, gamma = p["b"], p["alpha"], p["beta"], p["gamma"]
     ag = alpha * gamma
-    delta = beta ** 2 - 4 * ag
-    S = 1 - b * (b + 2) * (delta ** 2 - 1)
-    root = ex.sym_sqrt(S)
+    delta = _delta(p)
+    root, lam = _radical(b, delta ** 2, sign)
     rtd = ex.sym_sqrt(delta)
     tval = ex.tanh(ex.mul(HALF, rtd, XI))
-    const = ex.div(ex.add(ex.as_expr((delta + 12 * ag) * (b + 2) - (b + 1)),
-                          ex.mul(sign, root)),
+    const = ex.div(ex.add(ex.as_expr((delta + 12 * ag) * (b + 2) - (b + 1)), root),
                    2 * (b + 1))
     pole = ex.add(ex.as_expr(beta), ex.mul(rtd, tval))
     num = ex.add(ex.as_expr(beta * beta - 2 * ag), ex.mul(beta, rtd, tval))
     tail = ex.mul(-12 * (b + 2) * ag,
                   ex.div(num, ex.mul(b + 1, ex.pow_(pole, 2))))
-    lam = ex.mul(-HALF, ex.sub(b + 1, ex.mul(sign, root)))
     return ex.add(const, tail), lam, pole
 
 
 # --- rational-hyperbolic families (u3..u10) ---------------------------------
 
-def _rh_validator(p, fid):
-    return rh.family_violations(fid, p["b"], a2=p.get("a2"), c2=p.get("c2"))
+def _rh_checks(fid):
+    if fid not in rh.FREE_PARAMETER:
+        return _BASE
+    name, label, fails = rh.FREE_PARAMETER[fid]
+    return _BASE + ((label, lambda p: fails(p["b"], p[name])),)
 
 
 def _rh_maker(p, fid):
@@ -244,90 +203,64 @@ def _rh_maker(p, fid):
 def _make_registry():
     fams = []
 
-    def addf(fid, parameters, optional, constraints, speed_doc, validator, maker):
+    def addf(fid, parameters, optional, checks, speed_doc, maker):
         fams.append(_Family(fid, tuple(parameters), dict(optional),
-                            tuple(constraints), speed_doc, validator, maker))
+                            tuple(checks), speed_doc, maker))
 
-    base_c = ("b != -1", "b != -2")
-    addf("u1", ("b", "mu"), {"delta": F(0)}, base_c + ("mu != 0", "discriminant S >= 0"),
+    addf("u1", ("b", "mu"), {"delta": F(0)}, _KINK,
          "lambda = -(b + 1 - sqrt(S))/2, S = 1 - b(b+2)(mu^4 - 1)",
-         lambda p: _kink_validator(p), lambda p: _kink_maker(p, +1))
-    addf("u2", ("b", "mu"), {"delta": F(0)}, base_c + ("mu != 0", "discriminant S >= 0"),
+         lambda p: _kink_maker(p, +1))
+    addf("u2", ("b", "mu"), {"delta": F(0)}, _KINK,
          "lambda = -(b + 1 + sqrt(S))/2, S = 1 - b(b+2)(mu^4 - 1)",
-         lambda p: _kink_validator(p), lambda p: _kink_maker(p, -1))
+         lambda p: _kink_maker(p, -1))
 
     for fid in rh.FAMILY_IDS:
-        parameters = ["b"]
-        extra = ()
-        if fid in ("u7", "u8"):
-            parameters.append("a2")
-            extra = ("(b+1)^2*a2^2 >= 1",)
-        if fid in ("u9", "u10"):
-            parameters.append("c2")
-            extra = ("c2^2 >= 1",)
+        parameters = ("b",) + rh.FREE_PARAMETER.get(fid, ())[:1]
         speed = ("lambda = -b/2" if fid in ("u3", "u4", "u7", "u8")
                  else "lambda = -b/2 - 1")
-        addf(fid, parameters, {}, base_c + extra, speed,
-             (lambda f: lambda p: _rh_validator(p, f))(fid),
+        addf(fid, parameters, {}, _rh_checks(fid), speed,
              (lambda f: lambda p: _rh_maker(p, f))(fid))
 
-    addf("u11", ("b", "alpha", "beta", "gamma"), {},
-         base_c + ("beta != 0", "beta^2 = 4*alpha*gamma"),
-         "lambda = -b - 1",
-         _u11_validator, _u11_maker)
-    addf("u12", ("b", "beta", "gamma"), {},
-         base_c + ("beta != 0", "discriminant S >= 0"),
+    addf("u11", ("b", "alpha", "beta", "gamma"), {}, _U11,
+         "lambda = -b - 1", _u11_maker)
+    addf("u12", ("b", "beta", "gamma"), {}, _EXP_PAIR,
          "lambda = -(b + 1 + sqrt(S))/2, S = 1 - b(b+2)(beta^4 - 1)",
-         _exp_pair_validator, lambda p: _exp_pair_maker(p, -1))
-    addf("u13", ("b", "beta", "gamma"), {},
-         base_c + ("beta != 0", "discriminant S >= 0"),
+         lambda p: _exp_pair_maker(p, -1))
+    addf("u13", ("b", "beta", "gamma"), {}, _EXP_PAIR,
          "lambda = -(b + 1 - sqrt(S))/2, S = 1 - b(b+2)(beta^4 - 1)",
-         _exp_pair_validator, lambda p: _exp_pair_maker(p, +1))
-    addf("u14", ("b", "alpha", "gamma"), {},
-         base_c + ("alpha*gamma > 0", "discriminant S >= 0"),
+         lambda p: _exp_pair_maker(p, +1))
+    addf("u14", ("b", "alpha", "gamma"), {}, _trig(256),
          "lambda = -(b + 1 + sqrt(S))/2, S = b(b+2)(1 - 256(alpha*gamma)^2) + 1",
-         lambda p: _trig_validator(p, 256), lambda p: _csc_maker(p, -1))
-    addf("u15", ("b", "alpha", "gamma"), {},
-         base_c + ("alpha*gamma > 0", "discriminant S >= 0"),
+         lambda p: _csc_maker(p, -1))
+    addf("u15", ("b", "alpha", "gamma"), {}, _trig(256),
          "lambda = -(b + 1 - sqrt(S))/2, S = b(b+2)(1 - 256(alpha*gamma)^2) + 1",
-         lambda p: _trig_validator(p, 256), lambda p: _csc_maker(p, +1))
-    addf("u16", ("b", "alpha", "gamma"), {},
-         base_c + ("alpha*gamma > 0", "discriminant S >= 0"),
+         lambda p: _csc_maker(p, +1))
+    addf("u16", ("b", "alpha", "gamma"), {}, _trig(16),
          "lambda = -(b + 1 + sqrt(S))/2, S = b(b+2)(1 - 16(alpha*gamma)^2) + 1",
-         lambda p: _trig_validator(p, 16), lambda p: _tan_cot_maker(p, -1, "cot"))
-    addf("u17", ("b", "alpha", "gamma"), {},
-         base_c + ("alpha*gamma > 0", "discriminant S >= 0"),
+         lambda p: _tan_cot_maker(p, -1, "cot"))
+    addf("u17", ("b", "alpha", "gamma"), {}, _trig(16),
          "lambda = -(b + 1 + sqrt(S))/2, S = b(b+2)(1 - 16(alpha*gamma)^2) + 1",
-         lambda p: _trig_validator(p, 16), lambda p: _tan_cot_maker(p, -1, "tan"))
-    addf("u18", ("b", "alpha", "gamma"), {},
-         base_c + ("alpha*gamma > 0", "discriminant S >= 0"),
+         lambda p: _tan_cot_maker(p, -1, "tan"))
+    addf("u18", ("b", "alpha", "gamma"), {}, _trig(16),
          "lambda = -(b + 1 - sqrt(S))/2, S = b(b+2)(1 - 16(alpha*gamma)^2) + 1",
-         lambda p: _trig_validator(p, 16), lambda p: _tan_cot_maker(p, +1, "cot"))
-    addf("u19", ("b", "alpha", "gamma"), {},
-         base_c + ("alpha*gamma > 0", "discriminant S >= 0"),
+         lambda p: _tan_cot_maker(p, +1, "cot"))
+    addf("u19", ("b", "alpha", "gamma"), {}, _trig(16),
          "lambda = -(b + 1 - sqrt(S))/2, S = b(b+2)(1 - 16(alpha*gamma)^2) + 1",
-         lambda p: _trig_validator(p, 16), lambda p: _tan_cot_maker(p, +1, "tan"))
-    addf("u20", ("b", "alpha", "beta", "gamma"), {},
-         base_c + ("Delta > 0", "discriminant S >= 0"),
+         lambda p: _tan_cot_maker(p, +1, "tan"))
+    addf("u20", ("b", "alpha", "beta", "gamma"), {}, _TANH,
          "lambda = -(b + 1 + sqrt(S))/2, S = 1 - b(b+2)(Delta^2 - 1)",
-         _tanh_validator, lambda p: _tanh_sq_maker(p, -1))
-    addf("u21", ("b", "alpha", "beta", "gamma"), {},
-         base_c + ("Delta > 0", "discriminant S >= 0"),
+         lambda p: _tanh_sq_maker(p, -1))
+    addf("u21", ("b", "alpha", "beta", "gamma"), {}, _TANH,
          "lambda = -(b + 1 - sqrt(S))/2, S = 1 - b(b+2)(Delta^2 - 1)",
-         _tanh_validator, lambda p: _tanh_sq_maker(p, +1))
-    addf("u22", ("b", "alpha", "beta", "gamma"), {},
-         base_c + ("Delta > 0", "discriminant S >= 0"),
+         lambda p: _tanh_sq_maker(p, +1))
+    addf("u22", ("b", "alpha", "beta", "gamma"), {}, _TANH,
          "lambda = -(b + 1 - sqrt(S))/2, S = 1 - b(b+2)(Delta^2 - 1)",
-         _tanh_validator, lambda p: _tanh_inv_maker(p, +1))
-    addf("u23", ("b", "alpha", "beta", "gamma"), {},
-         base_c + ("Delta > 0", "discriminant S >= 0"),
+         lambda p: _tanh_inv_maker(p, +1))
+    addf("u23", ("b", "alpha", "beta", "gamma"), {}, _TANH,
          "lambda = -(b + 1 + sqrt(S))/2, S = 1 - b(b+2)(Delta^2 - 1)",
-         _tanh_validator, lambda p: _tanh_inv_maker(p, -1))
-    addf("cole_hopf", ("b", "mu", "branch"), {"delta": F(0)},
-         base_c + ("mu != 0", "branch in {+1, -1}", "discriminant S >= 0",
-                   "lambda != 0"),
+         lambda p: _tanh_inv_maker(p, -1))
+    addf("cole_hopf", ("b", "mu", "branch"), {"delta": F(0)}, _COLE_HOPF,
          "lambda = -(b + 1 - branch*sqrt(S))/2, S = 1 - b(b+2)(mu^4 - 1)",
-         lambda p: _kink_validator(p, need_branch=True),
          lambda p: _kink_maker(p, +1 if p["branch"] > 0 else -1))
 
     return {f.fid: f for f in fams}
@@ -347,7 +280,7 @@ def list_families():
             "id": f.fid,
             "parameters": list(f.parameters),
             "optional": {k: str(v) for k, v in f.optional.items()},
-            "constraints": list(f.constraints),
+            "constraints": [label for label, _ in f.checks],
             "wave_speed": f.speed_doc,
         }
         for f in _REGISTRY.values()
@@ -375,16 +308,20 @@ def _get(fid):
         raise ValueError(f"unknown family {fid!r}") from None
 
 
+def _violations(fam, p):
+    return [label for label, fails in fam.checks if fails(p)]
+
+
 def validate(fid, params):
-    """List of violated predicates; empty when admissible."""
+    """List of violated predicates, in table order; empty when admissible."""
     fam = _get(fid)
-    return fam.validator(_norm_params(fam, params))
+    return _violations(fam, _norm_params(fam, params))
 
 
 def _checked(fid, params):
     fam = _get(fid)
     p = _norm_params(fam, params)
-    bad = fam.validator(p)
+    bad = _violations(fam, p)
     if bad:
         raise ConstraintViolation(bad)
     return fam, p

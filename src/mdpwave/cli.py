@@ -48,10 +48,6 @@ def _parse_params(pairs):
     return out
 
 
-def _params_echo(params):
-    return {k: v for k, v in params.items()}
-
-
 def _emit(doc, out_path):
     text = report.dumps(doc)
     if out_path:
@@ -182,7 +178,7 @@ def _cmd_verify(args):
     doc = {
         "config": {
             "command": "verify", "family": args.family,
-            "params": _params_echo(params), "grid": grid.to_dict(),
+            "params": params, "grid": grid.to_dict(),
             "tol": rep.tolerance, "method": args.method,
         },
         "family": args.family,
@@ -198,8 +194,7 @@ def _cmd_riccati(args):
     for name in ("alpha", "beta", "gamma"):
         if name not in params:
             raise ValueError(f"riccati requires --param {name}=...")
-    c = ric.RiccatiCoefficients(float(params["alpha"]), float(params["beta"]),
-                                float(params["gamma"]))
+    c = ric.RiccatiCoefficients(params["alpha"], params["beta"], params["gamma"])
     case = ric.riccati_case(c)
     res = ric.riccati_residual(case.phi, c)
     guard = ric.pole_guard(c)
@@ -210,10 +205,10 @@ def _cmd_riccati(args):
     rv = rv[np.isfinite(rv)]
     max_res = float(np.max(np.abs(rv))) if rv.size else 0.0
     doc = {
-        "config": {"command": "riccati", "params": _params_echo(params),
+        "config": {"command": "riccati", "params": params,
                    "samples": args.samples},
         "case": case.case_id,
-        "delta": c.delta,
+        "delta": float(c.delta),
         "phi": ex.to_prefix(case.phi),
         "max_residual": max_res,
         "residual_samples": int(rv.size),
@@ -238,7 +233,7 @@ def _cmd_cole_hopf(args):
     rep = verifier.verify_on_grid(u, b, grid=grid)
     doc = {
         "config": {"command": "cole-hopf", "branch": args.branch,
-                   "params": _params_echo(params), "grid": grid.to_dict()},
+                   "params": params, "grid": grid.to_dict()},
         "branch": args.branch,
         "A": float(A), "B": float(B), "lambda": float(lam),
         "system_residuals": [float(r) for r in residuals],
@@ -260,7 +255,7 @@ def _cmd_rh(args):
                                         denominator=rh.rh_denominator(fam_params))
     doc = {
         "config": {"command": "rh", "family": args.family,
-                   "params": _params_echo(params)},
+                   "params": params},
         "family": args.family,
         "coefficients": {
             "lam": float(fam_params.lam), "a0": float(fam_params.a0),
@@ -317,7 +312,7 @@ def _cmd_pipeline_check(args):
         })
     doc = {
         "config": {"command": "pipeline check", "case": args.case,
-                   "params": _params_echo(params)},
+                   "params": params},
         "case": args.case,
         "tuples": entries,
     }
@@ -335,7 +330,7 @@ def _cmd_pipeline_solve(args):
     roots = pipeline.newton_solve(system, fixed, seeds=args.seeds,
                                   rng_seed=args.rng_seed)
     doc = {
-        "config": {"command": "pipeline solve", "params": _params_echo(params),
+        "config": {"command": "pipeline solve", "params": params,
                    "seeds": args.seeds, "rng_seed": args.rng_seed},
         "unknowns": list(pipeline.UNKNOWNS),
         "root_count": len(roots),
@@ -386,9 +381,9 @@ def _cmd_equiv(args):
     passed = bool(max_diff < args.tol)
     doc = {
         "config": {"command": "equiv", "left": args.left,
-                   "left_params": _params_echo(left_params),
+                   "left_params": left_params,
                    "right": args.right,
-                   "right_params": _params_echo(right_params),
+                   "right_params": right_params,
                    "points": args.points, "tol": args.tol, "seed": args.seed},
         "max_abs_difference": max_diff,
         "points_compared": int(xs.size),

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from . import expr as ex
 from .errors import ConstraintViolation, InvalidParams
+from .riccati import MU_LABEL, S_LABEL, base_violations, discriminant
 
 __all__ = ["ColeHopfParams", "cole_hopf_u", "system_residuals", "branch_params"]
 
@@ -40,7 +41,7 @@ class ColeHopfParams:
         if self.lam == 0:
             out.append("lambda != 0")
         if self.mu == 0:
-            out.append("mu != 0")
+            out.append(MU_LABEL)
         return out
 
 
@@ -71,29 +72,21 @@ def system_residuals(p, b):
     return (eq1, -eq1, eq3, -eq3, eq5, eq5)
 
 
-def discriminant(b, mu):
-    """1 - b*(b+2)*(mu^4 - 1); real branches require this to be >= 0."""
-    return 1 - b * (b + 2) * (mu**4 - 1)
-
-
 def branch_params(branch, b, mu):
     """The closed-form (A, B, lambda) for the plus or minus branch.
 
     plus carries +sqrt(S) in B with lam = -mu*(b+1-sqrt(S))/2; minus
-    carries -sqrt(S) with lam = -mu*(b+1+sqrt(S))/2.
+    carries -sqrt(S) with lam = -mu*(b+1+sqrt(S))/2, where
+    S = discriminant(b, mu^4).
     """
     if branch not in ("plus", "minus"):
         raise ValueError(f"branch must be 'plus' or 'minus', not {branch!r}")
-    violations = []
-    if b == -1:
-        violations.append("b != -1")
-    if b == -2:
-        violations.append("b != -2")
+    violations = base_violations(b)
     if mu == 0:
-        violations.append("mu != 0")
-    S = discriminant(b, mu)
+        violations.append(MU_LABEL)
+    S = discriminant(b, mu**4)
     if S < 0:
-        violations.append("discriminant S >= 0")
+        violations.append(S_LABEL)
     if violations:
         raise ConstraintViolation(violations)
     root = math.sqrt(S)

@@ -6,13 +6,12 @@ class MdpWaveError(Exception):
 
 
 class UnboundSymbol(MdpWaveError):
-    """A parameter or variable was not bound at evaluation time."""
+    """A variable was not bound at evaluation time."""
 
 
 class DomainError(MdpWaveError):
     """A numeric domain violation (division by zero, sqrt of a negative,
-    log of a nonpositive, trig pole, overflow), carrying the offending
-    subtree."""
+    trig pole, overflow), carrying the offending subtree."""
 
     def __init__(self, message, subtree=None):
         super().__init__(message if subtree is None else f"{message}: {subtree!r}")

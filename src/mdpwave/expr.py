@@ -1,8 +1,8 @@
 """Immutable symbolic expression trees.
 
-Nodes are exact-rational constants, named parameters, variables, n-ary
-sums/products, quotients, constant powers, and a closed set of elementary
-functions.  Constructors fold the trivial identities (0*e, 1*e, e+0, e^1,
+Nodes are exact-rational constants, variables, n-ary sums/products,
+quotients, constant powers, and a closed set of elementary functions.
+Constructors fold the trivial identities (0*e, 1*e, e+0, e^1,
 rational-constant arithmetic) and nothing else; correctness downstream
 rests on numeric agreement, not on normal forms.
 
@@ -30,15 +30,14 @@ import numpy as np
 from .errors import DomainError, UnboundSymbol
 
 __all__ = [
-    "Expr", "Rational", "Param", "Var", "Add", "Mul", "Div", "Pow", "Fun",
+    "Expr", "Rational", "Var", "Add", "Mul", "Div", "Pow", "Fun",
     "FUNCTIONS", "as_expr", "add", "mul", "sub", "div", "pow_", "fun",
-    "exp", "sinh", "cosh", "tanh", "tan", "cot", "csc", "sqrt", "log",
-    "var", "param", "sym_sqrt", "differentiate", "nth_derivative", "substitute",
-    "with_params", "Tape", "evaluate", "evaluate_many", "free_symbols", "to_prefix",
-    "ZERO", "ONE",
+    "exp", "sinh", "cosh", "tanh", "tan", "cot", "csc", "sqrt",
+    "var", "sym_sqrt", "differentiate", "substitute",
+    "Tape", "evaluate", "evaluate_many", "to_prefix", "ZERO", "ONE",
 ]
 
-FUNCTIONS = ("exp", "sinh", "cosh", "tanh", "tan", "cot", "csc", "sqrt", "log")
+FUNCTIONS = ("exp", "sinh", "cosh", "tanh", "tan", "cot", "csc", "sqrt")
 
 
 class Expr:
@@ -91,19 +90,6 @@ class Rational(Expr):
 
     def __eq__(self, other):
         return self is other or (type(other) is Rational and self.value == other.value)
-
-    __hash__ = Expr.__hash__
-
-
-class Param(Expr):
-    __slots__ = ("name",)
-
-    def __init__(self, name):
-        self.name = name
-        self._hash = hash(("param", name))
-
-    def __eq__(self, other):
-        return self is other or (type(other) is Param and self.name == other.name)
 
     __hash__ = Expr.__hash__
 
@@ -351,10 +337,6 @@ def sqrt(a):
     return fun("sqrt", a)
 
 
-def log(a):
-    return fun("log", a)
-
-
 def sym_sqrt(q):
     """Square root of a nonnegative rational as an expression.
 
@@ -375,14 +357,10 @@ def var(name):
     return Var(name)
 
 
-def param(name):
-    return Param(name)
-
-
 def differentiate(e, v):
     """Exact structural derivative of `e` with respect to variable `v`.
 
-    Parameters are treated as constants.  Total on well-formed trees.
+    Total on well-formed trees.
     """
     name = v.name if isinstance(v, Var) else v
     memo = {}
@@ -392,7 +370,7 @@ def differentiate(e, v):
         hit = memo.get(key)
         if hit is not None:
             return hit
-        if isinstance(node, (Rational, Param)):
+        if isinstance(node, Rational):
             out = ZERO
         elif isinstance(node, Var):
             out = ONE if node.name == name else ZERO
@@ -428,10 +406,8 @@ def differentiate(e, v):
                 outer = mul(-1, add(1, pow_(cot(a), 2)))
             elif k == "csc":
                 outer = mul(-1, csc(a), cot(a))
-            elif k == "sqrt":
+            else:  # sqrt
                 outer = div(ONE, mul(2, sqrt(a)))
-            else:  # log
-                outer = div(ONE, a)
             out = mul(outer, d(a))
         else:  # pragma: no cover
             raise TypeError(f"unknown node {type(node).__name__}")
@@ -439,16 +415,6 @@ def differentiate(e, v):
         return out
 
     return d(as_expr(e))
-
-
-def nth_derivative(e, v, n):
-    """Iterated derivative; n = 0 returns `e` itself."""
-    if n < 0:
-        raise ValueError("derivative order must be nonnegative")
-    out = as_expr(e)
-    for _ in range(n):
-        out = differentiate(out, v)
-    return out
 
 
 def substitute(e, v, replacement):
@@ -468,7 +434,7 @@ def substitute(e, v, replacement):
             return hit
         if isinstance(node, Var):
             out = replacement if node.name == name else node
-        elif isinstance(node, (Rational, Param)):
+        elif isinstance(node, Rational):
             out = node
         elif isinstance(node, Add):
             kids = [walk(t) for t in node.terms]
@@ -489,60 +455,14 @@ def substitute(e, v, replacement):
         return out
 
     return walk(as_expr(e))
-
-
-def with_params(e, bindings):
-    """Replace named parameters by constants (or expressions).
-
-    Numbers are embedded as exact rationals; unlisted parameters stay
-    symbolic.
-    """
-    exprs = {k: as_expr(v) for k, v in bindings.items()}
-    memo = {}
-
-    def walk(node):
-        key = id(node)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if isinstance(node, Param):
-            out = exprs.get(node.name, node)
-        elif isinstance(node, (Rational, Var)):
-            out = node
-        elif isinstance(node, Add):
-            kids = [walk(t) for t in node.terms]
-            out = node if all(a is b for a, b in zip(kids, node.terms)) else add(*kids)
-        elif isinstance(node, Mul):
-            kids = [walk(f) for f in node.factors]
-            out = node if all(a is b for a, b in zip(kids, node.factors)) else mul(*kids)
-        elif isinstance(node, Div):
-            n2, d2 = walk(node.num), walk(node.den)
-            out = node if (n2 is node.num and d2 is node.den) else div(n2, d2)
-        elif isinstance(node, Pow):
-            b2 = walk(node.base)
-            out = node if b2 is node.base else pow_(b2, node.exponent)
-        else:
-            a2 = walk(node.arg)
-            out = node if a2 is node.arg else fun(node.kind, a2)
-        memo[key] = out
-        return out
-
-    return walk(as_expr(e))
-
-
-def free_symbols(e):
-    """Return (parameter names, variable names) occurring in `e`."""
-    code = Tape((e,)).code
-    return ({name for op, name, *_ in code if op == "param"},
-            {name for op, name, *_ in code if op == "var"})
 
 
 def _instruction(node):
     """(op, payload, children) of the tape instruction for one node."""
     if isinstance(node, Rational):
         return "rat", float(node.value), ()
-    if isinstance(node, (Param, Var)):
-        return type(node).__name__.lower(), node.name, ()
+    if isinstance(node, Var):
+        return "var", node.name, ()
     if isinstance(node, Add):
         return "add", None, node.terms
     if isinstance(node, Mul):
@@ -589,30 +509,28 @@ class Tape:
                 code[i][4] += (slot,)
         self.code = code
 
-    def run(self, step, params, point):
+    def run(self, step, point):
         """Values of the roots, computing each instruction with `step`."""
         vals = [None] * len(self.code)
         for slot, (op, payload, node, args, free) in enumerate(self.code):
-            vals[slot] = step(op, payload, node, [vals[a] for a in args], params, point)
+            vals[slot] = step(op, payload, node, [vals[a] for a in args], point)
             for s in free:
                 vals[s] = None
         return [vals[s] for s in self.outputs]
 
 
-def _bound(table, name, what):
+def _bound(point, name):
     try:
-        return table[name]
+        return point[name]
     except KeyError:
-        raise UnboundSymbol(f"unbound {what} {name!r}") from None
+        raise UnboundSymbol(f"unbound variable {name!r}") from None
 
 
-def _scalar_step(op, payload, node, xs, params, point):
+def _scalar_step(op, payload, node, xs, point):
     if op == "rat":
         out = payload
-    elif op == "param":
-        out = float(_bound(params, payload, "parameter"))
     elif op == "var":
-        out = float(_bound(point, payload, "variable"))
+        out = float(_bound(point, payload))
     elif op == "add":
         out = 0.0
         for v in xs:
@@ -651,21 +569,17 @@ def _scalar_fun(kind, a, node):
         return math.cos(a) / s if kind == "cot" else 1.0 / s
     if kind == "sqrt" and a < 0.0:
         raise DomainError("sqrt of a negative", node)
-    if kind == "log" and a <= 0.0:
-        raise DomainError("log of a nonpositive", node)
     try:
         return getattr(math, kind)(a)
     except OverflowError:
         raise DomainError("overflow in function evaluation", node) from None
 
 
-def _vector_step(op, payload, node, xs, params, point):
+def _vector_step(op, payload, node, xs, point):
     if op == "rat":
         return payload
-    if op == "param":
-        return float(_bound(params, payload, "parameter"))
     if op == "var":
-        return _bound(point, payload, "variable")
+        return _bound(point, payload)
     if op in ("add", "mul"):
         out = xs[0]
         for v in xs[1:]:
@@ -689,16 +603,18 @@ def _compiled(e):
 
 
 def evaluate(e, params=None, point=None):
-    """Evaluate to a float.  Every parameter and variable must be bound.
+    """Evaluate to a float.  Every variable must be bound in `point`.
 
     `e` is one expression (one float back), or a sequence of expressions
     or a compiled Tape (a list of floats back, one per root).  Domain
-    violations (division by zero, sqrt of a negative, log of a
-    nonpositive, trig poles, overflow) raise DomainError carrying the
-    offending subtree; a NaN never propagates out.
+    violations (division by zero, sqrt of a negative, trig poles,
+    overflow) raise DomainError carrying the offending subtree; a NaN
+    never propagates out.  `params` is unused: trees embed their
+    constants, and the slot stays for callers that pass `{}` before the
+    point.
     """
     tape, single = _compiled(e)
-    vals = tape.run(_scalar_step, params or {}, point or {})
+    vals = tape.run(_scalar_step, point or {})
     return vals[0] if single else vals
 
 
@@ -708,13 +624,14 @@ def evaluate_many(e, params=None, point=None):
     `e` is taken as in `evaluate`; constant roots are broadcast to the
     points' shape.  Unlike `evaluate`, domain violations do not raise:
     they yield inf/NaN under suppressed numpy warnings, which callers
-    screen with their own guards.  Unbound symbols still raise.
+    screen with their own guards.  Unbound variables still raise.
+    `params` is unused, as in `evaluate`.
     """
     tape, single = _compiled(e)
     point = {k: np.asarray(v, dtype=float) for k, v in (point or {}).items()}
     shape = np.broadcast_shapes(*(a.shape for a in point.values())) if point else ()
     with np.errstate(all="ignore"):
-        vals = tape.run(_vector_step, params or {}, point)
+        vals = tape.run(_vector_step, point)
     out = [np.full(shape, float(v)) if np.ndim(v) == 0 else np.asarray(v, dtype=float)
            for v in vals]
     return out[0] if single else out
@@ -727,7 +644,7 @@ def to_prefix(e):
     def walk(node):
         if isinstance(node, Rational):
             parts.append(str(node.value))
-        elif isinstance(node, (Param, Var)):
+        elif isinstance(node, Var):
             parts.append(node.name)
         elif isinstance(node, Add):
             parts.append("(+")

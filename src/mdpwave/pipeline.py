@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConstraintViolation, UnsupportedOrder
 from .polyalg import VARS, MultiPoly, PhiLaurent
-from .riccati import is_degenerate
+from .riccati import S_LABEL, base_violations, discriminant, is_degenerate
 
 # The gufunc behind np.linalg.lstsq (see _lstsq_stack).  It is private numpy
 # API, and older numpy split it into lstsq_m and lstsq_n, so a numpy without
@@ -40,7 +40,7 @@ except ImportError as err:
 
 __all__ = [
     "UNKNOWNS", "PARAMETERS", "CASE_FAMILIES", "balance", "ansatz_laurent",
-    "phi_derivative", "generate_system", "AlgebraicSystem",
+    "generate_system", "AlgebraicSystem",
     "check_assignment", "ansatz_tuple", "newton_solve",
 ]
 
@@ -89,11 +89,6 @@ def ansatz_laurent(m):
         coeffs[i] = MultiPoly.variable(f"a{i}")
         coeffs[-i] = MultiPoly.variable(f"c{i}")
     return PhiLaurent(coeffs)
-
-
-def phi_derivative(L):
-    """Derivative of a phi-power Laurent object (see PhiLaurent.derivative)."""
-    return L.derivative()
 
 
 @dataclass(frozen=True)
@@ -181,7 +176,7 @@ def _sqrt_exact_or_float(value):
     """sqrt of a nonnegative rational: exact when a perfect square."""
     q = Fraction(value)
     if q < 0:
-        raise ConstraintViolation(["discriminant S >= 0"])
+        raise ConstraintViolation([S_LABEL])
     rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
     if rn * rn == q.numerator and rd * rd == q.denominator:
         return Fraction(rn, rd)
@@ -189,11 +184,7 @@ def _sqrt_exact_or_float(value):
 
 
 def _case_violations(case, alpha, beta, gamma, b):
-    out = []
-    if b == -1:
-        out.append("b != -1")
-    if b == -2:
-        out.append("b != -2")
+    out = base_violations(b)
     if case == "first":
         if beta == 0:
             out.append("beta != 0")
@@ -234,6 +225,11 @@ def ansatz_tuple(fid, alpha, beta, gamma, b):
     p1, p2 = b + 1, b + 2
     zero = Fraction(0)
 
+    def radical(k, sign):
+        """(sign*sqrt(S), lam) for S = discriminant(b, k)."""
+        root = sign * _sqrt_exact_or_float(discriminant(b, k))
+        return root, (-b - 1 + root) / 2
+
     if fid == "u11":
         return {
             "a0": Fraction(3, 2) * p2 * beta * beta / p1 - 1,
@@ -243,45 +239,40 @@ def ansatz_tuple(fid, alpha, beta, gamma, b):
             "lam": -b - 1,
         }
     if fid in ("u12", "u13"):
-        root = _sqrt_exact_or_float(1 - b * p2 * (beta ** 4 - 1))
-        sign = -1 if fid == "u12" else 1
+        root, lam = radical(beta ** 4, -1 if fid == "u12" else 1)
         return {
-            "a0": (p2 * beta * beta - b - 1 + sign * root) / (2 * p1),
+            "a0": (p2 * beta * beta - b - 1 + root) / (2 * p1),
             "a1": 6 * p2 * beta * gamma / p1,
             "a2": 6 * p2 * gamma * gamma / p1,
             "c1": zero, "c2": zero,
-            "lam": (-b - 1 + sign * root) / 2,
+            "lam": lam,
         }
     if fid in ("u14", "u15"):
         ag = alpha * gamma
-        root = _sqrt_exact_or_float(b * p2 * (1 - 256 * ag * ag) + 1)
-        sign = -1 if fid == "u14" else 1
+        root, lam = radical(256 * ag * ag, -1 if fid == "u14" else 1)
         return {
-            "a0": (8 * ag * b + 16 * ag - b - 1 + sign * root) / (2 * p1),
+            "a0": (8 * ag * b + 16 * ag - b - 1 + root) / (2 * p1),
             "a1": zero,
             "a2": 6 * p2 * gamma * gamma / p1,
             "c1": zero,
             "c2": 6 * p2 * alpha * alpha / p1,
-            "lam": (-b - 1 + sign * root) / 2,
+            "lam": lam,
         }
     if fid in ("u16", "u17", "u18", "u19"):
         ag = alpha * gamma
-        root = _sqrt_exact_or_float(b * p2 * (1 - 16 * ag * ag) + 1)
-        sign = -1 if fid in ("u16", "u17") else 1
+        root, lam = radical(16 * ag * ag, -1 if fid in ("u16", "u17") else 1)
         a2 = 6 * p2 * gamma * gamma / p1 if fid in ("u17", "u19") else zero
         c2 = 6 * p2 * alpha * alpha / p1 if fid in ("u16", "u18") else zero
         return {
-            "a0": (8 * ag * b + 16 * ag - b - 1 + sign * root) / (2 * p1),
+            "a0": (8 * ag * b + 16 * ag - b - 1 + root) / (2 * p1),
             "a1": zero, "a2": a2, "c1": zero, "c2": c2,
-            "lam": (-b - 1 + sign * root) / 2,
+            "lam": lam,
         }
     # fourth case
     delta = beta * beta - 4 * alpha * gamma
     ag = alpha * gamma
-    root = _sqrt_exact_or_float(1 - b * p2 * (delta * delta - 1))
-    sign = -1 if fid in ("u20", "u23") else 1
-    a0 = (24 * ag + 2 * delta + b * (12 * ag + delta - 1) - 1 + sign * root) / (2 * p1)
-    lam = (-b - 1 + sign * root) / 2
+    root, lam = radical(delta * delta, -1 if fid in ("u20", "u23") else 1)
+    a0 = (24 * ag + 2 * delta + b * (12 * ag + delta - 1) - 1 + root) / (2 * p1)
     if fid in ("u20", "u21"):
         return {
             "a0": a0,

@@ -21,11 +21,12 @@ import numpy as np
 
 from . import expr as ex
 from .errors import ConstraintViolation, SampleAtPole
+from .riccati import base_violations
 from .verifier import ode_residual_terms
 
 __all__ = [
     "RHAnsatzParams", "FAMILY_IDS", "rh_ansatz", "rh_denominator",
-    "family_violations", "family_params", "family_wave_speed",
+    "FREE_PARAMETER", "family_violations", "family_params", "family_wave_speed",
     "CollocationReport", "collocation_identity_check", "DEGREE_BOUND",
 ]
 
@@ -64,25 +65,25 @@ def rh_denominator(p):
                   ex.mul(Fraction(p.c2), ex.cosh(XI)))
 
 
+# the radicand condition on the free parameter of u7..u10:
+# family -> (parameter, label, fails(b, value))
+_A2 = ("a2", "(b+1)^2*a2^2 >= 1", lambda b, a2: (b + 1) ** 2 * a2 ** 2 < 1)
+_C2 = ("c2", "c2^2 >= 1", lambda b, c2: c2 ** 2 < 1)
+FREE_PARAMETER = {"u7": _A2, "u8": _A2, "u9": _C2, "u10": _C2}
+
+
 def family_violations(fid, b, a2=None, c2=None):
     """Admissibility predicates for one family; empty list when admissible."""
     if fid not in FAMILY_IDS:
         raise ValueError(f"unknown family {fid!r}")
-    out = []
-    if b == -1:
-        out.append("b != -1")
-    if b == -2:
-        out.append("b != -2")
-    if fid in ("u7", "u8"):
-        if a2 is None:
-            raise ValueError(f"family {fid} requires the free parameter a2")
-        if (b + 1) ** 2 * a2 ** 2 < 1:
-            out.append("(b+1)^2*a2^2 >= 1")
-    if fid in ("u9", "u10"):
-        if c2 is None:
-            raise ValueError(f"family {fid} requires the free parameter c2")
-        if c2 ** 2 < 1:
-            out.append("c2^2 >= 1")
+    out = base_violations(b)
+    if fid in FREE_PARAMETER:
+        name, label, fails = FREE_PARAMETER[fid]
+        value = a2 if name == "a2" else c2
+        if value is None:
+            raise ValueError(f"family {fid} requires the free parameter {name}")
+        if fails(b, value):
+            out.append(label)
     return out
 
 

@@ -7,6 +7,11 @@ phi' - (alpha + beta*phi + gamma*phi^2) == 0, checked numerically; where
 common printed tables are typographically inconsistent the sign
 conventions here are the ones that satisfy that identity (see
 docs/riccati_cases.md for the per-case forms).
+
+The module also holds the admissibility facts every family shares (the
+excluded values of b and the wave-speed discriminant), beside the
+degeneracy test that the catalog and the pipeline use for the same
+purpose.
 """
 from __future__ import annotations
 
@@ -20,6 +25,7 @@ from .errors import UnclassifiableCoefficients
 __all__ = [
     "RiccatiCoefficients", "RiccatiCase", "classify", "phi_expr",
     "riccati_case", "riccati_residual", "pole_guard", "is_degenerate",
+    "BASE_CHECKS", "MU_LABEL", "S_LABEL", "base_violations", "discriminant",
 ]
 
 XI = ex.var("xi")
@@ -29,7 +35,8 @@ DEGENERACY_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class RiccatiCoefficients:
-    """The (alpha, beta, gamma) triple with its cached discriminant."""
+    """The (alpha, beta, gamma) triple, exact rationals or floats, with its
+    discriminant."""
 
     alpha: float
     beta: float
@@ -62,6 +69,26 @@ def is_degenerate(alpha, beta, gamma):
     if all(isinstance(v, (int, Fraction)) for v in (alpha, beta, gamma)):
         return b2 == fourac
     return abs(b2 - fourac) <= DEGENERACY_RTOL * max(1.0, abs(b2), abs(fourac))
+
+
+# Admissibility facts shared by every family of the equation: b is never -1
+# or -2, and the wave speed lam = -(b + 1 -/+ sqrt(S))/2 needs S >= 0, with
+# S = discriminant(b, k) and k = mu^4 (kinks), beta^4 (u12, u13),
+# 256*(alpha*gamma)^2 (u14, u15), 16*(alpha*gamma)^2 (u16..u19) or
+# Delta^2 (u20..u23).
+BASE_CHECKS = (("b != -1", -1), ("b != -2", -2))  # (label, excluded b)
+MU_LABEL = "mu != 0"
+S_LABEL = "discriminant S >= 0"
+
+
+def base_violations(b):
+    """The labels of BASE_CHECKS that `b` fails, in table order."""
+    return [label for label, excluded in BASE_CHECKS if b == excluded]
+
+
+def discriminant(b, k):
+    """S = 1 - b*(b+2)*(k - 1), the radicand of every family's wave speed."""
+    return 1 - b * (b + 2) * (k - 1)
 
 
 def classify(c):

@@ -8,7 +8,9 @@ Covers:
     solve (root list, determinism under a fixed RNG seed)
   - equiv and plot-data (header, pole cells, exact values)
   - exit-code contract for bad input
+  - the README commands' stdout, byte for byte
 """
+import hashlib
 import io
 import json
 import contextlib
@@ -76,6 +78,17 @@ def test_riccati_subcommand():
     assert code == 0
     assert doc["case"] == 5
     assert doc["max_residual"] < 1e-9
+
+
+def test_riccati_decides_degeneracy_exactly():
+    # beta^2 - 4*alpha*gamma = -4e-14 exactly: not degenerate, as `verify
+    # --family u11` also decides for this triple
+    code, out = run(["riccati", "--param", "alpha=1", "--param", "beta=2",
+                     "--param", "gamma=1.00000000000001"])
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["case"] == 6
+    assert doc["delta"] == -4e-14
 
 
 def test_riccati_unclassifiable_exit_2():
@@ -209,3 +222,46 @@ def test_malformed_param_exit_2():
     code, out = run(["verify", "--family", "u6", "--param", "b3"])
     assert code == 2
     assert json.loads(out)["error"] == "invalid-input"
+
+
+# (exit code, sha256 of stdout) of each README command, with stdout in
+# place of --out; recorded from the code before the admissibility table
+# and the exact `riccati` inputs
+_README_COMMANDS = [
+    (["catalog", "list"], 0,
+     "c04145e886a555d8088c5e79f1ad25022449bc2e9e466ff74ef8996813d8e5cf"),
+    (["verify", "--family", "u6", "--param", "b=3"], 0,
+     "565cd5d7718839135e0609423380044488716c2038b1c95419a27b2d1d7a07c7"),
+    (["verify", "--family", "u5", "--param", "b=3"], 0,
+     "cdc1e047e8d251c9653cd0312f0285038676776599807ff9ff2f5282d483a3ff"),
+    (["verify", "--family", "u1", "--param", "b=3", "--param", "mu=2"], 2,
+     "f2034b0f3eeea0b158ae93ac2261ada15979e7bb61987f8542a1d0ee46dc1eaf"),
+    (["verify", "--family", "u6", "--param", "b=3", "--method", "finite-difference"], 0,
+     "6054524821229f5e8867d89000d540c7419800877d60ec7a99c4acf541eb33e2"),
+    (["riccati", "--param", "alpha=1", "--param", "beta=2", "--param", "gamma=1"], 0,
+     "f34a696dfda28093f0fd74437b6aad875e9e95a6a9a68b2f3f46072d6efe01d8"),
+    (["cole-hopf", "--branch", "plus", "--param", "b=3", "--param", "mu=1"], 0,
+     "fd3b78d5958a4c34202da5c4228b81dd8d40b6376609816abdb0fefd4fde45aa"),
+    (["rh", "--family", "u7", "--param", "b=3", "--param", "a2=1"], 0,
+     "9f8486d008cdab61c98c5c8110d4970228542b3bf8160f99ae619939aa302c18"),
+    (["pipeline", "generate"], 0,
+     "5772efa7e40dad998618da112fa3ae9cd54a5a3e5eed2c94da792aeab97a2261"),
+    (["pipeline", "check", "--case", "first", "--param", "b=3", "--param", "alpha=1",
+      "--param", "beta=2", "--param", "gamma=1"], 0,
+     "cc5b0123056e6f247a64e030a06eee991163fb6a19c479bf75b42d23ad9c4bcf"),
+    (["pipeline", "solve", "--param", "b=3", "--param", "alpha=0", "--param", "beta=1",
+      "--param", "gamma=-1", "--seeds", "400", "--rng-seed", "0"], 0,
+     "276bb573db5773fc652a75d6a4c869ed0bea478d7e72ec12dc330c175894528d"),
+    (["equiv", "--left", "u3", "--left-param", "b=3", "--right", "u1",
+      "--right-param", "b=3", "--right-param", "mu=1"], 0,
+     "4c6a8d2866118fed4fd2f256d68d5cb093c44f7f4e08eb659ddbaa251cab4e9d"),
+    (["plot-data", "--family", "u6", "--param", "b=3", "--t", "0"], 0,
+     "7ecb8ce38a4bd9bacd76fc165a13aecbe8878e79ff9dda0e3693ca924847de4b"),
+]
+
+
+def test_readme_commands_byte_identical():
+    for argv, want_code, digest in _README_COMMANDS:
+        code, out = run(argv)
+        assert code == want_code, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv

@@ -60,10 +60,10 @@ def test_phi_derivative_rule():
     beta = MultiPoly.variable("beta")
     gamma = MultiPoly.variable("gamma")
     one = MultiPoly.const(1)
-    d = pl.phi_derivative(PhiLaurent({1: one}))
+    d = PhiLaurent({1: one}).derivative()
     assert d == PhiLaurent({0: alpha, 1: beta, 2: gamma})
-    assert pl.phi_derivative(PhiLaurent({0: MultiPoly.variable("a0")})) == PhiLaurent({})
-    d = pl.phi_derivative(PhiLaurent({-1: one}))
+    assert PhiLaurent({0: MultiPoly.variable("a0")}).derivative() == PhiLaurent({})
+    d = PhiLaurent({-1: one}).derivative()
     assert d == PhiLaurent({-2: -alpha, -1: -beta, 0: -gamma})
 
 
@@ -83,8 +83,8 @@ def test_derivative_is_a_derivation():
     rng = random.Random(21)
     for _ in range(100):
         L, M = _random_laurent(rng), _random_laurent(rng)
-        lhs = pl.phi_derivative(L * M)
-        rhs = pl.phi_derivative(L) * M + L * pl.phi_derivative(M)
+        lhs = (L * M).derivative()
+        rhs = L.derivative() * M + L * M.derivative()
         assert lhs == rhs
 
 
