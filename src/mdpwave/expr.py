@@ -4,13 +4,17 @@ Nodes are exact-rational constants, variables, n-ary sums/products,
 quotients, constant powers, and a closed set of elementary functions.
 Constructors fold the trivial identities (0*e, 1*e, e+0, e^1,
 rational-constant arithmetic) and nothing else; correctness downstream
-rests on numeric agreement, not on normal forms.
+rests on numeric agreement, not on normal forms.  `add` and `mul` keep a
+lone constant as the leaf it came in as and do Fraction arithmetic only
+when a second constant meets it; small integers share one leaf each.
 
 Constants stay exact rationals inside trees; floats only appear when a
 tree is evaluated.  Differentiation is structural and closed over the
 function set (e.g. csc' = -csc*cot), so derived trees never introduce new
-node kinds.  All values are immutable and all operations are pure, so
-trees are safe to share across workers.
+node kinds.  Its memo maps structurally equal nodes to one derivative; a
+residual builder passes one memo per variable to all the orders it
+takes, and drops it when the build is done.  All values are immutable and
+all operations are pure, so trees are safe to share across workers.
 
 Evaluation compiles one or more roots into a single `Tape` that evaluates
 each structurally distinct subtree once and frees its value after the
@@ -200,7 +204,7 @@ def as_expr(v):
     if isinstance(v, Expr):
         return v
     if isinstance(v, (int, Fraction)):
-        return Rational(Fraction(v))
+        return _SMALL.get(v) or Rational(Fraction(v))
     if isinstance(v, float):
         if not math.isfinite(v):
             raise ValueError(f"non-finite constant {v!r}")
@@ -208,23 +212,28 @@ def as_expr(v):
     raise TypeError(f"cannot coerce {type(v).__name__} to Expr")
 
 
-ZERO = Rational(Fraction(0))
-ONE = Rational(Fraction(1))
+# shared leaves for the small integers the constructors and derivative
+# rules ask for most, mul(-1, ...) above all
+_SMALL = {i: Rational(Fraction(i)) for i in range(-64, 65)}
+ZERO = _SMALL[0]
+ONE = _SMALL[1]
 
 
 def add(*terms):
     out = []
-    const = Fraction(0)
+    const = None  # the first constant leaf, until a second one forces a sum
     for t in terms:
-        t = as_expr(t)
-        parts = t.terms if isinstance(t, Add) else (t,)
-        for p in parts:
-            if isinstance(p, Rational):
-                const += p.value
-            else:
+        if not isinstance(t, Expr):
+            t = as_expr(t)
+        for p in (t.terms if type(t) is Add else (t,)):
+            if type(p) is not Rational:
                 out.append(p)
-    if const != 0:
-        out.insert(0, Rational(const))
+            elif const is None:
+                const = p
+            else:
+                const = Rational(const.value + p.value)
+    if const is not None and const.value:
+        out.insert(0, const)
     if not out:
         return ZERO
     if len(out) == 1:
@@ -234,21 +243,26 @@ def add(*terms):
 
 def mul(*factors):
     out = []
-    const = Fraction(1)
+    const = None  # the first constant leaf, until a second one forces a product
     for f in factors:
-        f = as_expr(f)
-        parts = f.factors if isinstance(f, Mul) else (f,)
-        for p in parts:
-            if isinstance(p, Rational):
-                const *= p.value
-            else:
+        if not isinstance(f, Expr):
+            f = as_expr(f)
+        for p in (f.factors if type(f) is Mul else (f,)):
+            if type(p) is not Rational:
                 out.append(p)
-    if const == 0:
+            elif const is None:
+                const = p
+            else:
+                const = Rational(const.value * p.value)
+    if const is None:
+        if not out:
+            return ONE
+    elif not const.value:
         return ZERO
-    if not out:
-        return Rational(const)
-    if const != 1:
-        out.insert(0, Rational(const))
+    elif not out:
+        return const
+    elif const.value != 1:
+        out.insert(0, const)
     if len(out) == 1:
         return out[0]
     return Mul(tuple(out))
@@ -357,17 +371,23 @@ def var(name):
     return Var(name)
 
 
-def differentiate(e, v):
+def differentiate(e, v, memo=None):
     """Exact structural derivative of `e` with respect to variable `v`.
 
-    Total on well-formed trees.
+    Total on well-formed trees.  `memo` maps nodes already differentiated
+    with respect to `v` to their derivatives.  A caller taking several
+    orders with respect to one variable passes the same dict to each call,
+    so the subtrees that one order copies from the previous one are
+    derived once; it keeps that dict for that one build and no longer.
+    Keys are the nodes themselves, compared structurally, and the dict
+    holds them alive.  Without `memo` each call starts from an empty one.
     """
     name = v.name if isinstance(v, Var) else v
-    memo = {}
+    if memo is None:
+        memo = {}
 
     def d(node):
-        key = id(node)
-        hit = memo.get(key)
+        hit = memo.get(node)
         if hit is not None:
             return hit
         if isinstance(node, Rational):
@@ -379,7 +399,8 @@ def differentiate(e, v):
         elif isinstance(node, Mul):
             fs = node.factors
             out = add(*[
-                mul(*fs[:i], d(f), *fs[i + 1:]) for i, f in enumerate(fs)
+                mul(*fs[:i], df, *fs[i + 1:])
+                for i, df in enumerate([d(f) for f in fs]) if df is not ZERO
             ])
         elif isinstance(node, Div):
             out = div(
@@ -393,25 +414,25 @@ def differentiate(e, v):
             a = node.arg
             k = node.kind
             if k == "exp":
-                outer = exp(a)
+                outer = node
             elif k == "sinh":
                 outer = cosh(a)
             elif k == "cosh":
                 outer = sinh(a)
             elif k == "tanh":
-                outer = sub(1, pow_(tanh(a), 2))
+                outer = sub(1, pow_(node, 2))
             elif k == "tan":
-                outer = add(1, pow_(tan(a), 2))
+                outer = add(1, pow_(node, 2))
             elif k == "cot":
-                outer = mul(-1, add(1, pow_(cot(a), 2)))
+                outer = mul(-1, add(1, pow_(node, 2)))
             elif k == "csc":
-                outer = mul(-1, csc(a), cot(a))
+                outer = mul(-1, node, cot(a))
             else:  # sqrt
-                outer = div(ONE, mul(2, sqrt(a)))
+                outer = div(ONE, mul(2, node))
             out = mul(outer, d(a))
         else:  # pragma: no cover
             raise TypeError(f"unknown node {type(node).__name__}")
-        memo[key] = out
+        memo[node] = out
         return out
 
     return d(as_expr(e))

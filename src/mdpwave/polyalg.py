@@ -149,14 +149,18 @@ class MultiPoly:
         for k, v in bindings.items():
             if k in _INDEX:
                 vals[_INDEX[k]] = v
+        powers = {}  # (i, k) -> vals[i] ** k, each computed once
         total = Fraction(0)
         for e, c in self.terms.items():
             term = c
             for i, k in enumerate(e):
                 if k:
-                    if vals[i] is None:
-                        raise KeyError(f"unbound variable {VARS[i]!r}")
-                    term = term * vals[i] ** k
+                    p = powers.get((i, k))
+                    if p is None:
+                        if vals[i] is None:
+                            raise KeyError(f"unbound variable {VARS[i]!r}")
+                        p = powers[i, k] = vals[i] ** k
+                    term = term * p
             total = total + term
         return total
 

@@ -109,11 +109,12 @@ def mdp_residual_terms(u, b):
     Order: u_t, -u_xxt, (b+1) u^2 u_x, -b u_x u_xx, -u u_xxx.
     """
     b = Fraction(b)
-    u_x = ex.differentiate(u, X)
-    u_xx = ex.differentiate(u_x, X)
-    u_xxx = ex.differentiate(u_xx, X)
-    u_t = ex.differentiate(u, T)
-    u_xxt = ex.differentiate(u_xx, T)
+    dx, dt = {}, {}  # one derivative memo per variable, for this build only
+    u_x = ex.differentiate(u, X, dx)
+    u_xx = ex.differentiate(u_x, X, dx)
+    u_xxx = ex.differentiate(u_xx, X, dx)
+    u_t = ex.differentiate(u, T, dt)
+    u_xxt = ex.differentiate(u_xx, T, dt)
     return (
         u_t,
         ex.mul(-1, u_xxt),
@@ -135,9 +136,10 @@ def ode_residual_terms(U, b, lam):
     """
     b = Fraction(b)
     lam = Fraction(lam)
-    u1 = ex.differentiate(U, XI)
-    u2 = ex.differentiate(u1, XI)
-    u3 = ex.differentiate(u2, XI)
+    dxi = {}  # one derivative memo across the three orders
+    u1 = ex.differentiate(U, XI, dxi)
+    u2 = ex.differentiate(u1, XI, dxi)
+    u3 = ex.differentiate(u2, XI, dxi)
     return (
         ex.mul(b + 1, u1, ex.pow_(U, 2)),
         ex.mul(-1, u3, U),
@@ -167,10 +169,12 @@ def _fd_terms(u, b, xs, ts, h=FD_STEP):
         return cache[key]
 
     def d_x(weights, scale, j=0):
-        out = 0.0
-        for i, w in weights.items():
-            out = out + w * u_at(i, j)
-        return out / scale
+        (i0, w0), *rest = weights.items()
+        out = 0.0 + w0 * u_at(i0, j)  # 0.0 + turns a -0.0 start into 0.0
+        for i, w in rest:
+            out += w * u_at(i, j)
+        out /= scale
+        return out
 
     u0 = u_at(0, 0)
     ux = d_x(_W1, 12 * h)

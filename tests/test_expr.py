@@ -1,7 +1,8 @@
 """Expression-tree core.
 
 Covers:
-  - constructor canonicalization of the trivial identities
+  - constructor canonicalization of the trivial identities, and constant
+    folding in add/mul against a reference Fraction fold
   - scalar evaluation values and domain/unbound errors
   - exact structural differentiation (values, linearity, product rule,
     finite-difference agreement, closure over the function set)
@@ -35,6 +36,85 @@ def test_constructor_canonicalization():
     assert ex.add(1, 2) == ex.Rational(F(3))
     assert ex.mul(F(1, 2), 4) == ex.Rational(F(2))
     assert ex.div(ex.ZERO, e) == ex.ZERO
+
+
+def _reference_add(*terms):
+    """add as a Fraction accumulator over every constant."""
+    out = []
+    const = F(0)
+    for t in terms:
+        t = ex.as_expr(t)
+        for p in (t.terms if isinstance(t, ex.Add) else (t,)):
+            if isinstance(p, ex.Rational):
+                const += p.value
+            else:
+                out.append(p)
+    if const != 0:
+        out.insert(0, ex.Rational(const))
+    if not out:
+        return ex.ZERO
+    return out[0] if len(out) == 1 else ex.Add(tuple(out))
+
+
+def _reference_mul(*factors):
+    """mul as a Fraction accumulator over every constant."""
+    out = []
+    const = F(1)
+    for f in factors:
+        f = ex.as_expr(f)
+        for p in (f.factors if isinstance(f, ex.Mul) else (f,)):
+            if isinstance(p, ex.Rational):
+                const *= p.value
+            else:
+                out.append(p)
+    if const == 0:
+        return ex.ZERO
+    if not out:
+        return ex.Rational(const)
+    if const != 1:
+        out.insert(0, ex.Rational(const))
+    return out[0] if len(out) == 1 else ex.Mul(tuple(out))
+
+
+def _random_operand(rng, depth=2):
+    pick = rng.randrange(9 if depth else 7)
+    if pick == 0:
+        return rng.choice((0, 1, -1, 2, 64, 65, -65, 10 ** 20))
+    if pick == 1:
+        return F(rng.randint(-9, 9), rng.randint(1, 9))
+    if pick == 2:
+        return float(rng.randint(-70, 70))
+    if pick == 3:
+        return rng.choice((0.1, -2.5, 1e-300, 3.0e15 + 0.5))
+    if pick == 4:
+        return ex.Rational(F(rng.randint(-3, 3), rng.randint(1, 4)))
+    if pick in (5, 6):
+        return rng.choice((X, T, ex.cosh(X)))
+    parts = [_random_operand(rng, depth - 1) for _ in range(rng.randint(0, 4))]
+    return ex.add(*parts) if pick == 7 else ex.mul(*parts)
+
+
+def test_constant_folding_matches_reference_fold():
+    rng = random.Random(46)
+    for _ in range(2000):
+        args = [_random_operand(rng) for _ in range(rng.randint(0, 5))]
+        for build, reference in ((ex.add, _reference_add), (ex.mul, _reference_mul)):
+            got, want = build(*args), reference(*args)
+            assert type(got) is type(want), (build, args)
+            assert ex.to_prefix(got) == ex.to_prefix(want), (build, args)
+
+
+def test_empty_and_unit_folds():
+    assert ex.mul() == ex.ONE and ex.to_prefix(ex.mul()) == "1"
+    assert ex.add() == ex.ZERO and ex.to_prefix(ex.add()) == "0"
+    assert ex.mul(0, X) == ex.ZERO
+    assert ex.mul(X, 0, ex.cosh(X)) == ex.ZERO
+    assert ex.mul(1, X) is X
+    assert ex.add(0, X) is X
+    assert ex.mul(2, F(1, 2)) == ex.ONE
+    assert ex.add(F(1, 2), F(-1, 2), X) is X
+    with pytest.raises(ValueError):
+        ex.add(X, float("inf"))
 
 
 def test_trees_are_shared_not_mutated():

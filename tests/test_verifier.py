@@ -7,7 +7,9 @@ Covers:
   - grid reports: pass/fail, skip counting, guard handling, grid halving,
     the all-skipped error, and the finite-difference cross-check path
   - no numpy warning escapes an unguarded verification
+  - golden digests of every residual tree the builders produce
 """
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -16,9 +18,10 @@ import pytest
 
 from mdpwave import catalog
 from mdpwave import expr as ex
+from mdpwave import rational_hyperbolic as rh
 from mdpwave.errors import AllPointsSkipped
-from mdpwave.verifier import (GridSpec, mdp_residual, ode_residual,
-                              verify_on_grid)
+from mdpwave.verifier import (GridSpec, mdp_residual, mdp_residual_terms,
+                              ode_residual, ode_residual_terms, verify_on_grid)
 
 X = ex.var("x")
 T = ex.var("t")
@@ -66,8 +69,6 @@ def test_frame_consistency_on_non_solution():
 
 def test_frame_consistency_across_families(catalog_samples):
     # both residual routes agree to 1e-12 relative to the term magnitudes
-    from mdpwave.verifier import ode_residual_terms
-
     rng = random.Random(6)
     for fid, samples in catalog_samples.items():
         params = samples[0]
@@ -166,3 +167,75 @@ def test_grid_spec_validation():
         GridSpec(eps_den=0.0)
     with pytest.raises(ValueError):
         verify_on_grid(X, 3, method="spectral")
+
+
+# sha256 over `to_prefix` of every residual term, one line each: for
+# `mdp_residual_terms` over all of a family's conftest samples, and for
+# `ode_residual_terms` of each rational-hyperbolic ansatz at RH_BS.
+# Recorded before the builders shared one derivative memo across orders
+# and before the constant fast path in `add`/`mul`; they pin that both
+# build the same trees.
+MDP_TREE_DIGESTS = {
+    "u1": "d50234608d753cee590e18bcd9781cf6505d70861da1cf8adca91de7e6890ffc",
+    "u2": "11d8f44f3c064a727d57e1785090faacd89ffd9936915068e480170801d5ce53",
+    "u3": "de27c4f01a2abd6fc25420d83a0a7ea7f27145801b993c6ad809747df19ec106",
+    "u4": "9193fb77c2bf4f1d37c480086b4115c1384a18de1f7e67da296072160f2b3c46",
+    "u5": "845520285fda6ab994cf56f0f78634be74af2cce9a00e863257c3e40e891558b",
+    "u6": "50f071278a09b41767484e9f8ffb58e31a9d82756b2d949692e79c1384cee2c0",
+    "u7": "0bfae05f5bd6bf07d8d8361cfe9a4fcbba88baf44237b8e0df516d456afe4c1b",
+    "u8": "8717642f3fe70a8bc44ea7bd4ea4ca0d613b536dc571d505a3e884a2da2b1473",
+    "u9": "e755c4b440fec67771484d12f327bf6c06df3c5aa5f39bedc2b9b1b9a8ee6da4",
+    "u10": "393bdf4154b17432b63b7f22278340438c04a7b5b4ffb91013eb0ef95f9c9cd3",
+    "u11": "4be47c99294d3a6dd7b4e30a229a4b0a857aa38083c55322cc0d0c9019f72541",
+    "u12": "d753fff48b07281c2b7d8e4530832dcb699e92157f2616a583ca26d1144f99b9",
+    "u13": "f2f9a7bfe5d33feb8ebf5810bfe850db5c0a40817bffb89838c19f61683f76ab",
+    "u14": "a1a5072402e064d0a157447c31f17291324d2a8bf33cd72a3f65a16a807d4145",
+    "u15": "08c21eaa67ae2a31530dd6d3e233fbc2b7ede8c4d26cd7b5c2d963ac09f28188",
+    "u16": "67530bcb84faea98f614792b565ce4a3565e79df0d9000bbc0966f1cd0e58e20",
+    "u17": "b57139a4b81d6e266a7311a63484c41922167f983da348e74cc063154d2b40c6",
+    "u18": "9679b28706b5035b26ef331eda8708c766c70d6ceb7ba18f02d243c69a4a8c48",
+    "u19": "52e3cb7a337533316a3b72a81da3d0aa6cc3d865b13b2ab2ba6db6f9562c8752",
+    "u20": "e58eb37ba50c05b0d4bf7b199d1e54c6a41dcad453c96c694cc7d76795fceaf1",
+    "u21": "f13c73e7c0f629dbacee2f8487de2259d8c704c225da42d66a2c175ea0a576b7",
+    "u22": "24d77c0025fcda167a67282bbaaae948ad097ac617729b858b7d43e406401c96",
+    "u23": "279dac689eef3f91aa5c79df03312002c92942adbec713bb94487503efba93df",
+    "cole_hopf": "9ce2e6893b9d9b37f4222397906b116bd56bdbf44847916ed1618540d47cb5dc",
+}
+RH_TREE_DIGESTS = {
+    "u3": "bf3bd55b85c3662f1fac494c76552a73015dcf623f1b5254c0ea0356a40f3b64",
+    "u4": "916a61c850f188171b3aea8c5c74001dae068c2f048656594d62e6c4dcf0a2a0",
+    "u5": "8d6904f4a069905c0abb4c4b5dc51789b171e251690dc68ecdb1ca591486b3f1",
+    "u6": "3c15292a69cf6b0aa867f34699f215a0fae7cb27d09131508f22dec5ee8a80d6",
+    "u7": "b51978cab20ecd11860160303e1e8ad6fe89480dd888db23df568d459fa46c6d",
+    "u8": "d5c23c187d8cd1f588613d35d87ab0ef32e37601572cfb39c9cd5f6c261f32be",
+    "u9": "bb4db72c653d16d5ce7af4345c9a568251c4b44fc5ed17af0184ac6109e212bf",
+    "u10": "1d5e6445ab08732e28502eebbe9d37387486d1cb9d69766cf41de2d157639d89",
+}
+RH_BS = (3, F(-1, 2))
+RH_FREE = {"u7": {"a2": 3}, "u8": {"a2": 3}, "u9": {"c2": 2}, "u10": {"c2": 2}}
+
+
+def _prefix_digest(term_sets):
+    h = hashlib.sha256()
+    for terms in term_sets:
+        for term in terms:
+            h.update(ex.to_prefix(term).encode())
+            h.update(b"\n")
+    return h.hexdigest()
+
+
+def test_mdp_residual_trees_match_golden_digests(catalog_samples):
+    assert set(catalog_samples) == set(MDP_TREE_DIGESTS)
+    for fid, samples in catalog_samples.items():
+        got = _prefix_digest(mdp_residual_terms(catalog.build(fid, s), s["b"])
+                             for s in samples)
+        assert got == MDP_TREE_DIGESTS[fid], fid
+
+
+def test_ode_residual_trees_match_golden_digests():
+    assert set(rh.FAMILY_IDS) == set(RH_TREE_DIGESTS)
+    for fid in rh.FAMILY_IDS:
+        params = [rh.family_params(fid, b, **RH_FREE.get(fid, {})) for b in RH_BS]
+        got = _prefix_digest(ode_residual_terms(rh.rh_ansatz(p), b, p.lam)
+                             for b, p in zip(RH_BS, params))
+        assert got == RH_TREE_DIGESTS[fid], fid
