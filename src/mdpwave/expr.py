@@ -22,7 +22,13 @@ last use.  The tape has two backends: a scalar one (`evaluate`) with loud
 domain errors, and a vectorized numpy one (`evaluate_many`) whose inf/NaN
 values callers screen with their own guards.  Equal-but-distinct nodes
 share a slot, so the `DomainError.subtree` of a failure is a structurally
-equal node, not necessarily the same object.
+equal node, not necessarily the same object.  The numpy backend works an
+n-ary sum or product left to right: the first two operands go into a
+fresh array, and each later scalar or same-shaped operand is added or
+multiplied into that array in place, so the chain allocates one array
+rather than one per operand.  The IEEE results are those of the plain
+chain, and an operand that would broadcast to a larger shape takes the
+allocating form.  A caller's arrays are never written.
 """
 from __future__ import annotations
 
@@ -601,10 +607,17 @@ def _vector_step(op, payload, node, xs, point):
         return payload
     if op == "var":
         return _bound(point, payload)
-    if op in ("add", "mul"):
+    if op == "add" or op == "mul":
         out = xs[0]
-        for v in xs[1:]:
-            out = out + v if op == "add" else out * v
+        if len(xs) > 1:
+            out = out + xs[1] if op == "add" else out * xs[1]
+            for v in xs[2:]:  # `out` is a scalar or an array this step made
+                if type(out) is not np.ndarray or (type(v) is np.ndarray and v.shape != out.shape):
+                    out = out + v if op == "add" else out * v
+                elif op == "add":
+                    out += v
+                else:
+                    out *= v
         return out
     if op == "div":
         return xs[0] / xs[1]

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConstraintViolation, UnsupportedOrder
-from .polyalg import VARS, MultiPoly, PhiLaurent
+from .polyalg import VARS, MultiPoly, PhiLaurent, evaluate_all
 from .riccati import S_LABEL, base_violations, discriminant, is_degenerate
 
 # The gufunc behind np.linalg.lstsq (see _lstsq_stack).  It is private numpy
@@ -169,7 +169,7 @@ def check_assignment(system, values):
     missing = [v for v in VARS if v not in values]
     if missing:
         raise KeyError(f"unbound variable(s): {', '.join(missing)}")
-    return [eq.evaluate(values) for eq in system.equations]
+    return evaluate_all(system.equations, values)
 
 
 def _sqrt_exact_or_float(value):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["VARS", "MultiPoly", "PhiLaurent"]
+__all__ = ["VARS", "MultiPoly", "PhiLaurent", "evaluate_all"]
 
 VARS = ("a0", "a1", "a2", "c1", "c2", "lam", "alpha", "beta", "gamma", "b")
 _INDEX = {name: i for i, name in enumerate(VARS)}
@@ -145,24 +145,7 @@ class MultiPoly:
     def evaluate(self, bindings):
         """Full evaluation.  Exact when every binding is rational; float
         arithmetic as soon as any binding is a float."""
-        vals = [None] * _NVARS
-        for k, v in bindings.items():
-            if k in _INDEX:
-                vals[_INDEX[k]] = v
-        powers = {}  # (i, k) -> vals[i] ** k, each computed once
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            term = c
-            for i, k in enumerate(e):
-                if k:
-                    p = powers.get((i, k))
-                    if p is None:
-                        if vals[i] is None:
-                            raise KeyError(f"unbound variable {VARS[i]!r}")
-                        p = powers[i, k] = vals[i] ** k
-                    term = term * p
-            total = total + term
-        return total
+        return evaluate_all((self,), bindings)[0]
 
     def max_degree(self):
         return max((sum(e) for e in self.terms), default=0)
@@ -180,6 +163,32 @@ class MultiPoly:
                             for i, k in enumerate(e) if k)
             bits.append(f"{c}" + (f"*{mono}" if mono else ""))
         return " + ".join(bits)
+
+
+def evaluate_all(polys, bindings):
+    """`MultiPoly.evaluate` of several polynomials at one binding, with
+    one table of powers shared by all of them."""
+    vals = [None] * _NVARS
+    for k, v in bindings.items():
+        if k in _INDEX:
+            vals[_INDEX[k]] = v
+    powers = {}  # (i, k) -> vals[i] ** k, each computed once
+    out = []
+    for poly in polys:
+        total = Fraction(0)
+        for e, c in poly.terms.items():
+            term = c
+            for i, k in enumerate(e):
+                if k:
+                    p = powers.get((i, k))
+                    if p is None:
+                        if vals[i] is None:
+                            raise KeyError(f"unbound variable {VARS[i]!r}")
+                        p = powers[i, k] = vals[i] ** k
+                    term = term * p
+            total = total + term
+        out.append(total)
+    return out
 
 
 class PhiLaurent:

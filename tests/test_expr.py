@@ -10,6 +10,8 @@ Covers:
   - vectorized evaluation matching the scalar path
   - the compiled tape: one slot per structurally distinct node, shared
     roots equal to per-root evaluation, roots never freed, broadcasting
+  - in-place sums and products: caller arrays untouched, broadcasting to a
+    larger shape, scalar points, no RuntimeWarning on non-finite values
 """
 import math
 import random
@@ -392,6 +394,64 @@ def test_constant_root_broadcasts_to_grid_shape():
     half, root2, x = ex.evaluate_many([ex.Rational(F(1, 2)), ex.sqrt(2), X], {}, {"x": grid})
     assert half.shape == root2.shape == x.shape == (3, 4)
     assert (half == 0.5).all() and (root2 == math.sqrt(2)).all()
+
+
+def _chains(first):
+    # n-ary sums and products whose first operand is `first`, built
+    # directly so the constructors cannot reorder or fold them
+    other = ex.cosh(X)
+    return [ex.Add((first, T, X)), ex.Mul((first, T, X)), ex.Add((first, other, T, X)),
+            ex.Mul((first, first, first)), ex.Add((first,)), ex.Mul((first, X, ex.Rational(F(3))))]
+
+
+def test_in_place_chains_never_write_caller_arrays():
+    xs = np.linspace(-2.0, 2.0, 9)
+    ts = np.linspace(0.0, 1.0, 9)
+    x0, t0 = xs.copy(), ts.copy()
+    for first in (X, T, ex.Rational(F(5, 2))):
+        roots = _chains(first)
+        got = ex.evaluate_many(roots, {}, {"x": xs, "t": ts})
+        assert np.array_equal(xs, x0) and np.array_equal(ts, t0)
+        for root, vec in zip(roots, got):
+            for i in (0, 4, 8):
+                assert vec[i] == ex.evaluate(root, {}, {"x": x0[i], "t": t0[i]})
+    # a shared operand read again after a chain that starts with it
+    x_plus, x_times, x_again = ex.evaluate_many(
+        [ex.Add((X, T, T)), ex.Mul((X, T, T)), X], {}, {"x": xs, "t": ts})
+    assert np.array_equal(x_again, x0)
+    assert np.array_equal(x_plus, x0 + t0 + t0)
+    assert np.array_equal(x_times, x0 * t0 * t0)
+
+
+def test_in_place_chain_broadcasts_to_a_larger_shape():
+    xs = np.linspace(-1.0, 1.0, 4)[:, None]
+    ts = np.linspace(0.0, 2.0, 3)[None, :]
+    total, product = ex.evaluate_many(
+        [ex.add(2, X, T), ex.mul(3, X, T)], {}, {"x": xs, "t": ts})
+    assert total.shape == product.shape == (4, 3)
+    assert np.array_equal(total, 2.0 + xs + ts)
+    assert np.array_equal(product, 3.0 * xs * ts)
+    assert xs.shape == (4, 1) and ts.shape == (1, 3)
+
+
+def test_in_place_chain_with_a_scalar_point():
+    xs = np.linspace(-2.0, 2.0, 5)
+    e = ex.add(X, T, ex.mul(X, T, T), 1)
+    got = ex.evaluate_many(e, {}, {"x": xs, "t": 0.7})
+    assert np.array_equal(got, 1.0 + xs + 0.7 + xs * 0.7 * 0.7)
+    both = ex.evaluate_many(e, {}, {"x": 0.5, "t": 0.7})
+    assert both.shape == () and float(both) == ex.evaluate(e, {}, {"x": 0.5, "t": 0.7})
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_in_place_chain_on_non_finite_values_does_not_warn():
+    xs = np.array([-1.0, 0.0, 1.0])
+    inv = ex.div(1, X)
+    total, product = ex.evaluate_many(
+        [ex.Add((X, inv, inv, ex.mul(-1, inv))), ex.Mul((X, inv, inv, inv))], {}, {"x": xs})
+    assert np.isnan(total[1]) and np.isnan(product[1])
+    assert total[0] == -2.0 and total[2] == 2.0
+    assert product[0] == 1.0 and product[2] == 1.0
 
 
 def test_prefix_rendering_is_text():

@@ -6,7 +6,8 @@ Covers:
   - the derivation (product-rule) law on random Laurent objects
   - system generation: clearing power, equation count, c1=c2=0 collapse
   - exact-zero residuals of the solved tuples, including rational
-    third-case instances
+    third-case instances, and check_assignment against per-equation
+    evaluation at exact and float bindings
   - serialization round trip, bit exact
   - multistart root recovery and root self-consistency
   - byte-identical Newton roots (golden hashes, also on the failure
@@ -26,6 +27,7 @@ import pytest
 
 from mdpwave import expr as ex
 from mdpwave import pipeline as pl
+from mdpwave import polyalg
 from mdpwave import report
 from mdpwave.errors import ConstraintViolation, UnsupportedOrder
 from mdpwave.polyalg import VARS, MultiPoly, PhiLaurent
@@ -209,6 +211,34 @@ def test_case_condition_violations():
 def test_check_assignment_requires_full_binding(system):
     with pytest.raises(KeyError):
         pl.check_assignment(system, {"a0": 0})
+
+
+def _evaluate_alone(poly, values):
+    # one equation with its own power table: the per-equation evaluation
+    # that check_assignment's shared table must reproduce
+    total = F(0)
+    for e, c in poly.terms.items():
+        term = c
+        for i, k in enumerate(e):
+            if k:
+                term = term * values[polyalg.VARS[i]] ** k
+        total = total + term
+    return total
+
+
+def test_check_assignment_matches_per_equation_evaluation(system):
+    exact = dict(a0=F(1, 3), a1=F(-2), a2=F(5, 7), c1=F(3, 2), c2=F(-1, 4), lam=F(9, 5),
+                 alpha=F(1, 2), beta=F(-3), gamma=F(2, 3), b=F(5))
+    floats = {k: float(v) + 0.1 for k, v in exact.items()}
+    for values in (exact, floats):
+        got = pl.check_assignment(system, values)
+        want = [_evaluate_alone(eq, values) for eq in system.equations]
+        assert [type(r) for r in got] == [type(r) for r in want]
+        assert got == want
+        assert got == [eq.evaluate(values) for eq in system.equations]
+    assert any(r != 0 for r in pl.check_assignment(system, exact))
+    with pytest.raises(KeyError, match="'lam'"):
+        polyalg.evaluate_all(system.equations, {k: v for k, v in exact.items() if k != "lam"})
 
 
 def test_serialization_round_trip_bit_exact(system):

@@ -8,6 +8,9 @@ Covers:
     the all-skipped error, and the finite-difference cross-check path
   - no numpy warning escapes an unguarded verification
   - golden digests of every residual tree the builders produce
+  - the block walk: golden multi-block reports, agreement with one pass
+    over every kept point at and around the block size, guard skips across
+    a block edge, and what runs before and once per verification
 """
 import hashlib
 import random
@@ -16,11 +19,11 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from mdpwave import catalog
+from mdpwave import catalog, report, verifier
 from mdpwave import expr as ex
 from mdpwave import rational_hyperbolic as rh
 from mdpwave.errors import AllPointsSkipped
-from mdpwave.verifier import (GridSpec, mdp_residual, mdp_residual_terms,
+from mdpwave.verifier import (BLOCK, GridSpec, mdp_residual, mdp_residual_terms,
                               ode_residual, ode_residual_terms, verify_on_grid)
 
 X = ex.var("x")
@@ -239,3 +242,121 @@ def test_ode_residual_trees_match_golden_digests():
         got = _prefix_digest(ode_residual_terms(rh.rh_ansatz(p), b, p.lam)
                              for b, p in zip(RH_BS, params))
         assert got == RH_TREE_DIGESTS[fid], fid
+
+
+# sha256 of `report.dumps` of each verification report on BIG_GRID (101,101
+# points, seven blocks), for (family, conftest sample index, method).
+# Recorded before verification walked the grid in blocks and before sums
+# and products accumulated in place; they pin that neither moves a byte.
+BIG_GRID = GridSpec(nx=1001, nt=101)
+REPORT_DIGESTS = {
+    ("u14", 0, "symbolic"): "a30db442738d58eab08b35cabf7e5e265b3b9d65de0d004e65dc0af6ea1270e8",
+    ("u22", 0, "symbolic"): "eaf90c8f42b8f38a1e46b517124db7bb6a830cf57a5a1bc3c3e473dc20b7b77f",
+    ("u22", 0, "finite-difference"): "2d39a7887d99021203a6d416dfc2194f78ffb83f15e4bc1b70aa8a2c15b1ef3f",
+    ("cole_hopf", 0, "symbolic"): "15e063ac52b81bb3e7dfeb5358b8543ae5f7e24e5ff530d90e3f407081387714",
+    ("cole_hopf", 0, "finite-difference"): "1ae022eba68d160fe693408b8fbee571856e326ea0588992fde052cd8537c431",
+    ("u7", 0, "symbolic"): "4e619a86a01b2c7f5e155ebf387015d188dbd08bbcbc9484854d06809097c6e4",
+    ("u7", 0, "finite-difference"): "9872d9075a1f5c5e3aba53801142f5b195293043f0f821e7aeb08c1a1aec0047",
+}
+
+
+def test_multi_block_reports_match_golden_digests(catalog_samples):
+    for (fid, i, method), want in REPORT_DIGESTS.items():
+        params = catalog_samples[fid][i]
+        rep = verify_on_grid(catalog.build(fid, params), params["b"], grid=BIG_GRID,
+                             guard=catalog.build_guard_xt(fid, params), method=method)
+        assert rep.passed and rep.points_evaluated > BLOCK, (fid, method)
+        assert (rep.points_skipped > 0) == (fid == "u14"), (fid, method)
+        got = hashlib.sha256(report.dumps(rep.to_dict()).encode()).hexdigest()
+        assert got == want, (fid, method)
+
+
+def _single_pass(u, b, grid, guard=ex.ONE, method="symbolic"):
+    """(max_abs, max_scaled, points evaluated) from one pass over every
+    kept point at once."""
+    xs, ts = grid.points()
+    keep = np.abs(ex.evaluate_many(guard, {}, {"x": xs, "t": ts})) >= grid.eps_den
+    xk, tk = xs[keep], ts[keep]
+    with np.errstate(all="ignore"):
+        if method == "symbolic":
+            terms = ex.evaluate_many(mdp_residual_terms(u, b), {}, {"x": xk, "t": tk})
+        else:
+            terms = verifier._fd_terms(ex.Tape((u,)), b, xk, tk)
+        residual = sum(terms)
+        scale = sum(np.abs(t) for t in terms)
+        scaled = np.abs(residual) / np.maximum(1.0, scale)
+    scaled = np.where(np.isfinite(residual) & np.isfinite(scale), scaled, np.inf)
+    abs_res = np.abs(residual)
+    return (float(np.max(np.where(np.isfinite(abs_res), abs_res, np.inf))),
+            float(np.max(scaled)), xk.size)
+
+
+@pytest.mark.parametrize("nx, nt", [(127, 129), (128, 128), (145, 113)])
+def test_block_edges_match_a_single_pass(nx, nt):
+    assert abs(nx * nt - BLOCK) <= 1
+    # not a solution: the largest |R| is at the last grid point (alone in
+    # its block when there are BLOCK + 1 points), the largest scaled
+    # residual in the first block
+    u = ex.mul(ex.pow_(X, 3), ex.add(1, T))
+    grid = GridSpec(x_min=-1.0, x_max=3.0, nx=nx, t_min=0.0, t_max=1.0, nt=nt)
+    for method in ("symbolic", "finite-difference"):
+        rep = verify_on_grid(u, 3, grid=grid, method=method)
+        got = (rep.max_abs, rep.max_scaled, rep.points_evaluated)
+        assert got == _single_pass(u, 3, grid, method=method), method
+
+
+def test_guard_skips_across_a_block_edge_match_a_single_pass():
+    params = {"b": 3}
+    u = catalog.build("u5", params)
+    guard = catalog.build_guard_xt("u5", params)
+    grid = GridSpec(nx=2001, nt=11)
+    xs, ts = grid.points()
+    keep = np.abs(ex.evaluate_many(guard, {}, {"x": xs, "t": ts})) >= grid.eps_den
+    kept_before_skips = np.cumsum(keep)[~keep]
+    assert kept_before_skips.min() < BLOCK < kept_before_skips.max()
+    for method in ("symbolic", "finite-difference"):
+        rep = verify_on_grid(u, 3, grid=grid, guard=guard, method=method)
+        assert rep.points_skipped == np.count_nonzero(~keep)
+        got = (rep.max_abs, rep.max_scaled, rep.points_evaluated)
+        assert got == _single_pass(u, 3, grid, guard, method), method
+
+
+def test_guard_runs_first_and_the_residual_is_built_once(monkeypatch):
+    params = {"b": 3}
+    u = catalog.build("u5", params)
+    guard = catalog.build_guard_xt("u5", params)
+    grid = GridSpec(nx=2001, nt=11)
+    calls = []
+    evaluate_many, residual_terms = ex.evaluate_many, verifier.mdp_residual_terms
+
+    def spy_evaluate_many(e, *args, **kwargs):
+        calls.append(e)
+        return evaluate_many(e, *args, **kwargs)
+
+    def spy_residual_terms(*args):
+        calls.append("residual terms")
+        return residual_terms(*args)
+
+    monkeypatch.setattr(ex, "evaluate_many", spy_evaluate_many)
+    monkeypatch.setattr(verifier, "mdp_residual_terms", spy_residual_terms)
+    rep = verify_on_grid(u, 3, grid=grid, guard=guard)
+    blocks = -(-rep.points_evaluated // BLOCK)
+    assert blocks == 2
+    assert calls[0] is guard and calls[1] == "residual terms"
+    assert len(calls) == 2 + blocks and calls.count("residual terms") == 1
+    tapes = calls[2:]
+    assert all(isinstance(t, ex.Tape) and t is tapes[0] for t in tapes)
+
+
+def test_all_points_skipped_builds_no_residual(monkeypatch):
+    def no_residual(*args):
+        raise AssertionError("residual built before the guard pass was judged")
+
+    monkeypatch.setattr(verifier, "mdp_residual_terms", no_residual)
+    params = {"b": 3}
+    u = catalog.build("u5", params)
+    guard = catalog.build_guard_xt("u5", params)
+    tiny = GridSpec(x_min=-0.01, x_max=0.01, nx=3, t_min=0.0, t_max=0.0, nt=2)
+    for method in ("symbolic", "finite-difference"):
+        with pytest.raises(AllPointsSkipped):
+            verify_on_grid(u, 3, grid=tiny, guard=guard, method=method)
