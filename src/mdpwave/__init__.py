@@ -13,7 +13,7 @@ from . import catalog, colehopf, pipeline, polyalg, rational_hyperbolic, riccati
 from . import expr
 from .errors import (AllPointsSkipped, ConstraintViolation, DomainError,
                      InvalidParams, MdpWaveError, SampleAtPole, UnboundSymbol,
-                     UnclassifiableCoefficients, UnsupportedOrder)
+                     UnclassifiableCoefficients)
 
 __version__ = "0.1.0"
 
@@ -21,7 +21,7 @@ __all__ = [
     "expr", "riccati", "catalog", "colehopf", "rational_hyperbolic",
     "polyalg", "pipeline", "verifier",
     "MdpWaveError", "UnboundSymbol", "DomainError", "ConstraintViolation",
-    "InvalidParams", "UnclassifiableCoefficients", "UnsupportedOrder",
-    "SampleAtPole", "AllPointsSkipped",
+    "InvalidParams", "UnclassifiableCoefficients", "SampleAtPole",
+    "AllPointsSkipped",
     "__version__",
 ]

@@ -2,14 +2,22 @@
 inspection, the re-derivation pipeline, pointwise equivalence checks, and
 plot-data export.
 
-Exit codes: 0 pass, 1 fail, 2 invalid input (bad flags, unknown ids,
-constraint violations), 3 internal error.  Every report echoes its full
-effective configuration, and identical configurations (including RNG
-seeds) produce byte-identical output.
+Each subcommand's parser carries its handler (`run`), so `main` has one
+path into every command and one out of it.  `--param NAME=VALUE` values
+are exact rationals: decimals (`0.25`, `1e-3`) or `n/d` fractions, never
+infinities or NaN.  Catalog families check parameter names against their
+signature; every other command rejects a name it does not take.
+
+Exit codes: 0 pass, 1 fail, 2 invalid input (bad flags, unknown ids or
+parameter names, non-exact values, constraint violations), 3 internal
+error.  Every report echoes its full effective configuration, and
+identical configurations (including RNG seeds) produce byte-identical
+output.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from fractions import Fraction
 
@@ -22,8 +30,7 @@ from . import riccati as ric
 from . import verifier
 from .errors import (AllPointsSkipped, ConstraintViolation, DomainError,
                      InvalidParams, MdpWaveError, SampleAtPole,
-                     UnboundSymbol, UnclassifiableCoefficients,
-                     UnsupportedOrder)
+                     UnboundSymbol, UnclassifiableCoefficients)
 
 __all__ = ["main"]
 
@@ -31,25 +38,35 @@ SIX_SYSTEM_TOL = 1e-9
 EQUIV_DEFAULT_TOL = 1e-10
 
 
-def _parse_value(text):
-    try:
-        return Fraction(text)
-    except ValueError:
-        return float(text)
+def _params(pairs, command=None, required=(), optional=()):
+    """`--param NAME=VALUE` pairs as exact Fractions, in the order given.
 
-
-def _parse_params(pairs):
+    A command outside the catalog names itself and the parameters it
+    takes: each `required` name must be bound, and nothing outside
+    `required` and `optional` may be.
+    """
     out = {}
-    for item in pairs or []:
-        if "=" not in item:
+    for item in pairs:
+        name, eq, value = item.partition("=")
+        if not eq:
             raise ValueError(f"--param expects name=value, got {item!r}")
-        name, _, value = item.partition("=")
-        out[name.strip()] = _parse_value(value.strip())
+        name, value = name.strip(), value.strip()
+        try:
+            out[name] = Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"--param {name}={value} is not an exact number "
+                             "(a decimal or n/d)") from None
+    if command:
+        for name in out:
+            if name not in required and name not in optional:
+                raise ValueError(f"{command} has no parameter {name!r}")
+        for name in required:
+            if name not in out:
+                raise ValueError(f"{command} requires --param {name}=...")
     return out
 
 
-def _emit(doc, out_path):
-    text = report.dumps(doc)
+def _write(text, out_path):
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -57,22 +74,21 @@ def _emit(doc, out_path):
         sys.stdout.write(text)
 
 
+def _emit(doc, out_path):
+    _write(report.dumps(doc), out_path)
+
+
+_GRID_FIELDS = dataclasses.fields(verifier.GridSpec)
+
+
 def _grid_from_args(args):
-    return verifier.GridSpec(
-        x_min=args.x_min, x_max=args.x_max, nx=args.nx,
-        t_min=args.t_min, t_max=args.t_max, nt=args.nt,
-        eps_den=args.eps_den,
-    )
+    return verifier.GridSpec(*(getattr(args, f.name) for f in _GRID_FIELDS))
 
 
 def _add_grid_args(p):
-    p.add_argument("--x-min", type=float, default=-10.0)
-    p.add_argument("--x-max", type=float, default=10.0)
-    p.add_argument("--nx", type=int, default=101)
-    p.add_argument("--t-min", type=float, default=0.0)
-    p.add_argument("--t-max", type=float, default=2.0)
-    p.add_argument("--nt", type=int, default=11)
-    p.add_argument("--eps-den", type=float, default=1e-3)
+    for f in _GRID_FIELDS:
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                       default=f.default)
 
 
 def _add_param_arg(p):
@@ -88,69 +104,65 @@ def _build_parser():
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
+    def command(group, name, run, help):
+        p = group.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        p.add_argument("--out")
+        return p
+
     p_cat = subs.add_parser("catalog", help="catalog metadata")
     cat_subs = p_cat.add_subparsers(dest="action", required=True)
-    p_list = cat_subs.add_parser("list", help="emit the family catalog as JSON")
-    p_list.add_argument("--out")
+    command(cat_subs, "list", _cmd_catalog_list, "emit the family catalog as JSON")
 
-    p_verify = subs.add_parser("verify", help="grid-verify one family")
-    p_verify.add_argument("--family", required=True)
-    _add_param_arg(p_verify)
-    _add_grid_args(p_verify)
-    p_verify.add_argument("--tol", type=float, default=None)
-    p_verify.add_argument("--method", choices=["symbolic", "finite-difference"],
-                          default="symbolic")
-    p_verify.add_argument("--out")
+    p = command(subs, "verify", _cmd_verify, "grid-verify one family")
+    p.add_argument("--family", required=True)
+    _add_param_arg(p)
+    _add_grid_args(p)
+    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--method", choices=["symbolic", "finite-difference"],
+                   default="symbolic")
 
-    p_ric = subs.add_parser("riccati", help="classify a coefficient triple")
-    _add_param_arg(p_ric)
-    p_ric.add_argument("--samples", type=int, default=200)
-    p_ric.add_argument("--out")
+    p = command(subs, "riccati", _cmd_riccati, "classify a coefficient triple")
+    _add_param_arg(p)
+    p.add_argument("--samples", type=int, default=200)
 
-    p_ch = subs.add_parser("cole-hopf", help="solved branch + six-equation check")
-    p_ch.add_argument("--branch", choices=["plus", "minus"], required=True)
-    _add_param_arg(p_ch)
-    _add_grid_args(p_ch)
-    p_ch.add_argument("--out")
+    p = command(subs, "cole-hopf", _cmd_cole_hopf, "solved branch + six-equation check")
+    p.add_argument("--branch", choices=["plus", "minus"], required=True)
+    _add_param_arg(p)
+    _add_grid_args(p)
 
-    p_rh = subs.add_parser("rh", help="rational-hyperbolic family + collocation")
-    p_rh.add_argument("--family", required=True, choices=list(rh.FAMILY_IDS))
-    _add_param_arg(p_rh)
-    p_rh.add_argument("--out")
+    p = command(subs, "rh", _cmd_rh, "rational-hyperbolic family + collocation")
+    p.add_argument("--family", required=True, choices=list(rh.FAMILY_IDS))
+    _add_param_arg(p)
 
     p_pipe = subs.add_parser("pipeline", help="phi-power re-derivation pipeline")
     pipe_subs = p_pipe.add_subparsers(dest="action", required=True)
-    p_gen = pipe_subs.add_parser("generate", help="emit the coefficient system")
-    p_gen.add_argument("--out")
-    p_check = pipe_subs.add_parser("check", help="check the solved tuples of a case")
-    p_check.add_argument("--case", required=True, choices=sorted(pipeline.CASE_FAMILIES))
-    _add_param_arg(p_check)
-    p_check.add_argument("--out")
-    p_solve = pipe_subs.add_parser("solve", help="multistart numeric root search")
-    _add_param_arg(p_solve)
-    p_solve.add_argument("--seeds", type=int, default=400)
-    p_solve.add_argument("--rng-seed", type=int, default=0)
-    p_solve.add_argument("--out")
+    command(pipe_subs, "generate", _cmd_pipeline_generate, "emit the coefficient system")
+    p = command(pipe_subs, "check", _cmd_pipeline_check, "check the solved tuples of a case")
+    p.add_argument("--case", required=True, choices=sorted(pipeline.CASE_FAMILIES))
+    _add_param_arg(p)
+    p = command(pipe_subs, "solve", _cmd_pipeline_solve, "multistart numeric root search")
+    _add_param_arg(p)
+    p.add_argument("--seeds", type=int, default=400)
+    p.add_argument("--rng-seed", type=int, default=0)
 
-    p_eq = subs.add_parser("equiv", help="pointwise comparison of two families")
-    p_eq.add_argument("--left", required=True)
-    p_eq.add_argument("--left-param", action="append", default=[], metavar="NAME=VALUE")
-    p_eq.add_argument("--right", required=True)
-    p_eq.add_argument("--right-param", action="append", default=[], metavar="NAME=VALUE")
-    p_eq.add_argument("--points", type=int, default=100)
-    p_eq.add_argument("--tol", type=float, default=EQUIV_DEFAULT_TOL)
-    p_eq.add_argument("--seed", type=int, default=0)
-    p_eq.add_argument("--out")
+    p = command(subs, "equiv", _cmd_equiv, "pointwise comparison of two families")
+    p.add_argument("--left", required=True)
+    p.add_argument("--left-param", action="append", default=[], metavar="NAME=VALUE")
+    p.add_argument("--right", required=True)
+    p.add_argument("--right-param", action="append", default=[], metavar="NAME=VALUE")
+    p.add_argument("--points", type=int, default=100)
+    p.add_argument("--tol", type=float, default=EQUIV_DEFAULT_TOL)
+    p.add_argument("--seed", type=int, default=0)
 
-    p_plot = subs.add_parser("plot-data", help="CSV profile at fixed t")
-    p_plot.add_argument("--family", required=True)
-    _add_param_arg(p_plot)
-    p_plot.add_argument("--t", type=float, required=True)
-    p_plot.add_argument("--x-min", type=float, default=-10.0)
-    p_plot.add_argument("--x-max", type=float, default=10.0)
-    p_plot.add_argument("--nx", type=int, default=101)
-    p_plot.add_argument("--eps-den", type=float, default=1e-3)
-    p_plot.add_argument("--out")
+    p = command(subs, "plot-data", _cmd_plot_data, "CSV profile at fixed t")
+    p.add_argument("--family", required=True)
+    _add_param_arg(p)
+    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--x-min", type=float, default=-10.0)
+    p.add_argument("--x-max", type=float, default=10.0)
+    p.add_argument("--nx", type=int, default=101)
+    p.add_argument("--eps-den", type=float, default=1e-3)
 
     return parser
 
@@ -166,11 +178,8 @@ def _cmd_catalog_list(args):
 
 
 def _cmd_verify(args):
-    params = _parse_params(args.param)
+    params = _params(args.param)
     grid = _grid_from_args(args)
-    bad = catalog.validate(args.family, params)
-    if bad:
-        raise ConstraintViolation(bad)
     u = catalog.build(args.family, params)
     guard = catalog.build_guard_xt(args.family, params)
     rep = verifier.verify_on_grid(u, params["b"], grid=grid, tol=args.tol,
@@ -190,11 +199,10 @@ def _cmd_verify(args):
 
 
 def _cmd_riccati(args):
-    params = _parse_params(args.param)
-    for name in ("alpha", "beta", "gamma"):
-        if name not in params:
-            raise ValueError(f"riccati requires --param {name}=...")
-    c = ric.RiccatiCoefficients(params["alpha"], params["beta"], params["gamma"])
+    params = _params(args.param, "riccati", ("alpha", "beta", "gamma"))
+    if args.samples < 1:
+        raise ValueError("--samples must be >= 1")
+    c = ric.RiccatiCoefficients(**params)
     case = ric.riccati_case(c)
     res = ric.riccati_residual(case.phi, c)
     guard = ric.pole_guard(c)
@@ -218,10 +226,7 @@ def _cmd_riccati(args):
 
 
 def _cmd_cole_hopf(args):
-    params = _parse_params(args.param)
-    for name in ("b", "mu"):
-        if name not in params:
-            raise ValueError(f"cole-hopf requires --param {name}=...")
+    params = _params(args.param, "cole-hopf", ("b", "mu"), ("delta",))
     b, mu = params["b"], params["mu"]
     delta = params.get("delta", 0)
     A, B, lam = colehopf.branch_params(args.branch, b, mu)
@@ -245,9 +250,8 @@ def _cmd_cole_hopf(args):
 
 
 def _cmd_rh(args):
-    params = _parse_params(args.param)
-    if "b" not in params:
-        raise ValueError("rh requires --param b=...")
+    params = _params(args.param, "rh",
+                     ("b",) + rh.FREE_PARAMETER.get(args.family, ())[:1])
     fam_params = rh.family_params(args.family, params["b"],
                                   a2=params.get("a2"), c2=params.get("c2"))
     u = rh.rh_ansatz(fam_params)
@@ -257,18 +261,8 @@ def _cmd_rh(args):
         "config": {"command": "rh", "family": args.family,
                    "params": params},
         "family": args.family,
-        "coefficients": {
-            "lam": float(fam_params.lam), "a0": float(fam_params.a0),
-            "a1": float(fam_params.a1), "a2": float(fam_params.a2),
-            "c1": float(fam_params.c1), "c2": float(fam_params.c2),
-        },
-        "collocation": {
-            "passed": rep.passed,
-            "points": list(rep.points),
-            "residuals": list(rep.residuals),
-            "scale": rep.scale,
-            "threshold": rep.threshold,
-        },
+        "coefficients": {k: float(v) for k, v in dataclasses.asdict(fam_params).items()},
+        "collocation": dataclasses.asdict(rep),
     }
     _emit(doc, args.out)
     return 0 if rep.passed else 1
@@ -285,20 +279,13 @@ def _cmd_pipeline_generate(args):
 
 
 def _cmd_pipeline_check(args):
-    params = _parse_params(args.param)
-    for name in ("b", "alpha", "beta", "gamma"):
-        if name not in params:
-            raise ValueError(f"pipeline check requires --param {name}=...")
+    params = _params(args.param, "pipeline check", pipeline.PARAMETERS)
     system = pipeline.generate_system()
     entries = []
     all_ok = True
     for fid in pipeline.CASE_FAMILIES[args.case]:
-        vals = pipeline.ansatz_tuple(fid, params["alpha"], params["beta"],
-                                     params["gamma"], params["b"])
-        bindings = dict(vals)
-        for name in ("alpha", "beta", "gamma", "b"):
-            bindings[name] = Fraction(params[name])
-        residuals = pipeline.check_assignment(system, bindings)
+        vals = pipeline.ansatz_tuple(fid, *(params[k] for k in pipeline.PARAMETERS))
+        residuals = pipeline.check_assignment(system, {**vals, **params})
         exact = all(isinstance(r, Fraction) for r in residuals)
         ok = (all(r == 0 for r in residuals) if exact
               else all(abs(float(r)) < SIX_SYSTEM_TOL for r in residuals))
@@ -321,13 +308,9 @@ def _cmd_pipeline_check(args):
 
 
 def _cmd_pipeline_solve(args):
-    params = _parse_params(args.param)
-    for name in ("b", "alpha", "beta", "gamma"):
-        if name not in params:
-            raise ValueError(f"pipeline solve requires --param {name}=...")
+    params = _params(args.param, "pipeline solve", pipeline.PARAMETERS)
     system = pipeline.generate_system()
-    fixed = {k: params[k] for k in ("alpha", "beta", "gamma", "b")}
-    roots = pipeline.newton_solve(system, fixed, seeds=args.seeds,
+    roots = pipeline.newton_solve(system, params, seeds=args.seeds,
                                   rng_seed=args.rng_seed)
     doc = {
         "config": {"command": "pipeline solve", "params": params,
@@ -340,12 +323,18 @@ def _cmd_pipeline_solve(args):
     return 0
 
 
-def _sample_points(fids, param_sets, n, seed):
+def _equiv_side(fid, params):
+    """(u, guard) of one side of `equiv`; violations are prefixed by its id."""
+    try:
+        return catalog.build(fid, params), catalog.build_guard_xt(fid, params)
+    except ConstraintViolation as err:
+        raise ConstraintViolation([f"{fid}: {v}" for v in err.violations]) from None
+
+
+def _sample_points(us, guards, n, seed):
     """Deterministic (x, t) samples where every side is regular."""
     rng = np.random.default_rng(seed)
-    guards = [catalog.build_guard_xt(f, p) for f, p in zip(fids, param_sets)]
-    builds = [catalog.build(f, p) for f, p in zip(fids, param_sets)]
-    tape = ex.Tape(guards + builds)
+    tape = ex.Tape(guards + us)
     xs_out, ts_out = [], []
     for _ in range(50):
         need = n - len(xs_out)
@@ -367,16 +356,14 @@ def _sample_points(fids, param_sets, n, seed):
 
 
 def _cmd_equiv(args):
-    left_params = _parse_params(args.left_param)
-    right_params = _parse_params(args.right_param)
-    for fid, p in ((args.left, left_params), (args.right, right_params)):
-        bad = catalog.validate(fid, p)
-        if bad:
-            raise ConstraintViolation([f"{fid}: {v}" for v in bad])
-    xs, ts = _sample_points([args.left, args.right],
-                            [left_params, right_params], args.points, args.seed)
-    lv, rv = ex.evaluate_many([catalog.build(args.left, left_params),
-                               catalog.build(args.right, right_params)], {}, {"x": xs, "t": ts})
+    left_params = _params(args.left_param)
+    right_params = _params(args.right_param)
+    if args.points < 1:
+        raise ValueError("--points must be >= 1")
+    (lu, lg), (ru, rg) = (_equiv_side(args.left, left_params),
+                          _equiv_side(args.right, right_params))
+    xs, ts = _sample_points([lu, ru], [lg, rg], args.points, args.seed)
+    lv, rv = ex.evaluate_many([lu, ru], {}, {"x": xs, "t": ts})
     max_diff = float(np.max(np.abs(lv - rv)))
     passed = bool(max_diff < args.tol)
     doc = {
@@ -394,10 +381,7 @@ def _cmd_equiv(args):
 
 
 def _cmd_plot_data(args):
-    params = _parse_params(args.param)
-    bad = catalog.validate(args.family, params)
-    if bad:
-        raise ConstraintViolation(bad)
+    params = _params(args.param)
     u = catalog.build(args.family, params)
     guard = catalog.build_guard_xt(args.family, params)
     xs = np.linspace(args.x_min, args.x_max, args.nx)
@@ -409,58 +393,26 @@ def _cmd_plot_data(args):
         xcell = format(float(xs[i]), ".17g")
         ucell = format(float(uv[i]), ".17g") if ok[i] else ""
         lines.append(f"{xcell},{ucell}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.out)
     return 0
 
 
-def _dispatch(args):
-    if args.command == "catalog":
-        return _cmd_catalog_list(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "riccati":
-        return _cmd_riccati(args)
-    if args.command == "cole-hopf":
-        return _cmd_cole_hopf(args)
-    if args.command == "rh":
-        return _cmd_rh(args)
-    if args.command == "pipeline":
-        if args.action == "generate":
-            return _cmd_pipeline_generate(args)
-        if args.action == "check":
-            return _cmd_pipeline_check(args)
-        return _cmd_pipeline_solve(args)
-    if args.command == "equiv":
-        return _cmd_equiv(args)
-    return _cmd_plot_data(args)
-
-
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        return args.run(args)
     except ConstraintViolation as err:
-        _emit({"error": "constraint-violation", "violations": err.violations},
-              getattr(args, "out", None))
+        _emit({"error": "constraint-violation", "violations": err.violations}, args.out)
         return 2
     except (ValueError, KeyError, UnboundSymbol, DomainError, InvalidParams,
-            UnclassifiableCoefficients, UnsupportedOrder, SampleAtPole,
-            AllPointsSkipped) as err:
-        _emit({"error": "invalid-input", "message": str(err)},
-              getattr(args, "out", None))
+            UnclassifiableCoefficients, SampleAtPole, AllPointsSkipped) as err:
+        _emit({"error": "invalid-input", "message": str(err)}, args.out)
         return 2
     except MdpWaveError as err:  # pragma: no cover
-        _emit({"error": "internal", "message": str(err)}, getattr(args, "out", None))
+        _emit({"error": "internal", "message": str(err)}, args.out)
         return 3
     except Exception as err:  # pragma: no cover
-        _emit({"error": "internal", "message": f"{type(err).__name__}: {err}"},
-              getattr(args, "out", None))
+        _emit({"error": "internal", "message": f"{type(err).__name__}: {err}"}, args.out)
         return 3
 
 

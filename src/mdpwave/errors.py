@@ -35,10 +35,6 @@ class UnclassifiableCoefficients(MdpWaveError):
     """The coefficient triple matches none of the supported closed-form cases."""
 
 
-class UnsupportedOrder(MdpWaveError):
-    """The requested ansatz order is not supported by the generator."""
-
-
 class SampleAtPole(MdpWaveError):
     """A collocation sample point could not be moved off a pole."""
 

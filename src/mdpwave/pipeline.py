@@ -14,14 +14,13 @@ Gauss-Newton iteration.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConstraintViolation, UnsupportedOrder
+from .errors import ConstraintViolation
 from .polyalg import VARS, MultiPoly, PhiLaurent, evaluate_all
 from .riccati import S_LABEL, base_violations, discriminant, is_degenerate
 
@@ -77,15 +76,11 @@ def balance():
     return out
 
 
-def ansatz_laurent(m):
-    """The trial Laurent object for order m: support -m..m with symbolic
-    coefficients c_m..c_1, a0, a1..a_m."""
-    if m < 1:
-        raise UnsupportedOrder("ansatz order must be >= 1")
-    if m > 2:
-        raise UnsupportedOrder("no symbolic coefficients beyond order 2")
+def ansatz_laurent():
+    """The order-2 trial Laurent object: support -2..2 with symbolic
+    coefficients c2, c1, a0, a1, a2."""
     coeffs = {0: MultiPoly.variable("a0")}
-    for i in range(1, m + 1):
+    for i in (1, 2):
         coeffs[i] = MultiPoly.variable(f"a{i}")
         coeffs[-i] = MultiPoly.variable(f"c{i}")
     return PhiLaurent(coeffs)
@@ -97,14 +92,12 @@ class AlgebraicSystem:
 
     equations: tuple          # tuple[MultiPoly, ...]
     powers: tuple             # original phi-power of each equation (post-clearing)
-    unknowns: tuple = UNKNOWNS
-    parameters: tuple = PARAMETERS
 
     def to_json_dict(self):
         return {
             "variables": list(VARS),
-            "unknowns": list(self.unknowns),
-            "parameters": list(self.parameters),
+            "unknowns": list(UNKNOWNS),
+            "parameters": list(PARAMETERS),
             "powers": list(self.powers),
             "equations": [
                 [[list(e), c.numerator, c.denominator] for e, c in eq.sorted_terms()]
@@ -112,34 +105,26 @@ class AlgebraicSystem:
             ],
         }
 
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
-
     @classmethod
     def from_json_dict(cls, d):
-        if tuple(d["variables"]) != VARS:
-            raise ValueError("variable layout mismatch")
+        for key, layout in (("variables", VARS), ("unknowns", UNKNOWNS),
+                            ("parameters", PARAMETERS)):
+            if tuple(d[key]) != layout:
+                raise ValueError(f"{key} layout mismatch")
         eqs = tuple(
             MultiPoly({tuple(e): Fraction(num, den) for e, num, den in eq})
             for eq in d["equations"]
         )
-        return cls(equations=eqs, powers=tuple(d["powers"]),
-                   unknowns=tuple(d["unknowns"]), parameters=tuple(d["parameters"]))
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_json_dict(json.loads(text))
+        return cls(equations=eqs, powers=tuple(d["powers"]))
 
 
-def generate_system(m=2):
-    """Form the residual of the order-m ansatz, clear phi^-7, and collect.
+def generate_system():
+    """Form the residual of the order-2 ansatz, clear phi^-7, and collect.
 
-    Only m = 2 is supported.  The generator checks that the most negative
-    residual exponent really is -7 and fails loudly otherwise.
+    The generator checks that the most negative residual exponent really
+    is -7 and fails loudly otherwise.
     """
-    if m != 2:
-        raise UnsupportedOrder("only the order-2 ansatz is generated")
-    u = ansatz_laurent(m)
+    u = ansatz_laurent()
     u1 = u.derivative()
     u2 = u1.derivative()
     u3 = u2.derivative()

@@ -147,9 +147,6 @@ class MultiPoly:
         arithmetic as soon as any binding is a float."""
         return evaluate_all((self,), bindings)[0]
 
-    def max_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
-
     def sorted_terms(self):
         """Deterministic term order for serialization and display."""
         return sorted(self.terms.items())
@@ -198,10 +195,6 @@ class PhiLaurent:
 
     def __init__(self, coeffs=None):
         self.coeffs = {k: p for k, p in (coeffs or {}).items() if not p.is_zero}
-
-    @classmethod
-    def monomial(cls, poly, k=0):
-        return cls({k: poly})
 
     @property
     def support(self):

@@ -15,6 +15,8 @@ import numpy as np
 
 __all__ = ["dumps", "format_float", "format_value"]
 
+INDENT = 2
+
 
 def format_float(x):
     x = float(x)
@@ -40,13 +42,13 @@ def format_value(v):
     raise TypeError(f"cannot serialize {type(v).__name__}")
 
 
-def dumps(obj, indent=2):
+def dumps(obj):
     """Serialize nested dicts/lists of scalars; keys keep insertion order."""
     out = []
 
     def enc(v, level):
-        pad = " " * (indent * level)
-        pad_in = " " * (indent * (level + 1))
+        pad = " " * (INDENT * level)
+        pad_in = " " * (INDENT * (level + 1))
         if isinstance(v, dict):
             if not v:
                 out.append("{}")

@@ -18,7 +18,7 @@ grouping, so the report bytes do not depend on the block size.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -78,11 +78,7 @@ class GridSpec:
         return xx.ravel(), tt.ravel()
 
     def to_dict(self):
-        return {
-            "x_min": self.x_min, "x_max": self.x_max, "nx": self.nx,
-            "t_min": self.t_min, "t_max": self.t_max, "nt": self.nt,
-            "eps_den": self.eps_den,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -99,16 +95,7 @@ class ResidualReport:
     grid: GridSpec = field(default_factory=GridSpec)
 
     def to_dict(self):
-        return {
-            "max_abs": self.max_abs,
-            "max_scaled": self.max_scaled,
-            "points_evaluated": self.points_evaluated,
-            "points_skipped": self.points_skipped,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "method": self.method,
-            "grid": self.grid.to_dict(),
-        }
+        return asdict(self)
 
 
 def mdp_residual_terms(u, b):
@@ -162,11 +149,11 @@ def ode_residual(U, b, lam):
     return ex.add(*ode_residual_terms(U, b, lam))
 
 
-def _fd_terms(tape, b, xs, ts, h=FD_STEP):
+def _fd_terms(tape, b, xs, ts):
     """Residual terms with every derivative replaced by 4th-order central
     differences of u itself (the one root of `tape`): an evaluation path
     fully independent of the symbolic differentiator."""
-    b = float(b)
+    b, h = float(b), FD_STEP
     cache = {}
 
     def u_at(i, j):

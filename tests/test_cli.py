@@ -7,7 +7,8 @@ Covers:
   - pipeline generate (bit-exact round trip), check (exact rationals),
     solve (root list, determinism under a fixed RNG seed)
   - equiv and plot-data (header, pole cells, exact values)
-  - exit-code contract for bad input
+  - exit-code contract for bad input: non-exact values, parameter names a
+    command does not take, counts below 1
   - the README commands' stdout, byte for byte
 """
 import hashlib
@@ -222,6 +223,57 @@ def test_malformed_param_exit_2():
     code, out = run(["verify", "--family", "u6", "--param", "b3"])
     assert code == 2
     assert json.loads(out)["error"] == "invalid-input"
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1/0"])
+def test_non_exact_param_exit_2(value):
+    code, out = run(["riccati", "--param", "alpha=1", "--param", f"beta={value}",
+                     "--param", "gamma=1"])
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == "invalid-input"
+    assert f"--param beta={value}" in doc["message"]
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["riccati", "--param", "alpha=1", "--param", "beta=2", "--param", "gamma=1",
+      "--param", "b=3"], "b"),
+    (["cole-hopf", "--branch", "plus", "--param", "b=3", "--param", "mu=1",
+      "--param", "detla=5"], "detla"),
+    (["rh", "--family", "u3", "--param", "b=3", "--param", "a2=1"], "a2"),
+    (["rh", "--family", "u9", "--param", "b=3", "--param", "c2=2",
+      "--param", "a2=1"], "a2"),
+    (["pipeline", "check", "--case", "first", "--param", "b=3", "--param", "alpha=1",
+      "--param", "beta=2", "--param", "gamma=1", "--param", "mu=1"], "mu"),
+    (["pipeline", "solve", "--param", "b=3", "--param", "alpha=0", "--param", "beta=1",
+      "--param", "gamma=-1", "--param", "lam=1", "--seeds", "5"], "lam"),
+])
+def test_unknown_param_name_exit_2(argv, name):
+    code, out = run(argv)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == "invalid-input"
+    assert f"no parameter {name!r}" in doc["message"]
+
+
+def test_missing_command_param_exit_2():
+    code, out = run(["rh", "--family", "u7", "--param", "b=3"])
+    assert code == 2
+    assert json.loads(out) == {"error": "invalid-input",
+                               "message": "rh requires --param a2=..."}
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["riccati", "--param", "alpha=1", "--param", "beta=2", "--param", "gamma=1",
+      "--samples", "0"], "--samples"),
+    (["equiv", "--left", "u3", "--left-param", "b=3", "--right", "u6",
+      "--right-param", "b=3", "--points", "0"], "--points"),
+])
+def test_count_below_one_exit_2(argv, flag):
+    code, out = run(argv)
+    assert code == 2
+    assert json.loads(out) == {"error": "invalid-input",
+                               "message": f"{flag} must be >= 1"}
 
 
 # (exit code, sha256 of stdout) of each README command, with stdout in

@@ -8,7 +8,8 @@ Covers:
   - exact-zero residuals of the solved tuples, including rational
     third-case instances, and check_assignment against per-equation
     evaluation at exact and float bindings
-  - serialization round trip, bit exact
+  - serialization round trip through report.dumps, bit exact, and the
+    variable-layout checks on load
   - multistart root recovery and root self-consistency
   - byte-identical Newton roots (golden hashes, also on the failure
     paths), the seed-count check, batch independence of the compiled
@@ -19,6 +20,7 @@ Covers:
     traveling-wave equation on a grid
 """
 import hashlib
+import json
 import random
 from fractions import Fraction as F
 
@@ -29,7 +31,7 @@ from mdpwave import expr as ex
 from mdpwave import pipeline as pl
 from mdpwave import polyalg
 from mdpwave import report
-from mdpwave.errors import ConstraintViolation, UnsupportedOrder
+from mdpwave.errors import ConstraintViolation
 from mdpwave.polyalg import VARS, MultiPoly, PhiLaurent
 from mdpwave.riccati import RiccatiCoefficients, phi_expr
 from mdpwave.verifier import GridSpec, ode_residual, verify_on_grid
@@ -45,16 +47,11 @@ def test_balance_returns_zero_and_two():
 
 
 def test_ansatz_laurent_layout():
-    L = pl.ansatz_laurent(2)
+    L = pl.ansatz_laurent()
     assert L.support == [-2, -1, 0, 1, 2]
     assert L.coeff(0) == MultiPoly.variable("a0")
     assert L.coeff(2) == MultiPoly.variable("a2")
     assert L.coeff(-1) == MultiPoly.variable("c1")
-    assert pl.ansatz_laurent(1).support == [-1, 0, 1]
-    with pytest.raises(UnsupportedOrder):
-        pl.ansatz_laurent(0)
-    with pytest.raises(UnsupportedOrder):
-        pl.ansatz_laurent(3)
 
 
 def test_phi_derivative_rule():
@@ -242,10 +239,17 @@ def test_check_assignment_matches_per_equation_evaluation(system):
 
 
 def test_serialization_round_trip_bit_exact(system):
-    text = system.to_json()
-    loaded = pl.AlgebraicSystem.from_json(text)
+    text = report.dumps(system.to_json_dict())
+    loaded = pl.AlgebraicSystem.from_json_dict(json.loads(text))
     assert loaded == system
-    assert loaded.to_json() == text
+    assert report.dumps(loaded.to_json_dict()) == text
+
+
+def test_deserialization_rejects_reordered_unknowns(system):
+    doc = system.to_json_dict()
+    doc["unknowns"] = doc["unknowns"][::-1]
+    with pytest.raises(ValueError, match="unknowns layout mismatch"):
+        pl.AlgebraicSystem.from_json_dict(doc)
 
 
 def test_newton_recovers_second_case_tuple(system):
