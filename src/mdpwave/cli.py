@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from fractions import Fraction
 
@@ -64,6 +65,12 @@ def _params(pairs, command=None, required=(), optional=()):
             if name not in out:
                 raise ValueError(f"{command} requires --param {name}=...")
     return out
+
+
+def _check_tol(tol):
+    """`--tol` is None (the command's default) or finite and > 0."""
+    if tol is not None and not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"--tol must be finite and > 0, got {tol}")
 
 
 def _write(text, out_path):
@@ -180,6 +187,7 @@ def _cmd_catalog_list(args):
 def _cmd_verify(args):
     params = _params(args.param)
     grid = _grid_from_args(args)
+    _check_tol(args.tol)
     u = catalog.build(args.family, params)
     guard = catalog.build_guard_xt(args.family, params)
     rep = verifier.verify_on_grid(u, params["b"], grid=grid, tol=args.tol,
@@ -360,6 +368,7 @@ def _cmd_equiv(args):
     right_params = _params(args.right_param)
     if args.points < 1:
         raise ValueError("--points must be >= 1")
+    _check_tol(args.tol)
     (lu, lg), (ru, rg) = (_equiv_side(args.left, left_params),
                           _equiv_side(args.right, right_params))
     xs, ts = _sample_points([lu, ru], [lg, rg], args.points, args.seed)
@@ -382,12 +391,15 @@ def _cmd_equiv(args):
 
 def _cmd_plot_data(args):
     params = _params(args.param)
+    # GridSpec checks the x axis, eps_den and t: a profile is the grid at t_min = t_max = t
+    grid = verifier.GridSpec(x_min=args.x_min, x_max=args.x_max, nx=args.nx,
+                             t_min=args.t, t_max=args.t, eps_den=args.eps_den)
     u = catalog.build(args.family, params)
     guard = catalog.build_guard_xt(args.family, params)
-    xs = np.linspace(args.x_min, args.x_max, args.nx)
-    ts = np.full(xs.shape, args.t)
+    xs = np.linspace(grid.x_min, grid.x_max, grid.nx)
+    ts = np.full(xs.shape, grid.t_min)
     uv, gv = ex.evaluate_many([u, guard], {}, {"x": xs, "t": ts})
-    ok = (np.abs(gv) >= args.eps_den) & np.isfinite(uv)
+    ok = (np.abs(gv) >= grid.eps_den) & np.isfinite(uv)
     lines = ["x,u"]
     for i in range(xs.size):
         xcell = format(float(xs[i]), ".17g")

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -274,68 +275,130 @@ def ansatz_tuple(fid, alpha, beta, gamma, b):
     }
 
 
+class _Stack(NamedTuple):
+    """Monomials of one compiled stack: `rows[t]` are term t's exponents of
+    the unknowns, `coefs[t]` its float coefficient and `owner[t]` its output
+    bin; `factors[f, t]` indexes the f-th factor of term t in a flattened
+    power table."""
+
+    rows: np.ndarray
+    coefs: np.ndarray
+    owner: np.ndarray
+    factors: np.ndarray
+
+
+def _stack(rows, coefs, owner, degree):
+    """A `_Stack` whose factors are the powers of the unknowns with a nonzero
+    exponent, in the unknowns' order, padded with column 0 of the table
+    (x^0 = 1.0).  Multiplying by 1.0 is exact for every float, so the product
+    has the bits of multiplying all six powers column by column."""
+    nonzero = rows > 0
+    rank = np.cumsum(nonzero, axis=1) - 1  # place of each factor in its term
+    factors = np.zeros((max(1, int(rank.max(initial=0)) + 1), len(rows)), dtype=np.int64)
+    t, cols = np.nonzero(nonzero)
+    factors[rank[t, cols], t] = cols * degree + rows[t, cols]
+    return _Stack(rows, np.array(coefs, dtype=float), owner, factors)
+
+
 class _CompiledSystem:
-    """Float-compiled view of a specialized system, evaluated at a batch of
-    points at once: one stacked monomial matrix for the residual and one
-    per partial.
+    """Float view of `system` with alpha, beta, gamma and b bound to `fixed`,
+    evaluated at a batch of points at once: one monomial stack for the
+    residual and one fused stack for its six partials.
+
+    Binding is integer arithmetic over one common denominator.  Terms are
+    grouped by their unknown exponents in `sorted_terms` order, zero sums
+    are dropped, and each sum is converted by one correctly rounded int / int
+    division, so every coefficient is float(Fraction) of the exact
+    specialized coefficient, as `MultiPoly.subs` would give.  The partial in
+    unknown k comes from the residual rows: exponent k lowered by one and the
+    integer numerator multiplied by it, exactly `MultiPoly.diff`; lowering one
+    coordinate keeps the rows sorted.  Partial k of equation j lands in bin
+    j * 6 + k.
 
     Each point's row is bitwise what evaluating that point alone gives: the
-    powers come from one table, each monomial is multiplied column by column
-    in the unknowns' order, and np.bincount adds each equation's terms in
-    their stored order, one segment per point."""
+    powers come from one table, each monomial is multiplied factor by factor
+    in the unknowns' order, and np.bincount adds each bin's terms in their
+    stored order, one segment per point."""
 
-    def __init__(self, polys):
-        self.n_eq = len(polys)
-        var_slots = [VARS.index(u) for u in UNKNOWNS]
+    def __init__(self, system, fixed):
+        n_unk = len(UNKNOWNS)
+        values = [Fraction(fixed[p]) for p in PARAMETERS]
+        slots = [VARS.index(p) for p in PARAMETERS]
+        top = [max((e[s] for eq in system.equations for e in eq.terms), default=0)
+               for s in slots]
+        # value p/q to the power k, scaled to p^k q^(top-k) over q^top
+        scaled = [[v.numerator ** k * v.denominator ** (t - k) for k in range(t + 1)]
+                  for v, t in zip(values, top)]
+        coef_den = math.lcm(*(c.denominator for eq in system.equations
+                              for c in eq.terms.values()))
+        den = coef_den * math.prod(v.denominator ** t for v, t in zip(values, top))
 
-        def compile_stack(poly_list):
-            rows, coefs, owner = [], [], []
-            for j, poly in enumerate(poly_list):
-                for e, c in poly.sorted_terms():
-                    rows.append([e[s] for s in var_slots])
-                    coefs.append(float(c))
+        rows, nums, owner = [], [], []
+        for j, eq in enumerate(system.equations):
+            groups = {}
+            for e, c in eq.terms.items():
+                num = c.numerator * (coef_den // c.denominator)
+                for s, powers in zip(slots, scaled):
+                    num *= powers[e[s]]
+                # UNKNOWNS lead VARS in the same order
+                key = e[:n_unk]
+                groups[key] = groups.get(key, 0) + num
+            for key in sorted(groups):
+                if groups[key]:
+                    rows.append(key)
+                    nums.append(groups[key])
                     owner.append(j)
-            if not rows:
-                rows = [[0] * len(UNKNOWNS)]
-                coefs = [0.0]
-                owner = [0]
-            return (np.array(rows, dtype=np.int64), np.array(coefs), np.array(owner))
 
-        self.res = compile_stack(polys)
-        self.jac = [compile_stack([p.diff(u) for p in polys]) for u in UNKNOWNS]
-        self.degree = 1 + max(int(E.max()) for E, _, _ in (self.res, *self.jac))
+        self.n_eq = len(system.equations)
+        E = np.array(rows, dtype=np.int64).reshape(-1, n_unk)
+        self.degree = 1 + int(E.max(initial=0))
+        owner = np.array(owner, dtype=np.int64)
+        self.res = _stack(E, [n / den for n in nums], owner, self.degree)
+        jac_rows, jac_coefs, jac_owner = [], [], []
+        for k in range(n_unk):
+            hit = np.flatnonzero(E[:, k])
+            lowered = E[hit]
+            lowered[:, k] -= 1
+            jac_rows.append(lowered)
+            jac_coefs += [nums[i] * rows[i][k] / den for i in hit]
+            jac_owner.append(owner[hit] * n_unk + k)
+        self.jac = _stack(np.concatenate(jac_rows), jac_coefs,
+                          np.concatenate(jac_owner), self.degree)
 
     def powers(self, X):
         """Table of X[s, j] ** k for k < degree, shared by every stack."""
         return np.power(X[:, :, None], np.arange(self.degree))
 
-    def _eval_stack(self, stack, table, want_scale=False):
-        E, c, owner = stack
-        n = len(table)
-        terms = table[:, 0, E[:, 0]]
-        for j in range(1, E.shape[1]):
-            terms *= table[:, j, E[:, j]]
-        terms *= c
-        bins = (np.arange(n)[:, None] * self.n_eq + owner).ravel()
-        size = n * self.n_eq
-        vals = np.bincount(bins, weights=terms.ravel(), minlength=size)
-        vals = vals.reshape(n, self.n_eq)
-        if not want_scale:
-            return vals
-        np.abs(terms, out=terms)
-        scale = np.bincount(bins, weights=terms.ravel(), minlength=size)
-        return vals, scale.reshape(n, self.n_eq)
+    @staticmethod
+    def _terms(stack, table):
+        n, n_unk, degree = table.shape
+        flat = table.reshape(n, n_unk * degree)
+        terms = flat[:, stack.factors[0]]
+        for f in stack.factors[1:]:
+            terms *= flat[:, f]
+        terms *= stack.coefs
+        return terms
 
-    def residual(self, table):
-        return self._eval_stack(self.res, table)
+    @staticmethod
+    def _sums(owner, width, *weights):
+        """Per point, the sum of each weight stack's terms in `width` bins."""
+        n = len(weights[0])
+        bins = (np.arange(n)[:, None] * width + owner).ravel()
+        return [np.bincount(bins, weights=w.ravel(), minlength=n * width).reshape(n, width)
+                for w in weights]
 
     def residual_scaled(self, table):
-        vals, scale = self._eval_stack(self.res, table, want_scale=True)
+        """(residual, |residual| / max(1, sum of term magnitudes)) per point."""
+        terms = self._terms(self.res, table)
+        vals, scale = self._sums(self.res.owner, self.n_eq, terms, np.abs(terms))
         return vals, np.abs(vals) / np.maximum(1.0, scale)
 
     def jacobian(self, table):
-        cols = [self._eval_stack(stack, table) for stack in self.jac]
-        return np.stack(cols, axis=2)
+        """(points, equations, unknowns) stack of partials, in one pass."""
+        n_unk = len(UNKNOWNS)
+        terms = self._terms(self.jac, table)
+        out, = self._sums(self.jac.owner, self.n_eq * n_unk, terms)
+        return out.reshape(len(table), self.n_eq, n_unk)
 
 
 def _lstsq_stack(A, B):
@@ -352,19 +415,79 @@ def _lstsq_stack(A, B):
     return x[:, :, 0]
 
 
+# step-halving levels m tried together, one residual call per group
+_HALVING_GROUPS = ((0, 1), (1, 2), (2, 4), (4, 8), (8, 16), (16, 31))
+
+
+def _line_search(compiled, X, step, norm):
+    """Damped steps for a stack of points: for each point i, the first m in
+    0..30 at which X[i] + step[i] halved m times is finite with a residual
+    infinity-norm <= norm[i].
+
+    The levels are evaluated in `_HALVING_GROUPS`, every level of a group in
+    one residual call, so a point costs at most six calls and at most twice
+    the levels it needs.  The step is halved by repeated division by two, so
+    each candidate has exactly the bits of halving one level at a time.
+    Returns the accepted mask and, in the rows of the accepted points, the
+    new points with their power table, residual and scaled residual.
+    """
+    n, n_unk = X.shape
+    new_X = np.empty_like(X)
+    table = np.empty((n, n_unk, compiled.degree))
+    r = np.empty((n, compiled.n_eq))
+    scaled = np.empty_like(r)
+    accepted = np.zeros(n, dtype=bool)
+    trying = np.arange(n)
+    for lo, hi in _HALVING_GROUPS:
+        if not trying.size:
+            break
+        levels = []
+        for _ in range(lo, hi):
+            levels.append(step)
+            step = step / 2
+        cand = (X + np.stack(levels)).reshape(-1, n_unk)
+        ctable = compiled.powers(cand)
+        cr, cscaled = compiled.residual_scaled(ctable)
+        nn = np.max(np.abs(cr), axis=1).reshape(hi - lo, trying.size)
+        good = np.isfinite(nn) & (nn <= norm)
+        hit = good.any(axis=0)
+        src = good[:, hit].argmax(axis=0) * trying.size + np.flatnonzero(hit)
+        rows = trying[hit]
+        new_X[rows], table[rows], r[rows], scaled[rows] = (
+            cand[src], ctable[src], cr[src], cscaled[src])
+        accepted[rows] = True
+        miss = ~hit
+        trying, X, step, norm = trying[miss], X[miss], step[miss], norm[miss]
+    return accepted, new_X, table, r, scaled
+
+
+def _dedup(roots, tol):
+    """Greedy: keep each root (in the given order) that differs from every
+    kept root by more than `tol` in some coordinate."""
+    R = np.array(roots).reshape(-1, len(UNKNOWNS))
+    keep = np.zeros(len(R), dtype=bool)
+    for i in range(len(R)):
+        keep[i] = np.all(np.max(np.abs(R[:i][keep[:i]] - R[i]), axis=1) > tol)
+    return [root for root, k in zip(roots, keep) if k]
+
+
 def newton_solve(system, fixed, seeds, rng_seed=0, box=(-20.0, 20.0),
                  max_iter=80, converge_tol=1e-12, dedup_tol=1e-6):
     """Multistart damped Gauss-Newton over the six unknowns.
 
-    `fixed` binds alpha, beta, gamma, b (rationals).  All `seeds` starts are
-    drawn at once, uniformly from box^6 with a fixed generator (the same
-    stream as one draw per seed), and advance in lockstep, one iteration at
-    a time, over the seeds still live.  Each iteration solves every live
-    seed's least-squares step in one stacked LAPACK dgelsd call: the gufunc
-    behind np.linalg.lstsq factors each matrix on its own, with the same
-    workspace and rcond, so every step has the bits of a per-seed
-    np.linalg.lstsq call.  Steps are then halved (up to 30 halvings on
-    residual increase).  A start whose Jacobian or step is non-finite (a
+    `fixed` binds exactly alpha, beta, gamma, b (rationals); the system is
+    specialized with integer arithmetic (see `_CompiledSystem`), never with
+    `MultiPoly.subs` or `MultiPoly.diff`.  All `seeds` starts are drawn at
+    once, uniformly from box^6 with a fixed generator (the same stream as one
+    draw per seed), and advance in lockstep, one iteration at a time, over
+    the seeds still live.  Each iteration evaluates the Jacobian of every
+    live seed in one fused pass and solves every least-squares step in one
+    stacked LAPACK dgelsd call: the gufunc behind np.linalg.lstsq factors
+    each matrix on its own, with the same workspace and rcond, so every step
+    has the bits of a per-seed np.linalg.lstsq call.  Steps are then halved
+    (up to 30 halvings on residual increase), several halvings per residual
+    call (see `_line_search`); the residual found at an accepted point starts
+    the next iteration.  A start whose Jacobian or step is non-finite (a
     failed dgelsd returns NaN) or that stops improving is abandoned, never
     perturbed.  A seed does exactly the float operations, in the same order,
     that it would do iterated alone, so the roots are byte-identical to a
@@ -373,16 +496,19 @@ def newton_solve(system, fixed, seeds, rng_seed=0, box=(-20.0, 20.0),
     its term magnitudes) -- the absolute criterion is unattainable in double
     precision for roots of size O(10).  Roots are deduplicated at
     `dedup_tol` and returned lexicographically sorted; an empty list is a
-    valid outcome.  Raises ValueError on a negative seed count.
+    valid outcome.  Raises KeyError on a missing parameter, ValueError on a
+    name outside PARAMETERS or a negative seed count.
     """
     missing = [p for p in PARAMETERS if p not in fixed]
     if missing:
         raise KeyError(f"missing fixed parameter(s): {', '.join(missing)}")
+    extra = [k for k in fixed if k not in PARAMETERS]
+    if extra:
+        raise ValueError(f"unknown fixed parameter(s): {', '.join(map(str, extra))} "
+                         f"(fixed binds exactly {', '.join(PARAMETERS)})")
     if seeds < 0:
         raise ValueError("seeds must be >= 0")
-    specialized = [eq.subs({k: Fraction(v) for k, v in fixed.items()})
-                   for eq in system.equations]
-    compiled = _CompiledSystem(specialized)
+    compiled = _CompiledSystem(system, fixed)
     rng = np.random.default_rng(rng_seed)
     lo, hi = box
     X = rng.uniform(lo, hi, size=(seeds, len(UNKNOWNS)))
@@ -390,9 +516,9 @@ def newton_solve(system, fixed, seeds, rng_seed=0, box=(-20.0, 20.0),
     live = np.arange(seeds)
 
     with np.errstate(all="ignore"):
+        table = compiled.powers(X)
+        r, scaled = compiled.residual_scaled(table)
         for _ in range(max_iter):
-            table = compiled.powers(X[live])
-            r, scaled = compiled.residual_scaled(table)
             norm = np.max(np.abs(r), axis=1)
             # drops starts with a non-finite residual; accepted steps are finite
             finite = np.isfinite(norm)
@@ -407,25 +533,11 @@ def newton_solve(system, fixed, seeds, rng_seed=0, box=(-20.0, 20.0),
             trying = np.flatnonzero(np.all(np.isfinite(J), axis=(1, 2)))
             step[trying] = _lstsq_stack(J[trying], -r[trying])
             trying = trying[np.all(np.isfinite(step[trying]), axis=1)]
-            accepted = np.zeros(live.size, dtype=bool)
-            for _ in range(31):
-                if not trying.size:
-                    break
-                xn = X[live[trying]] + step[trying]
-                rn = compiled.residual(compiled.powers(xn))
-                nn = np.max(np.abs(rn), axis=1)
-                good = np.isfinite(nn) & (nn <= norm[trying])
-                X[live[trying[good]]] = xn[good]
-                accepted[trying[good]] = True
-                trying = trying[~good]
-                step[trying] = step[trying] / 2
-            live = live[accepted]
+            accepted, new_X, table, r, scaled = _line_search(
+                compiled, X[live[trying]], step[trying], norm[trying])
+            live = live[trying[accepted]]
+            X[live] = new_X[accepted]
+            table, r, scaled = table[accepted], r[accepted], scaled[accepted]
 
-    roots = [tuple(float(v) for v in X[i]) for i in np.flatnonzero(converged)]
-    roots.sort()
-    distinct = []
-    for root in roots:
-        if all(max(abs(a - b) for a, b in zip(root, kept)) > dedup_tol
-               for kept in distinct):
-            distinct.append(root)
-    return distinct
+    roots = sorted(tuple(float(v) for v in X[i]) for i in np.flatnonzero(converged))
+    return _dedup(roots, dedup_tol)

@@ -18,6 +18,7 @@ grouping, so the report bytes do not depend on the block size.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
@@ -62,6 +63,9 @@ class GridSpec:
     eps_den: float = 1e-3
 
     def __post_init__(self):
+        bounds = (self.x_min, self.x_max, self.t_min, self.t_max)
+        if not all(math.isfinite(v) for v in bounds):
+            raise ValueError("x_min, x_max, t_min and t_max must be finite")
         if self.nx < 2 or self.nt < 2:
             raise ValueError("nx and nt must both be >= 2")
         if not self.x_min < self.x_max:

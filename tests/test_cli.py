@@ -8,7 +8,8 @@ Covers:
     solve (root list, determinism under a fixed RNG seed)
   - equiv and plot-data (header, pole cells, exact values)
   - exit-code contract for bad input: non-exact values, parameter names a
-    command does not take, counts below 1
+    command does not take, counts below 1, tolerances that are not finite
+    and positive, plot-data and verify grids that GridSpec rejects
   - the README commands' stdout, byte for byte
 """
 import hashlib
@@ -274,6 +275,45 @@ def test_count_below_one_exit_2(argv, flag):
     assert code == 2
     assert json.loads(out) == {"error": "invalid-input",
                                "message": f"{flag} must be >= 1"}
+
+
+_VERIFY_KINK = ["verify", "--family", "u1", "--param", "b=3", "--param", "mu=1",
+                "--param", "delta=1"]
+_EQUIV_U3_U1 = ["equiv", "--left", "u3", "--left-param", "b=3", "--right", "u1",
+                "--right-param", "b=3", "--right-param", "mu=1"]
+
+
+@pytest.mark.parametrize("argv", [_VERIFY_KINK, _EQUIV_U3_U1], ids=["verify", "equiv"])
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-1e-3"])
+def test_tolerance_not_finite_positive_exit_2(argv, value):
+    # with --tol inf a verdict would pass whatever the residual
+    code, out = run(argv + [f"--tol={value}"])
+    assert code == 2
+    assert json.loads(out) == {"error": "invalid-input",
+                               "message": f"--tol must be finite and > 0, got {float(value)}"}
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--nx", "0"], "nx and nt must both be >= 2"),
+    (["--nx", "1"], "nx and nt must both be >= 2"),
+    (["--t", "nan", "--nx", "3"], "x_min, x_max, t_min and t_max must be finite"),
+    (["--t", "inf"], "x_min, x_max, t_min and t_max must be finite"),
+    (["--x-min=-inf"], "x_min, x_max, t_min and t_max must be finite"),
+    (["--x-min", "5", "--x-max", "-5"], "x_min must be < x_max"),
+    (["--eps-den", "-1"], "eps_den must be positive"),
+    (["--eps-den", "nan"], "eps_den must be positive"),
+])
+def test_plot_data_bad_grid_exit_2(flags, message):
+    code, out = run(["plot-data", "--family", "u6", "--param", "b=3", "--t", "0"] + flags)
+    assert code == 2
+    assert json.loads(out) == {"error": "invalid-input", "message": message}
+
+
+def test_verify_infinite_grid_bound_exit_2():
+    code, out = run(["verify", "--family", "u6", "--param", "b=3", "--x-max", "inf"])
+    assert code == 2
+    assert json.loads(out) == {"error": "invalid-input",
+                               "message": "x_min, x_max, t_min and t_max must be finite"}
 
 
 # (exit code, sha256 of stdout) of each README command, with stdout in

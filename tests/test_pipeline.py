@@ -12,9 +12,11 @@ Covers:
     variable-layout checks on load
   - multistart root recovery and root self-consistency
   - byte-identical Newton roots (golden hashes, also on the failure
-    paths), the seed-count check, batch independence of the compiled
-    residual and Jacobian, and the stacked least-squares solve against
-    per-matrix np.linalg.lstsq bit for bit
+    paths), the seed-count and parameter-name checks, batch independence
+    of the compiled residual and Jacobian, the stacked least-squares solve
+    against per-matrix np.linalg.lstsq bit for bit, the compiled stacks
+    against MultiPoly.subs + MultiPoly.diff (rational and scaled systems
+    too), and the grouped line search against halving one level at a time
   - partial evaluation (subs) against term-by-term addition
   - round trip: a numeric root composed with the matching phi solves the
     traveling-wave equation on a grid
@@ -389,15 +391,25 @@ def test_newton_seed_count(system):
         pl.newton_solve(system, fixed, seeds=-3)
 
 
+def test_newton_rejects_names_outside_parameters(system):
+    fixed = dict(_BENCH_CASES["second"], lam=F(-5, 2))
+    with pytest.raises(ValueError, match="unknown fixed parameter.*: lam "):
+        pl.newton_solve(system, fixed, seeds=20)
+    fixed["zeta"] = F(1)
+    with pytest.raises(ValueError, match=": lam, zeta "):
+        pl.newton_solve(system, fixed, seeds=20)
+    with pytest.raises(KeyError, match="missing fixed parameter"):
+        pl.newton_solve(system, {"alpha": F(1)}, seeds=20)
+
+
 def test_compiled_system_rows_are_batch_independent(system):
     fixed = _BENCH_CASES["first"]
     polys = [eq.subs(fixed) for eq in system.equations]
-    compiled = pl._CompiledSystem(polys)
+    compiled = pl._CompiledSystem(system, fixed)
     X = np.random.default_rng(11).uniform(-3.0, 3.0, size=(7, len(pl.UNKNOWNS)))
     table = compiled.powers(X)
     r, scaled = compiled.residual_scaled(table)
     J = compiled.jacobian(table)
-    assert np.array_equal(compiled.residual(table), r)
     assert r.shape == (7, len(polys)) and J.shape == (7, len(polys), len(pl.UNKNOWNS))
     for s, x in enumerate(X):
         one = compiled.powers(x[None, :])
@@ -407,6 +419,120 @@ def test_compiled_system_rows_are_batch_independent(system):
         assert np.array_equal(J[s], compiled.jacobian(one)[0])
         bindings = {u: float(v) for u, v in zip(pl.UNKNOWNS, x)}
         for i, p in enumerate(polys):
+            assert r[s, i] == pytest.approx(float(p.evaluate(bindings)), rel=1e-9, abs=1e-12)
             for j, u in enumerate(pl.UNKNOWNS):
                 want = float(p.diff(u).evaluate(bindings))
                 assert J[s, i, j] == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+def _reference_stacks(system, fixed):
+    # the compile as it was: MultiPoly.subs, then sorted_terms, float() of
+    # each coefficient, and MultiPoly.diff per unknown; partial k of
+    # equation j goes to bin j * 6 + k
+    polys = [eq.subs(fixed) for eq in system.equations]
+    slots = [VARS.index(u) for u in pl.UNKNOWNS]
+    n_unk = len(pl.UNKNOWNS)
+
+    def stack(poly_list, bin_of):
+        rows, coefs, owner = [], [], []
+        for j, poly in enumerate(poly_list):
+            for e, c in poly.sorted_terms():
+                rows.append([e[s] for s in slots])
+                coefs.append(float(c))
+                owner.append(bin_of(j))
+        return rows, coefs, owner
+
+    res = stack(polys, lambda j: j)
+    jac = ([], [], [])
+    for k, u in enumerate(pl.UNKNOWNS):
+        for acc, part in zip(jac, stack([p.diff(u) for p in polys],
+                                        lambda j: j * n_unk + k)):
+            acc += part
+    return res, jac
+
+
+_STACK_BINDINGS = dict(_GOLDEN_CASES, negative=dict(alpha=F(-3, 7), beta=F(5, 2),
+                                                   gamma=F(1, 3), b=F(-1, 2)))
+
+
+@pytest.mark.parametrize("scale", [F(1), F(1, 3)])
+@pytest.mark.parametrize("binding", sorted(_STACK_BINDINGS))
+def test_compiled_stacks_match_subs_and_diff(system, binding, scale):
+    fixed = _STACK_BINDINGS[binding]
+    system = pl.AlgebraicSystem(equations=tuple(eq * scale for eq in system.equations),
+                                powers=system.powers)
+    compiled = pl._CompiledSystem(system, fixed)
+    for got, (rows, coefs, owner) in zip((compiled.res, compiled.jac),
+                                         _reference_stacks(system, fixed)):
+        assert got.rows.tolist() == rows
+        assert got.coefs.tolist() == coefs
+        assert got.owner.tolist() == owner
+    # multiplying only the factors with a nonzero exponent has the bits of
+    # the product over all six columns, non-finite points included
+    X = np.random.default_rng(2).uniform(-3.0, 3.0, size=(6, len(pl.UNKNOWNS)))
+    X[0, 2], X[1, 5], X[2, 0] = np.inf, np.nan, -0.0
+    table = compiled.powers(X)
+    for stack in (compiled.res, compiled.jac):
+        want = table[:, 0, stack.rows[:, 0]]
+        for j in range(1, len(pl.UNKNOWNS)):
+            want = want * table[:, j, stack.rows[:, j]]
+        want = want * stack.coefs
+        with np.errstate(invalid="ignore"):
+            got = pl._CompiledSystem._terms(stack, table)
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+def _line_search_one_level_at_a_time(compiled, X, step, norm):
+    # the step-halving loop as it was: one residual call per level, each
+    # seed still trying halving its step once after every miss
+    X, step = X.copy(), step.copy()
+    level = np.full(len(X), -1)
+    trying = np.arange(len(X))
+    for m in range(31):
+        xn = X[trying] + step[trying]
+        rn, _ = compiled.residual_scaled(compiled.powers(xn))
+        nn = np.max(np.abs(rn), axis=1)
+        good = np.isfinite(nn) & (nn <= norm[trying])
+        X[trying[good]] = xn[good]
+        level[trying[good]] = m
+        trying = trying[~good]
+        step[trying] = step[trying] / 2
+    return level, X
+
+
+def test_line_search_accepts_at_every_level_like_one_halving_at_a_time(system):
+    # seed m starts at the u12 root and steps 2^30 * d_m away, so the
+    # residual norm of its level-k candidate falls as k rises; the norm bound
+    # of seed m is its level-m norm, so it is accepted at exactly m.  One
+    # more seed has a bound below every level, and two have an infinite
+    # bound with steps that overflow at the first levels or at all of them.
+    fixed = _BENCH_CASES["second"]
+    compiled = pl._CompiledSystem(system, fixed)
+    vals = pl.ansatz_tuple("u12", **fixed)
+    root = np.array([float(vals[u]) for u in pl.UNKNOWNS])
+    rng = np.random.default_rng(4)
+    n = 34
+    X = root + rng.uniform(-1e-3, 1e-3, size=(n, len(pl.UNKNOWNS)))
+    step = rng.uniform(-1.0, 1.0, size=X.shape) * 2.0 ** 30
+    # along a1 alone, the residual norm is +inf for steps above about 2^344
+    # and NaN at every level of a 2^1000 step
+    step[32:] = 0.0
+    step[32, 1], step[33, 1] = 2.0 ** 350, 2.0 ** 1000
+    with np.errstate(all="ignore"):
+        levels = [compiled.residual_scaled(compiled.powers(X + step / 2.0 ** m))[0]
+                  for m in range(31)]
+        nn = np.max(np.abs(np.array(levels)), axis=2)
+        norm = np.full(n, np.inf)
+        norm[:31] = nn[np.arange(31), np.arange(31)]
+        norm[31] = nn[:, 31].min() / 2
+        level, want_X = _line_search_one_level_at_a_time(compiled, X, step, norm)
+        accepted, new_X, table, r, scaled = pl._line_search(compiled, X, step, norm)
+        assert level[:32].tolist() == list(range(31)) + [-1]
+        assert 0 < level[32] < 31 and level[33] == -1
+        assert accepted.tolist() == (level >= 0).tolist()
+        assert np.array_equal(new_X[accepted], want_X[accepted])
+        want_table = compiled.powers(want_X[accepted])
+        want_r, want_scaled = compiled.residual_scaled(want_table)
+    assert np.array_equal(table[accepted], want_table)
+    assert np.array_equal(r[accepted], want_r)
+    assert np.array_equal(scaled[accepted], want_scaled)
