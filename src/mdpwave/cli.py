@@ -9,10 +9,10 @@ infinities or NaN.  Catalog families check parameter names against their
 signature; every other command rejects a name it does not take.
 
 Exit codes: 0 pass, 1 fail, 2 invalid input (bad flags, unknown ids or
-parameter names, non-exact values, constraint violations), 3 internal
-error.  Every report echoes its full effective configuration, and
-identical configurations (including RNG seeds) produce byte-identical
-output.
+parameter names, non-exact values, constraint violations, values beyond
+the float range), 3 internal error.  Every report echoes its full
+effective configuration, and identical configurations (including RNG
+seeds) produce byte-identical output.
 """
 from __future__ import annotations
 
@@ -409,12 +409,38 @@ def _cmd_plot_data(args):
     return 0
 
 
+def _is_float(token):
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_negative_values(argv):
+    """`--flag -1e3` as `--flag=-1e3`: argparse takes a negative value that
+    is not plain digits (`-1e3`, `-inf`) for an option name."""
+    out = []
+    for token in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and token.startswith("-") and _is_float(token)):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_join_negative_values(argv))
     try:
         return args.run(args)
     except ConstraintViolation as err:
         _emit({"error": "constraint-violation", "violations": err.violations}, args.out)
+        return 2
+    except OverflowError as err:
+        _emit({"error": "invalid-input", "message": "a value derived from the parameters "
+               f"is outside the float range ({err})"}, args.out)
         return 2
     except (ValueError, KeyError, UnboundSymbol, DomainError, InvalidParams,
             UnclassifiableCoefficients, SampleAtPole, AllPointsSkipped) as err:

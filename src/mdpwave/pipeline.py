@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConstraintViolation
-from .polyalg import VARS, MultiPoly, PhiLaurent, evaluate_all
+from .polyalg import VARS, MultiPoly, PhiLaurent, bind
 from .riccati import S_LABEL, base_violations, discriminant, is_degenerate
 
 # The gufunc behind np.linalg.lstsq (see _lstsq_stack).  It is private numpy
@@ -151,11 +151,19 @@ def generate_system():
 
 def check_assignment(system, values):
     """Residual of every equation at a full binding of unknowns and
-    parameters.  Exact rationals in, exact rationals out."""
+    parameters, evaluated exactly (`polyalg.bind`).  Exact rationals give
+    Fractions; if any value is a float, every value is taken at its exact
+    binary value and each residual is the exact one rounded once to a
+    float.  Raises KeyError on a missing variable and ValueError on a
+    non-finite value."""
     missing = [v for v in VARS if v not in values]
     if missing:
         raise KeyError(f"unbound variable(s): {', '.join(missing)}")
-    return evaluate_all(system.equations, values)
+    den, groups = bind(system.equations, values)
+    nums = [g.get((), 0) for g in groups]
+    if any(isinstance(v, float) for v in values.values()):
+        return [n / den for n in nums]
+    return [Fraction(n, den) for n in nums]
 
 
 def _sqrt_exact_or_float(value):
@@ -305,13 +313,13 @@ class _CompiledSystem:
     evaluated at a batch of points at once: one monomial stack for the
     residual and one fused stack for its six partials.
 
-    Binding is integer arithmetic over one common denominator.  Terms are
-    grouped by their unknown exponents in `sorted_terms` order, zero sums
-    are dropped, and each sum is converted by one correctly rounded int / int
-    division, so every coefficient is float(Fraction) of the exact
-    specialized coefficient, as `MultiPoly.subs` would give.  The partial in
+    `polyalg.bind` gives each equation's integer numerators over one common
+    denominator, grouped by the unknowns' exponents with zero sums dropped.
+    The groups are sorted by exponents and each is converted by one
+    correctly rounded int / int division, so every coefficient is
+    float(Fraction) of the exact specialized coefficient.  The partial in
     unknown k comes from the residual rows: exponent k lowered by one and the
-    integer numerator multiplied by it, exactly `MultiPoly.diff`; lowering one
+    integer numerator multiplied by it, the exact derivative; lowering one
     coordinate keeps the rows sorted.  Partial k of equation j lands in bin
     j * 6 + k.
 
@@ -322,32 +330,14 @@ class _CompiledSystem:
 
     def __init__(self, system, fixed):
         n_unk = len(UNKNOWNS)
-        values = [Fraction(fixed[p]) for p in PARAMETERS]
-        slots = [VARS.index(p) for p in PARAMETERS]
-        top = [max((e[s] for eq in system.equations for e in eq.terms), default=0)
-               for s in slots]
-        # value p/q to the power k, scaled to p^k q^(top-k) over q^top
-        scaled = [[v.numerator ** k * v.denominator ** (t - k) for k in range(t + 1)]
-                  for v, t in zip(values, top)]
-        coef_den = math.lcm(*(c.denominator for eq in system.equations
-                              for c in eq.terms.values()))
-        den = coef_den * math.prod(v.denominator ** t for v, t in zip(values, top))
-
+        # the unbound variables are UNKNOWNS, which lead VARS in the same order
+        den, groups = bind(system.equations, {p: fixed[p] for p in PARAMETERS})
         rows, nums, owner = [], [], []
-        for j, eq in enumerate(system.equations):
-            groups = {}
-            for e, c in eq.terms.items():
-                num = c.numerator * (coef_den // c.denominator)
-                for s, powers in zip(slots, scaled):
-                    num *= powers[e[s]]
-                # UNKNOWNS lead VARS in the same order
-                key = e[:n_unk]
-                groups[key] = groups.get(key, 0) + num
-            for key in sorted(groups):
-                if groups[key]:
-                    rows.append(key)
-                    nums.append(groups[key])
-                    owner.append(j)
+        for j, eq in enumerate(groups):
+            for key in sorted(eq):
+                rows.append(key)
+                nums.append(eq[key])
+                owner.append(j)
 
         self.n_eq = len(system.equations)
         E = np.array(rows, dtype=np.int64).reshape(-1, n_unk)
@@ -476,11 +466,11 @@ def newton_solve(system, fixed, seeds, rng_seed=0, box=(-20.0, 20.0),
     """Multistart damped Gauss-Newton over the six unknowns.
 
     `fixed` binds exactly alpha, beta, gamma, b (rationals); the system is
-    specialized with integer arithmetic (see `_CompiledSystem`), never with
-    `MultiPoly.subs` or `MultiPoly.diff`.  All `seeds` starts are drawn at
-    once, uniformly from box^6 with a fixed generator (the same stream as one
-    draw per seed), and advance in lockstep, one iteration at a time, over
-    the seeds still live.  Each iteration evaluates the Jacobian of every
+    specialized once, exactly, by `polyalg.bind`, and its partials are read
+    off the specialized rows (see `_CompiledSystem`).  All `seeds` starts
+    are drawn at once, uniformly from box^6 with a fixed generator (the same
+    stream as one draw per seed), and advance in lockstep, one iteration at
+    a time, over the seeds still live.  Each iteration evaluates the Jacobian of every
     live seed in one fused pass and solves every least-squares step in one
     stacked LAPACK dgelsd call: the gufunc behind np.linalg.lstsq factors
     each matrix on its own, with the same workspace and rcond, so every step

@@ -5,13 +5,16 @@ arbitrary-precision rational coefficients; no rounding ever happens and no
 zero coefficients are stored.  PhiLaurent is a finite Laurent object
 sum_k p_k * phi^k with MultiPoly coefficients; its derivative operator
 rewrites d(phi^k) through phi' = alpha + beta*phi + gamma*phi^2 and is a
-derivation (the product rule holds exactly).
+derivation (the product rule holds exactly).  `bind` is the one exact
+evaluation: it binds variables at rationals over one common integer
+denominator, for the exact checks and for Newton's float compile alike.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-__all__ = ["VARS", "MultiPoly", "PhiLaurent", "evaluate_all"]
+__all__ = ["VARS", "MultiPoly", "PhiLaurent", "bind"]
 
 VARS = ("a0", "a1", "a2", "c1", "c2", "lam", "alpha", "beta", "gamma", "b")
 _INDEX = {name: i for i, name in enumerate(VARS)}
@@ -74,9 +77,6 @@ class MultiPoly:
             other = MultiPoly.const(other)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return MultiPoly.const(other) - self
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Fraction(other)
@@ -96,57 +96,6 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        out = MultiPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def diff(self, name):
-        """Exact partial derivative."""
-        i = _INDEX[name]
-        out = {}
-        for e, c in self.terms.items():
-            k = e[i]
-            if k == 0:
-                continue
-            e2 = e[:i] + (k - 1,) + e[i + 1:]
-            s = out.get(e2, Fraction(0)) + c * k
-            if s == 0:
-                out.pop(e2, None)
-            else:
-                out[e2] = s
-        return MultiPoly(out)
-
-    def subs(self, bindings):
-        """Partially evaluate some variables at exact rationals."""
-        vals = {_INDEX[k]: Fraction(v) for k, v in bindings.items()}
-        out = {}
-        for e, c in self.terms.items():
-            coef = c
-            e2 = list(e)
-            for i, v in vals.items():
-                coef *= v ** e[i]
-                e2[i] = 0
-            e2 = tuple(e2)
-            s = out.get(e2, Fraction(0)) + coef
-            if s == 0:
-                out.pop(e2, None)
-            else:
-                out[e2] = s
-        return MultiPoly(out)
-
-    def evaluate(self, bindings):
-        """Full evaluation.  Exact when every binding is rational; float
-        arithmetic as soon as any binding is a float."""
-        return evaluate_all((self,), bindings)[0]
-
     def sorted_terms(self):
         """Deterministic term order for serialization and display."""
         return sorted(self.terms.items())
@@ -162,30 +111,43 @@ class MultiPoly:
         return " + ".join(bits)
 
 
-def evaluate_all(polys, bindings):
-    """`MultiPoly.evaluate` of several polynomials at one binding, with
-    one table of powers shared by all of them."""
-    vals = [None] * _NVARS
-    for k, v in bindings.items():
-        if k in _INDEX:
-            vals[_INDEX[k]] = v
-    powers = {}  # (i, k) -> vals[i] ** k, each computed once
+def bind(polys, values):
+    """Bind names in VARS at exact values, over one common denominator.
+
+    `values` holds ints, Fractions or finite floats (a float counts at its
+    exact binary value).  Returns `(den, groups)`: `den` is a positive int
+    shared by all `polys`, and `groups[j]` maps the exponents of the unbound
+    variables (in VARS order) to the integer numerator of that monomial's
+    coefficient in `polys[j]`, zero sums dropped.  A value p/q enters as
+    p^k q^(top-k) over q^top (top its highest exponent), so no gcd is taken
+    (Knuth, TAOCP vol. 2, 4.6.1).  Raises ValueError on a name outside VARS
+    or a non-finite value.
+    """
+    bound = []
+    for name, v in values.items():
+        if name not in _INDEX:
+            raise ValueError(f"unknown variable {name!r} (variables: {', '.join(VARS)})")
+        try:
+            bound.append((_INDEX[name], Fraction(v)))
+        except (OverflowError, ValueError):
+            raise ValueError(f"{name} = {v!r} is not a finite number") from None
+    free = [i for i, name in enumerate(VARS) if name not in values]
+    top = [max((e[i] for poly in polys for e in poly.terms), default=0) for i, _ in bound]
+    scaled = [(i, [v.numerator ** k * v.denominator ** (t - k) for k in range(t + 1)])
+              for (i, v), t in zip(bound, top)]
+    coef_den = math.lcm(*(c.denominator for poly in polys for c in poly.terms.values()))
+    den = coef_den * math.prod(v.denominator ** t for (_, v), t in zip(bound, top))
     out = []
     for poly in polys:
-        total = Fraction(0)
+        groups = {}
         for e, c in poly.terms.items():
-            term = c
-            for i, k in enumerate(e):
-                if k:
-                    p = powers.get((i, k))
-                    if p is None:
-                        if vals[i] is None:
-                            raise KeyError(f"unbound variable {VARS[i]!r}")
-                        p = powers[i, k] = vals[i] ** k
-                    term = term * p
-            total = total + term
-        out.append(total)
-    return out
+            num = c.numerator * (coef_den // c.denominator)
+            for i, powers in scaled:
+                num *= powers[e[i]]
+            key = tuple(e[i] for i in free)
+            groups[key] = groups.get(key, 0) + num
+        out.append({key: num for key, num in groups.items() if num})
+    return den, out
 
 
 class PhiLaurent:

@@ -4,12 +4,14 @@ Covers:
   - catalog listing shape and JSON validity
   - verify: pass/fail/violation exit codes, report contents, config echo
   - riccati / cole-hopf / rh subcommands
-  - pipeline generate (bit-exact round trip), check (exact rationals),
+  - pipeline generate (bit-exact round trip), check (exact rationals, and
+    float residuals of an irrational tuple rounded once),
     solve (root list, determinism under a fixed RNG seed)
   - equiv and plot-data (header, pole cells, exact values)
   - exit-code contract for bad input: non-exact values, parameter names a
     command does not take, counts below 1, tolerances that are not finite
-    and positive, plot-data and verify grids that GridSpec rejects
+    and positive, plot-data and verify grids that GridSpec rejects,
+    negative exponent-form flag values, values beyond the float range
   - the README commands' stdout, byte for byte
 """
 import hashlib
@@ -314,6 +316,59 @@ def test_verify_infinite_grid_bound_exit_2():
     assert code == 2
     assert json.loads(out) == {"error": "invalid-input",
                                "message": "x_min, x_max, t_min and t_max must be finite"}
+
+
+@pytest.mark.parametrize("argv, flag, value, want_code", [
+    (["verify", "--family", "u6", "--param", "b=3"], "--x-min", "-1e1", 0),
+    (["verify", "--family", "u6", "--param", "b=3"], "--t-min", "-1e-1", 0),
+    (["plot-data", "--family", "u6", "--param", "b=3", "--nx", "5"], "--t", "-1e1", 0),
+    (["plot-data", "--family", "u6", "--param", "b=3", "--t", "0"], "--x-min", "-1E1", 0),
+    (_EQUIV_U3_U1, "--tol", "-1e-3", 2),
+    (_VERIFY_KINK, "--tol", "-1e-3", 2),
+    (["verify", "--family", "u6", "--param", "b=3"], "--x-min", "-inf", 2),
+])
+def test_negative_float_flag_value_as_separate_word(argv, flag, value, want_code):
+    # argparse alone reads -1e1 or -inf after a flag as an option name and
+    # exits with a usage message and no JSON
+    code, out = run(argv + [flag, value])
+    assert code == want_code
+    assert (code, out) == run(argv + [f"{flag}={value}"])
+    if code == 2:
+        assert json.loads(out)["error"] == "invalid-input"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--family", "u6", "--param", "b=1e400"],
+    ["pipeline", "check", "--case", "fourth", "--param", "b=1e200", "--param", "alpha=1",
+     "--param", "beta=1", "--param", "gamma=1/5"],
+    ["rh", "--family", "u7", "--param", "b=3", "--param", "a2=1e200"],
+    ["cole-hopf", "--branch", "plus", "--param", "b=1e200", "--param", "mu=1/2"],
+], ids=["verify", "pipeline-check", "rh", "cole-hopf"])
+def test_value_outside_float_range_exit_2(argv):
+    code, out = run(argv)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == "invalid-input"
+    assert doc["message"].startswith(
+        "a value derived from the parameters is outside the float range")
+
+
+def test_pipeline_check_irrational_third_case():
+    # u14/u15 have the rational radical sqrt(1) and stay exact; u16-u19
+    # carry sqrt(241)/4 as a float, so every residual is the exact residual
+    # at the floats, rounded once
+    code, out = run(["pipeline", "check", "--case", "third", "--param", "b=3",
+                     "--param", "alpha=1/4", "--param", "beta=0", "--param", "gamma=1/4"])
+    assert code == 0
+    entries = {e["family"]: e for e in json.loads(out)["tuples"]}
+    for fid in ("u14", "u15"):
+        assert entries[fid]["exact"] is True and entries[fid]["pass"] is True
+        assert entries[fid]["residuals"] and all(r == "0/1" for r in entries[fid]["residuals"])
+    for fid in ("u16", "u17", "u18", "u19"):
+        e = entries[fid]
+        assert e["exact"] is False and e["pass"] is True
+        assert e["residuals"] and all(type(r) in (int, float) and abs(r) < 1e-9
+                                      for r in e["residuals"])
 
 
 # (exit code, sha256 of stdout) of each README command, with stdout in

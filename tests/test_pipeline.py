@@ -7,7 +7,10 @@ Covers:
   - system generation: clearing power, equation count, c1=c2=0 collapse
   - exact-zero residuals of the solved tuples, including rational
     third-case instances, and check_assignment against per-equation
-    evaluation at exact and float bindings
+    evaluation at exact and float bindings (floats evaluated exactly and
+    rounded once; Fractions, never ints; non-finite values rejected)
+  - polyalg.bind against Fraction oracles on seeded random polynomials,
+    full and partial bindings, and a group that cancels
   - serialization round trip through report.dumps, bit exact, and the
     variable-layout checks on load
   - multistart root recovery and root self-consistency
@@ -15,9 +18,9 @@ Covers:
     paths), the seed-count and parameter-name checks, batch independence
     of the compiled residual and Jacobian, the stacked least-squares solve
     against per-matrix np.linalg.lstsq bit for bit, the compiled stacks
-    against MultiPoly.subs + MultiPoly.diff (rational and scaled systems
-    too), and the grouped line search against halving one level at a time
-  - partial evaluation (subs) against term-by-term addition
+    against the subs + diff oracles (rational and scaled systems too), and
+    the grouped line search against halving one level at a time
+  - the subs oracle against term-by-term addition
   - round trip: a numeric root composed with the matching phi solves the
     traveling-wave equation on a grid
 """
@@ -42,6 +45,72 @@ from mdpwave.verifier import GridSpec, ode_residual, verify_on_grid
 @pytest.fixture(scope="module")
 def system():
     return pl.generate_system()
+
+
+# Reference implementations for `polyalg.bind` and the compiled stacks:
+# partial evaluation, partial derivative and full evaluation, term by term
+# in Fractions (in floats once a float binding is met).
+
+def _subs(poly, bindings):
+    # partial evaluation at exact rationals, dropping a key whose sum is 0
+    vals = {VARS.index(k): F(v) for k, v in bindings.items()}
+    out = {}
+    for e, c in poly.terms.items():
+        coef = c
+        e2 = list(e)
+        for i, v in vals.items():
+            coef *= v ** e[i]
+            e2[i] = 0
+        e2 = tuple(e2)
+        s = out.get(e2, F(0)) + coef
+        if s == 0:
+            out.pop(e2, None)
+        else:
+            out[e2] = s
+    return MultiPoly(out)
+
+
+def _diff(poly, name):
+    # exact partial derivative
+    i = VARS.index(name)
+    out = {}
+    for e, c in poly.terms.items():
+        k = e[i]
+        if k == 0:
+            continue
+        e2 = e[:i] + (k - 1,) + e[i + 1:]
+        s = out.get(e2, F(0)) + c * k
+        if s == 0:
+            out.pop(e2, None)
+        else:
+            out[e2] = s
+    return MultiPoly(out)
+
+
+def _evaluate_all(polys, bindings):
+    # full evaluation with one table of powers shared by every polynomial
+    vals = [bindings.get(name) for name in VARS]
+    powers = {}
+    out = []
+    for poly in polys:
+        total = F(0)
+        for e, c in poly.terms.items():
+            term = c
+            for i, k in enumerate(e):
+                if k:
+                    p = powers.get((i, k))
+                    if p is None:
+                        if vals[i] is None:
+                            raise KeyError(f"unbound variable {VARS[i]!r}")
+                        p = powers[i, k] = vals[i] ** k
+                    term = term * p
+            total = total + term
+        out.append(total)
+    return out
+
+
+def _evaluate(poly, bindings):
+    return _evaluate_all((poly,), bindings)[0]
 
 
 def test_balance_returns_zero_and_two():
@@ -103,14 +172,14 @@ def test_top_power_equation_dependencies(system):
     assert used == {"a2", "gamma", "b"}
     vals = pl.ansatz_tuple("u11", 1, 2, 1, 3)
     bindings = dict(vals, alpha=F(1), beta=F(2), gamma=F(1), b=F(3))
-    assert top.evaluate(bindings) == 0
+    assert _evaluate(top, bindings) == 0
 
 
 def test_pure_positive_power_specialization_collapses(system):
     # killing the inverse-power coefficients must kill every equation that
     # came from a cleared power below 7, and only those can vanish
     for k, eq in zip(system.powers, system.equations):
-        sub = eq.subs({"c1": 0, "c2": 0})
+        sub = _subs(eq, {"c1": 0, "c2": 0})
         if k < 7:
             assert sub.is_zero, k
 
@@ -138,7 +207,7 @@ def _subs_by_addition(poly, bindings):
 @pytest.mark.parametrize("case", sorted(_BENCH_CASES))
 def test_subs_matches_termwise_addition(system, case):
     for eq in system.equations:
-        got = eq.subs(_BENCH_CASES[case])
+        got = _subs(eq, _BENCH_CASES[case])
         want = _subs_by_addition(eq, _BENCH_CASES[case])
         assert got == want
         assert got.sorted_terms() == want.sorted_terms()
@@ -228,16 +297,86 @@ def _evaluate_alone(poly, values):
 def test_check_assignment_matches_per_equation_evaluation(system):
     exact = dict(a0=F(1, 3), a1=F(-2), a2=F(5, 7), c1=F(3, 2), c2=F(-1, 4), lam=F(9, 5),
                  alpha=F(1, 2), beta=F(-3), gamma=F(2, 3), b=F(5))
+    got = pl.check_assignment(system, exact)
+    want = [_evaluate_alone(eq, exact) for eq in system.equations]
+    assert [type(r) for r in got] == [type(r) for r in want]
+    assert got == want
+    assert got == [_evaluate(eq, exact) for eq in system.equations]
+    assert any(r != 0 for r in got)
+    # floats are bound at their exact binary values and each residual is
+    # the exact one rounded once
     floats = {k: float(v) + 0.1 for k, v in exact.items()}
-    for values in (exact, floats):
-        got = pl.check_assignment(system, values)
-        want = [_evaluate_alone(eq, values) for eq in system.equations]
-        assert [type(r) for r in got] == [type(r) for r in want]
-        assert got == want
-        assert got == [eq.evaluate(values) for eq in system.equations]
-    assert any(r != 0 for r in pl.check_assignment(system, exact))
-    with pytest.raises(KeyError, match="'lam'"):
-        polyalg.evaluate_all(system.equations, {k: v for k, v in exact.items() if k != "lam"})
+    got = pl.check_assignment(system, floats)
+    want = [float(_evaluate_alone(eq, {k: F(v) for k, v in floats.items()}))
+            for eq in system.equations]
+    assert [type(r) for r in got] == [float] * len(want)
+    assert got == want
+    assert got == pytest.approx([_evaluate_alone(eq, floats) for eq in system.equations],
+                                rel=1e-12, abs=1e-9)
+    with pytest.raises(KeyError, match=r"unbound variable\(s\): lam'"):
+        pl.check_assignment(system, {k: v for k, v in exact.items() if k != "lam"})
+
+
+def _random_poly(rng):
+    terms = {}
+    for _ in range(rng.randint(0, 12)):
+        e = tuple(rng.choice((0, 0, 0, 1, 2, 3)) for _ in VARS)
+        terms[e] = terms.get(e, F(0)) + F(rng.randint(-20, 20), rng.randint(1, 12))
+    return MultiPoly({e: c for e, c in terms.items() if c})
+
+
+def _random_value(rng):
+    return rng.choice((0, 1, -1, rng.randint(-9, 9), F(rng.randint(-9, 9), rng.randint(1, 9))))
+
+
+def test_bind_matches_fraction_oracles():
+    rng = random.Random(12)
+    for _ in range(200):
+        polys = [_random_poly(rng) for _ in range(rng.randint(1, 4))]
+        names = rng.sample(VARS, rng.randint(0, len(VARS)))
+        values = {name: _random_value(rng) for name in names}
+        den, groups = polyalg.bind(polys, values)
+        assert isinstance(den, int) and den > 0
+        assert len(groups) == len(polys)
+        free = [i for i, name in enumerate(VARS) if name not in values]
+        if len(names) == len(VARS):
+            for g, want in zip(groups, _evaluate_all(polys, values)):
+                assert set(g) <= {()} and 0 not in g.values()
+                assert F(g.get((), 0), den) == want
+        for poly, g in zip(polys, groups):
+            want = {tuple(e[i] for i in free): c for e, c in _subs(poly, values).terms.items()}
+            assert {key: F(num, den) for key, num in g.items()} == want
+            assert all(type(num) is int and num for num in g.values())
+
+
+def test_bind_drops_a_group_that_cancels():
+    a0, b, lam = (MultiPoly.variable(v) for v in ("a0", "b", "lam"))
+    poly = a0 * b - a0 * 2 + lam * F(1, 3) - F(5, 6)
+    den, (g,) = polyalg.bind([poly], {"b": 2, "c1": F(-7, 4)})
+    # a0*b - 2*a0 vanishes at b = 2: only lam and the constant are left,
+    # keyed by the exponents of a0, a1, a2, c2, lam, alpha, beta, gamma
+    assert g == {(0, 0, 0, 0, 1, 0, 0, 0): den // 3, (0,) * 8: -5 * den // 6}
+    den, (g,) = polyalg.bind([poly], dict.fromkeys(VARS, 0) | {"b": 2})
+    assert F(g[()], den) == F(-5, 6)
+    den, (g,) = polyalg.bind([poly], dict.fromkeys(VARS, 0) | {"b": 2, "lam": F(5, 2)})
+    assert g == {}
+    with pytest.raises(ValueError, match="unknown variable 'zeta'"):
+        polyalg.bind([poly], {"zeta": 1})
+
+
+def test_check_assignment_returns_fractions_never_ints(system):
+    values = dict(a0=0, a1=0, a2=0, c1=0, c2=0, lam=0, alpha=1, beta=2, gamma=1, b=3)
+    for vals in (values, dict(pl.ansatz_tuple("u11", 1, 2, 1, 3), alpha=1, beta=2, gamma=1, b=3)):
+        res = pl.check_assignment(system, vals)
+        assert res and all(type(r) is F and r == 0 for r in res)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_check_assignment_rejects_non_finite_values(system, bad):
+    values = dict(a0=0.5, a1=0.0, a2=bad, c1=0.0, c2=0.0, lam=1.0,
+                  alpha=F(1), beta=F(2), gamma=F(1), b=F(3))
+    with pytest.raises(ValueError, match="a2 = .* is not a finite number"):
+        pl.check_assignment(system, values)
 
 
 def test_serialization_round_trip_bit_exact(system):
@@ -404,7 +543,7 @@ def test_newton_rejects_names_outside_parameters(system):
 
 def test_compiled_system_rows_are_batch_independent(system):
     fixed = _BENCH_CASES["first"]
-    polys = [eq.subs(fixed) for eq in system.equations]
+    polys = [_subs(eq, fixed) for eq in system.equations]
     compiled = pl._CompiledSystem(system, fixed)
     X = np.random.default_rng(11).uniform(-3.0, 3.0, size=(7, len(pl.UNKNOWNS)))
     table = compiled.powers(X)
@@ -419,9 +558,9 @@ def test_compiled_system_rows_are_batch_independent(system):
         assert np.array_equal(J[s], compiled.jacobian(one)[0])
         bindings = {u: float(v) for u, v in zip(pl.UNKNOWNS, x)}
         for i, p in enumerate(polys):
-            assert r[s, i] == pytest.approx(float(p.evaluate(bindings)), rel=1e-9, abs=1e-12)
+            assert r[s, i] == pytest.approx(float(_evaluate(p, bindings)), rel=1e-9, abs=1e-12)
             for j, u in enumerate(pl.UNKNOWNS):
-                want = float(p.diff(u).evaluate(bindings))
+                want = float(_evaluate(_diff(p, u), bindings))
                 assert J[s, i, j] == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
@@ -429,7 +568,7 @@ def _reference_stacks(system, fixed):
     # the compile as it was: MultiPoly.subs, then sorted_terms, float() of
     # each coefficient, and MultiPoly.diff per unknown; partial k of
     # equation j goes to bin j * 6 + k
-    polys = [eq.subs(fixed) for eq in system.equations]
+    polys = [_subs(eq, fixed) for eq in system.equations]
     slots = [VARS.index(u) for u in pl.UNKNOWNS]
     n_unk = len(pl.UNKNOWNS)
 
@@ -445,7 +584,7 @@ def _reference_stacks(system, fixed):
     res = stack(polys, lambda j: j)
     jac = ([], [], [])
     for k, u in enumerate(pl.UNKNOWNS):
-        for acc, part in zip(jac, stack([p.diff(u) for p in polys],
+        for acc, part in zip(jac, stack([_diff(p, u) for p in polys],
                                         lambda j: j * n_unk + k)):
             acc += part
     return res, jac
