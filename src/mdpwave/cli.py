@@ -6,7 +6,8 @@ Each subcommand's parser carries its handler (`run`), so `main` has one
 path into every command and one out of it.  `--param NAME=VALUE` values
 are exact rationals: decimals (`0.25`, `1e-3`) or `n/d` fractions, never
 infinities or NaN.  Catalog families check parameter names against their
-signature; every other command rejects a name it does not take.
+signature; every other command rejects a name it does not take.  A name
+is bound at most once.
 
 Exit codes: 0 pass, 1 fail, 2 invalid input (bad flags, unknown ids or
 parameter names, non-exact values, constraint violations, values beyond
@@ -21,8 +22,6 @@ import dataclasses
 import math
 import sys
 from fractions import Fraction
-
-import numpy as np
 
 from . import catalog, colehopf, pipeline, report
 from . import expr as ex
@@ -52,6 +51,8 @@ def _params(pairs, command=None, required=(), optional=()):
         if not eq:
             raise ValueError(f"--param expects name=value, got {item!r}")
         name, value = name.strip(), value.strip()
+        if name in out:
+            raise ValueError(f"parameter {name!r} is given more than once")
         try:
             out[name] = Fraction(value)
         except (ValueError, ZeroDivisionError):
@@ -207,6 +208,7 @@ def _cmd_verify(args):
 
 
 def _cmd_riccati(args):
+    import numpy as np
     params = _params(args.param, "riccati", ("alpha", "beta", "gamma"))
     if args.samples < 1:
         raise ValueError("--samples must be >= 1")
@@ -341,6 +343,7 @@ def _equiv_side(fid, params):
 
 def _sample_points(us, guards, n, seed):
     """Deterministic (x, t) samples where every side is regular."""
+    import numpy as np
     rng = np.random.default_rng(seed)
     tape = ex.Tape(guards + us)
     xs_out, ts_out = [], []
@@ -364,6 +367,7 @@ def _sample_points(us, guards, n, seed):
 
 
 def _cmd_equiv(args):
+    import numpy as np
     left_params = _params(args.left_param)
     right_params = _params(args.right_param)
     if args.points < 1:
@@ -390,6 +394,7 @@ def _cmd_equiv(args):
 
 
 def _cmd_plot_data(args):
+    import numpy as np
     params = _params(args.param)
     # GridSpec checks the x axis, eps_den and t: a profile is the grid at t_min = t_max = t
     grid = verifier.GridSpec(x_min=args.x_min, x_max=args.x_max, nx=args.nx,

@@ -29,13 +29,15 @@ multiplied into that array in place, so the chain allocates one array
 rather than one per operand.  The IEEE results are those of the plain
 chain, and an operand that would broadcast to a larger shape takes the
 allocating form.  A caller's arrays are never written.
+
+numpy is the vectorized backend's alone: the first `evaluate_many` imports
+it and binds the module global `np` that `_vector_step` reads, so building,
+differentiating and scalar evaluation run without loading numpy.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import DomainError, UnboundSymbol
 
@@ -48,6 +50,8 @@ __all__ = [
 ]
 
 FUNCTIONS = ("exp", "sinh", "cosh", "tanh", "tan", "cot", "csc", "sqrt")
+
+np = None  # numpy, bound by the first evaluate_many
 
 
 class Expr:
@@ -661,6 +665,8 @@ def evaluate_many(e, params=None, point=None):
     screen with their own guards.  Unbound variables still raise.
     `params` is unused, as in `evaluate`.
     """
+    global np
+    import numpy as np
     tape, single = _compiled(e)
     point = {k: np.asarray(v, dtype=float) for k, v in (point or {}).items()}
     shape = np.broadcast_shapes(*(a.shape for a in point.values())) if point else ()

@@ -19,24 +19,33 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import ConstraintViolation
 from .polyalg import VARS, MultiPoly, PhiLaurent, bind
 from .riccati import S_LABEL, base_violations, discriminant, is_degenerate
 
-# The gufunc behind np.linalg.lstsq (see _lstsq_stack).  It is private numpy
-# API, and older numpy split it into lstsq_m and lstsq_n, so a numpy without
-# it fails at import rather than mid-solve.
-try:
-    from numpy.linalg._umath_linalg import lstsq as _gelsd
-    if "ddd->ddid" not in _gelsd.types:
-        raise ImportError("no 'ddd->ddid' loop")
-except ImportError as err:
-    raise ImportError(
-        "mdpwave.pipeline needs numpy.linalg._umath_linalg.lstsq with a "
-        f"'ddd->ddid' loop (numpy >= 2.4); numpy {np.__version__} lacks it"
-    ) from err
+np = _gelsd = None  # numpy and its lstsq gufunc, bound by _load_numpy
+
+
+def _load_numpy():
+    """Bind numpy and the gufunc behind np.linalg.lstsq (see _lstsq_stack)
+    on first Newton use, so the exact half of this module runs without
+    numpy.  The gufunc is private numpy API, and older numpy split it into
+    lstsq_m and lstsq_n, so a numpy without it fails at first Newton use
+    rather than mid-solve."""
+    global np, _gelsd
+    if _gelsd is not None:
+        return
+    import numpy as np
+    try:
+        from numpy.linalg._umath_linalg import lstsq
+        if "ddd->ddid" not in lstsq.types:
+            raise ImportError("no 'ddd->ddid' loop")
+    except ImportError as err:
+        raise ImportError(
+            "mdpwave.pipeline needs numpy.linalg._umath_linalg.lstsq with a "
+            f"'ddd->ddid' loop (numpy >= 2.4); numpy {np.__version__} lacks it"
+        ) from err
+    _gelsd = lstsq
 
 __all__ = [
     "UNKNOWNS", "PARAMETERS", "CASE_FAMILIES", "balance", "ansatz_laurent",
@@ -329,6 +338,7 @@ class _CompiledSystem:
     stored order, one segment per point."""
 
     def __init__(self, system, fixed):
+        _load_numpy()
         n_unk = len(UNKNOWNS)
         # the unbound variables are UNKNOWNS, which lead VARS in the same order
         den, groups = bind(system.equations, {p: fixed[p] for p in PARAMETERS})
@@ -400,6 +410,7 @@ def _lstsq_stack(A, B):
     and rcond.  A matrix on which dgelsd fails gives a NaN row here instead
     of LinAlgError; call this under np.errstate(invalid="ignore") or wider.
     """
+    _load_numpy()
     rcond = np.finfo(float).eps * max(A.shape[1:])
     x, *_ = _gelsd(A, B[:, :, None], rcond, signature="ddd->ddid")
     return x[:, :, 0]
@@ -487,7 +498,8 @@ def newton_solve(system, fixed, seeds, rng_seed=0, box=(-20.0, 20.0),
     precision for roots of size O(10).  Roots are deduplicated at
     `dedup_tol` and returned lexicographically sorted; an empty list is a
     valid outcome.  Raises KeyError on a missing parameter, ValueError on a
-    name outside PARAMETERS or a negative seed count.
+    name outside PARAMETERS or a negative seed count, and ImportError,
+    before any Newton work, on a numpy without the lstsq gufunc.
     """
     missing = [p for p in PARAMETERS if p not in fixed]
     if missing:

@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import expr as ex
 from .errors import ConstraintViolation, SampleAtPole
 from .riccati import base_violations
@@ -146,6 +144,7 @@ def collocation_identity_check(u, b, lam, denominator=None):
     points landing on poles are jittered deterministically, at most
     MAX_RESAMPLES times each.
     """
+    import numpy as np
     den = ex.ONE if denominator is None else ex.as_expr(denominator)
     den5 = ex.pow_(den, 5)
     tape = ex.Tape([den] + [ex.mul(t, den5) for t in ode_residual_terms(u, b, lam)])

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from fractions import Fraction
-
-import numpy as np
 
 __all__ = ["dumps", "format_float", "format_value"]
 
@@ -27,15 +26,16 @@ def format_float(x):
 
 def format_value(v):
     """Render one scalar as a JSON fragment."""
-    if isinstance(v, bool) or isinstance(v, np.bool_):
+    np = sys.modules.get("numpy")  # a numpy scalar exists only once numpy is loaded
+    if isinstance(v, bool) or np and isinstance(v, np.bool_):
         return "true" if v else "false"
     if v is None:
         return "null"
     if isinstance(v, Fraction):
         return json.dumps(f"{v.numerator}/{v.denominator}")
-    if isinstance(v, (int, np.integer)):
+    if isinstance(v, int) or np and isinstance(v, np.integer):
         return str(int(v))
-    if isinstance(v, (float, np.floating)):
+    if isinstance(v, float) or np and isinstance(v, np.floating):
         return format_float(v)
     if isinstance(v, str):
         return json.dumps(v)

@@ -22,8 +22,6 @@ import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from . import expr as ex
 from .errors import AllPointsSkipped
 
@@ -76,6 +74,7 @@ class GridSpec:
             raise ValueError("eps_den must be positive")
 
     def points(self):
+        import numpy as np
         xs = np.linspace(self.x_min, self.x_max, self.nx)
         ts = np.linspace(self.t_min, self.t_max, self.nt)
         xx, tt = np.meshgrid(xs, ts, indexing="ij")
@@ -197,6 +196,7 @@ def verify_on_grid(u, b, grid=None, tol=None, guard=None, method="symbolic"):
     the guard is not finite, are skipped and counted.  `method` selects the
     symbolic-derivative path or the finite-difference cross-check path.
     """
+    import numpy as np
     if method not in ("symbolic", "finite-difference"):
         raise ValueError(f"unknown method {method!r}")
     grid = grid or GridSpec()

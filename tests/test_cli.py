@@ -11,13 +11,20 @@ Covers:
   - exit-code contract for bad input: non-exact values, parameter names a
     command does not take, counts below 1, tolerances that are not finite
     and positive, plot-data and verify grids that GridSpec rejects,
-    negative exponent-form flag values, values beyond the float range
+    negative exponent-form flag values, values beyond the float range,
+    a parameter name given twice
   - the README commands' stdout, byte for byte
+  - numpy stays unloaded by the imports and the exact or metadata-only
+    commands, and loads on the first array evaluation
 """
 import hashlib
 import io
 import json
 import contextlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -259,6 +266,23 @@ def test_unknown_param_name_exit_2(argv, name):
     assert f"no parameter {name!r}" in doc["message"]
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["verify", "--family", "u6", "--param", "b=3", "--param", "b=5"], "b"),
+    (["riccati", "--param", "alpha=1", "--param", "beta=2", "--param", "gamma=1",
+      "--param", "alpha=2"], "alpha"),
+    (["equiv", "--left", "u3", "--left-param", "b=3", "--left-param", "b=1",
+      "--right", "u1", "--right-param", "b=3", "--right-param", "mu=1"], "b"),
+    (["equiv", "--left", "u3", "--left-param", "b=3", "--right", "u1",
+      "--right-param", "b=3", "--right-param", "mu=1", "--right-param", "mu=1"], "mu"),
+], ids=["param", "riccati", "left-param", "right-param"])
+def test_repeated_param_name_exit_2(argv, name):
+    code, out = run(argv)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == "invalid-input"
+    assert doc["message"] == f"parameter {name!r} is given more than once"
+
+
 def test_missing_command_param_exit_2():
     code, out = run(["rh", "--family", "u7", "--param", "b=3"])
     assert code == 2
@@ -412,3 +436,43 @@ def test_readme_commands_byte_identical():
         code, out = run(argv)
         assert code == want_code, argv
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+# Runs in a fresh interpreter: imports mdpwave and mdpwave.cli, then runs
+# each command line of argv[1] (JSON), printing one JSON row per step:
+# (command, exit code, sha256 of stdout, numpy loaded).
+_NUMPY_PROBE = """
+import contextlib, hashlib, io, json, sys
+import mdpwave
+import mdpwave.cli
+rows = [["import", None, None, "numpy" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = mdpwave.cli.main(argv)
+    digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    rows.append([argv, code, digest, "numpy" in sys.modules])
+print(json.dumps(rows))
+"""
+
+
+def test_numpy_loads_on_first_array_evaluation():
+    readme = {tuple(argv): (code, digest) for argv, code, digest in _README_COMMANDS}
+    numpy_free = [
+        ["catalog", "list"],
+        ["pipeline", "generate"],
+        ["pipeline", "check", "--case", "first", "--param", "b=3", "--param", "alpha=1",
+         "--param", "beta=2", "--param", "gamma=1"],
+        ["verify", "--family", "u1", "--param", "b=3", "--param", "mu=2"],
+    ]
+    first_array = ["verify", "--family", "u6", "--param", "b=3"]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE,
+                           json.dumps(numpy_free + [first_array])],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(proc.stdout)
+    assert rows[0] == ["import", None, None, False]
+    for argv, code, digest, numpy_loaded in rows[1:]:
+        assert [code, digest] == list(readme[tuple(argv)]), argv
+        assert numpy_loaded is (argv == first_array), argv

@@ -12,7 +12,7 @@ Covers:
   - polyalg.bind against Fraction oracles on seeded random polynomials,
     full and partial bindings, and a group that cancels
   - serialization round trip through report.dumps, bit exact, and the
-    variable-layout checks on load
+    variable-layout checks on load; numpy scalars in report.format_value
   - multistart root recovery and root self-consistency
   - byte-identical Newton roots (golden hashes, also on the failure
     paths), the seed-count and parameter-name checks, batch independence
@@ -20,14 +20,20 @@ Covers:
     against per-matrix np.linalg.lstsq bit for bit, the compiled stacks
     against the subs + diff oracles (rational and scaled systems too), and
     the grouped line search against halving one level at a time
+  - a numpy without the lstsq gufunc's 'ddd->ddid' loop: newton_solve
+    raises ImportError before any Newton work, the exact half still runs
   - the subs oracle against term-by-term addition
   - round trip: a numeric root composed with the matching phi solves the
     traveling-wave equation on a grid
 """
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -386,6 +392,15 @@ def test_serialization_round_trip_bit_exact(system):
     assert report.dumps(loaded.to_json_dict()) == text
 
 
+def test_format_value_numpy_scalars():
+    assert report.format_value(np.bool_(True)) == "true"
+    assert report.format_value(np.bool_(False)) == "false"
+    assert report.format_value(np.int64(3)) == "3"
+    assert report.format_value(np.float64(0.1)) == "0.10000000000000001"
+    assert report.format_value(np.float32(0.5)) == "0.5"
+    assert report.dumps([np.bool_(True), np.int64(-7), np.float32(np.inf)]) == '[true, -7, "inf"]\n'
+
+
 def test_deserialization_rejects_reordered_unknowns(system):
     doc = system.to_json_dict()
     doc["unknowns"] = doc["unknowns"][::-1]
@@ -675,3 +690,45 @@ def test_line_search_accepts_at_every_level_like_one_halving_at_a_time(system):
     assert np.array_equal(table[accepted], want_table)
     assert np.array_equal(r[accepted], want_r)
     assert np.array_equal(scaled[accepted], want_scaled)
+
+
+# Runs in a fresh interpreter: takes the lstsq gufunc away ("removed") or
+# puts a stand-in without the 'ddd->ddid' loop in its place, then runs the
+# exact half and newton_solve twice, printing each ImportError.
+_NO_GUFUNC_PROBE = """
+import sys
+from fractions import Fraction as F
+import numpy.linalg._umath_linalg as umath_linalg
+if sys.argv[1] == "removed":
+    del umath_linalg.lstsq
+else:
+    class StandIn:
+        types = ["fff->ffif"]
+    umath_linalg.lstsq = StandIn()
+from mdpwave import pipeline as pl
+system = pl.generate_system()
+fixed = dict(alpha=F(1), beta=F(2), gamma=F(1), b=F(3))
+vals = pl.ansatz_tuple("u11", *(fixed[k] for k in pl.PARAMETERS))
+assert all(r == 0 for r in pl.check_assignment(system, {**vals, **fixed}))
+def newton_work(*args):
+    raise AssertionError("Newton work before the gufunc check")
+pl.bind = newton_work
+for _ in range(2):
+    try:
+        pl.newton_solve(system, fixed, seeds=4)
+    except ImportError as err:
+        print(err)
+    else:
+        raise AssertionError("newton_solve ran without the gufunc")
+"""
+
+
+@pytest.mark.parametrize("how", ["removed", "stand-in"])
+def test_newton_without_lstsq_gufunc_raises_import_error(how):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", _NO_GUFUNC_PROBE, how], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    want = ("mdpwave.pipeline needs numpy.linalg._umath_linalg.lstsq with a "
+            f"'ddd->ddid' loop (numpy >= 2.4); numpy {np.__version__} lacks it")
+    assert proc.stdout.splitlines() == [want, want]
