@@ -28,9 +28,7 @@ from . import expr as ex
 from . import rational_hyperbolic as rh
 from . import riccati as ric
 from . import verifier
-from .errors import (AllPointsSkipped, ConstraintViolation, DomainError,
-                     InvalidParams, MdpWaveError, SampleAtPole,
-                     UnboundSymbol, UnclassifiableCoefficients)
+from .errors import ConstraintViolation, MdpWaveError
 
 __all__ = ["main"]
 
@@ -38,8 +36,9 @@ SIX_SYSTEM_TOL = 1e-9
 EQUIV_DEFAULT_TOL = 1e-10
 
 
-def _params(pairs, command=None, required=(), optional=()):
-    """`--param NAME=VALUE` pairs as exact Fractions, in the order given.
+def _params(pairs, command=None, required=(), optional=(), flag="--param"):
+    """`--param NAME=VALUE` pairs as exact Fractions, in the order given;
+    messages name `flag`, the option the pairs were read from.
 
     A command outside the catalog names itself and the parameters it
     takes: each `required` name must be bound, and nothing outside
@@ -49,14 +48,14 @@ def _params(pairs, command=None, required=(), optional=()):
     for item in pairs:
         name, eq, value = item.partition("=")
         if not eq:
-            raise ValueError(f"--param expects name=value, got {item!r}")
+            raise ValueError(f"{flag} expects name=value, got {item!r}")
         name, value = name.strip(), value.strip()
         if name in out:
             raise ValueError(f"parameter {name!r} is given more than once")
         try:
             out[name] = Fraction(value)
         except (ValueError, ZeroDivisionError):
-            raise ValueError(f"--param {name}={value} is not an exact number "
+            raise ValueError(f"{flag} {name}={value} is not an exact number "
                              "(a decimal or n/d)") from None
     if command:
         for name in out:
@@ -64,7 +63,7 @@ def _params(pairs, command=None, required=(), optional=()):
                 raise ValueError(f"{command} has no parameter {name!r}")
         for name in required:
             if name not in out:
-                raise ValueError(f"{command} requires --param {name}=...")
+                raise ValueError(f"{command} requires {flag} {name}=...")
     return out
 
 
@@ -368,8 +367,8 @@ def _sample_points(us, guards, n, seed):
 
 def _cmd_equiv(args):
     import numpy as np
-    left_params = _params(args.left_param)
-    right_params = _params(args.right_param)
+    left_params = _params(args.left_param, flag="--left-param")
+    right_params = _params(args.right_param, flag="--right-param")
     if args.points < 1:
         raise ValueError("--points must be >= 1")
     _check_tol(args.tol)
@@ -447,13 +446,9 @@ def main(argv=None):
         _emit({"error": "invalid-input", "message": "a value derived from the parameters "
                f"is outside the float range ({err})"}, args.out)
         return 2
-    except (ValueError, KeyError, UnboundSymbol, DomainError, InvalidParams,
-            UnclassifiableCoefficients, SampleAtPole, AllPointsSkipped) as err:
+    except (ValueError, KeyError, MdpWaveError) as err:
         _emit({"error": "invalid-input", "message": str(err)}, args.out)
         return 2
-    except MdpWaveError as err:  # pragma: no cover
-        _emit({"error": "internal", "message": str(err)}, args.out)
-        return 3
     except Exception as err:  # pragma: no cover
         _emit({"error": "internal", "message": f"{type(err).__name__}: {err}"}, args.out)
         return 3

@@ -62,35 +62,6 @@ class Expr:
     def __hash__(self):
         return self._hash
 
-    # arithmetic sugar; all routes through the canonicalizing constructors
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __pow__(self, exponent):
-        return pow_(self, exponent)
-
-    def __neg__(self):
-        return mul(-1, self)
-
     def __repr__(self):
         return to_prefix(self)
 

@@ -20,7 +20,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ConstraintViolation
-from .polyalg import VARS, MultiPoly, PhiLaurent, bind
+from .polyalg import (VARS, MultiPoly, bind, laurent, laurent_coeff, laurent_derivative,
+                      laurent_support)
 from .riccati import S_LABEL, base_violations, discriminant, is_degenerate
 
 np = _gelsd = None  # numpy and its lstsq gufunc, bound by _load_numpy
@@ -93,7 +94,7 @@ def ansatz_laurent():
     for i in (1, 2):
         coeffs[i] = MultiPoly.variable(f"a{i}")
         coeffs[-i] = MultiPoly.variable(f"c{i}")
-    return PhiLaurent(coeffs)
+    return laurent(coeffs)
 
 
 @dataclass(frozen=True)
@@ -135,24 +136,24 @@ def generate_system():
     is -7 and fails loudly otherwise.
     """
     u = ansatz_laurent()
-    u1 = u.derivative()
-    u2 = u1.derivative()
-    u3 = u2.derivative()
+    u1 = laurent_derivative(u)
+    u2 = laurent_derivative(u1)
+    u3 = laurent_derivative(u2)
     b = MultiPoly.variable("b")
-    lam = MultiPoly.variable("lam")
-    residual = (u1 * u * u * (b + 1)
+    lam = laurent({0: MultiPoly.variable("lam")})
+    residual = (u1 * u * u * laurent({0: b + 1})
                 - u3 * u
                 - u3 * lam
                 + u1 * lam
-                - u1 * u2 * b)
-    low = min(residual.support)
+                - u1 * u2 * laurent({0: b}))
+    low = min(laurent_support(residual))
     if low != -_CLEARING_POWER:
         raise RuntimeError(
             f"clearing-power bookkeeping broke: lowest exponent {low} != -7"
         )
-    cleared = residual.shift(_CLEARING_POWER)
-    powers = tuple(k for k in cleared.support)
-    equations = tuple(cleared.coeff(k) for k in powers)
+    cleared = residual * laurent({_CLEARING_POWER: MultiPoly.const(1)})
+    powers = tuple(laurent_support(cleared))
+    equations = tuple(laurent_coeff(cleared, k) for k in powers)
     if len(equations) > 15 or max(powers) > 14 or min(powers) < 0:
         raise RuntimeError("collected equation range is out of bounds")
     return AlgebraicSystem(equations=equations, powers=powers)

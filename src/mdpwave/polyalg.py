@@ -2,19 +2,24 @@
 
 MultiPoly is a sparse polynomial over the fixed variable tuple VARS with
 arbitrary-precision rational coefficients; no rounding ever happens and no
-zero coefficients are stored.  PhiLaurent is a finite Laurent object
-sum_k p_k * phi^k with MultiPoly coefficients; its derivative operator
-rewrites d(phi^k) through phi' = alpha + beta*phi + gamma*phi^2 and is a
-derivation (the product rule holds exactly).  `bind` is the one exact
-evaluation: it binds variables at rationals over one common integer
-denominator, for the exact checks and for Newton's float compile alike.
+zero coefficients are stored.  A Laurent object sum_k p_k * phi^k is a
+MultiPoly too: its exponent tuples lead with phi's exponent k (which may
+be negative), followed by the VARS exponents, so its ring arithmetic is
+MultiPoly's own.  `laurent` builds one, `laurent_support` and
+`laurent_coeff` read one, a shift is a product with the monomial phi^n,
+and `laurent_derivative` is d/dxi = (d/dphi) * phi' with
+phi' = alpha + beta*phi + gamma*phi^2, a derivation (the product rule
+holds exactly).  `bind` is the one exact evaluation: it binds variables
+at rationals over one common integer denominator, for the exact checks
+and for Newton's float compile alike.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
-__all__ = ["VARS", "MultiPoly", "PhiLaurent", "bind"]
+__all__ = ["VARS", "MultiPoly", "bind", "laurent", "laurent_support",
+           "laurent_coeff", "laurent_derivative"]
 
 VARS = ("a0", "a1", "a2", "c1", "c2", "lam", "alpha", "beta", "gamma", "b")
 _INDEX = {name: i for i, name in enumerate(VARS)}
@@ -86,7 +91,7 @@ class MultiPoly:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(a + b for a, b in zip(e1, e2, strict=True))
                 s = out.get(e, Fraction(0)) + c1 * c2
                 if s == 0:
                     out.pop(e, None)
@@ -105,7 +110,8 @@ class MultiPoly:
             return "0"
         bits = []
         for e, c in self.sorted_terms():
-            mono = "*".join(f"{VARS[i]}^{k}" if k > 1 else VARS[i]
+            names = ("phi",) * (len(e) - _NVARS) + VARS
+            mono = "*".join(f"{names[i]}^{k}" if k != 1 else names[i]
                             for i, k in enumerate(e) if k)
             bits.append(f"{c}" + (f"*{mono}" if mono else ""))
         return " + ".join(bits)
@@ -150,79 +156,24 @@ def bind(polys, values):
     return den, out
 
 
-class PhiLaurent:
-    """Finite sum over integer k of MultiPoly coefficients times phi^k."""
+def laurent(coeffs):
+    """sum_k coeffs[k] * phi^k for MultiPoly coefficients, as one MultiPoly
+    whose exponent tuples lead with k."""
+    return MultiPoly({(k,) + e: c for k, p in coeffs.items() for e, c in p.terms.items()})
 
-    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs=None):
-        self.coeffs = {k: p for k, p in (coeffs or {}).items() if not p.is_zero}
+def laurent_support(L):
+    """The phi exponents of a Laurent object, ascending."""
+    return sorted({e[0] for e in L.terms})
 
-    @property
-    def support(self):
-        return sorted(self.coeffs)
 
-    def coeff(self, k):
-        return self.coeffs.get(k, MultiPoly())
+def laurent_coeff(L, k):
+    """The MultiPoly coefficient of phi^k."""
+    return MultiPoly({e[1:]: c for e, c in L.terms.items() if e[0] == k})
 
-    def __eq__(self, other):
-        return isinstance(other, PhiLaurent) and self.coeffs == other.coeffs
 
-    __hash__ = None
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, p in other.coeffs.items():
-            s = out.get(k, MultiPoly()) + p
-            if s.is_zero:
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return PhiLaurent(out)
-
-    def __neg__(self):
-        return PhiLaurent({k: -p for k, p in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, MultiPoly)):
-            if isinstance(other, (int, Fraction)):
-                other = MultiPoly.const(other)
-            return PhiLaurent({k: p * other for k, p in self.coeffs.items()})
-        out = {}
-        for k1, p1 in self.coeffs.items():
-            for k2, p2 in other.coeffs.items():
-                k = k1 + k2
-                s = out.get(k, MultiPoly()) + p1 * p2
-                if s.is_zero:
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return PhiLaurent(out)
-
-    __rmul__ = __mul__
-
-    def shift(self, n):
-        """Multiply by phi^n."""
-        return PhiLaurent({k + n: p for k, p in self.coeffs.items()})
-
-    def derivative(self):
-        """d/dxi through the rewrite d(phi^k) = k phi^(k-1) (alpha + beta*phi
-        + gamma*phi^2); exact, and a derivation over the product."""
-        alpha = MultiPoly.variable("alpha")
-        beta = MultiPoly.variable("beta")
-        gamma = MultiPoly.variable("gamma")
-        out = PhiLaurent()
-        for k, p in self.coeffs.items():
-            if k == 0:
-                continue
-            kp = p * k
-            out = out + PhiLaurent({k - 1: kp * alpha, k: kp * beta, k + 1: kp * gamma})
-        return out
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        return " + ".join(f"({self.coeffs[k]!r})*phi^{k}" for k in self.support)
+def laurent_derivative(L):
+    """d/dxi = (d/dphi L) * phi', with phi' = alpha + beta*phi + gamma*phi^2."""
+    d_phi = MultiPoly({(e[0] - 1,) + e[1:]: c * e[0] for e, c in L.terms.items() if e[0]})
+    return d_phi * laurent({0: MultiPoly.variable("alpha"), 1: MultiPoly.variable("beta"),
+                            2: MultiPoly.variable("gamma")})

@@ -233,6 +233,17 @@ def test_malformed_param_exit_2():
     code, out = run(["verify", "--family", "u6", "--param", "b3"])
     assert code == 2
     assert json.loads(out)["error"] == "invalid-input"
+    # equiv names the flag it read, not --param
+    for flag, argv in (
+            ("--left-param", ["equiv", "--left", "u3", "--left-param", "b3", "--right", "u1",
+                              "--right-param", "b=3", "--right-param", "mu=1"]),
+            ("--right-param", ["equiv", "--left", "u3", "--left-param", "b=3", "--right", "u1",
+                               "--right-param", "b3", "--right-param", "mu=1"])):
+        code, out = run(argv)
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["error"] == "invalid-input"
+        assert doc["message"] == f"{flag} expects name=value, got 'b3'"
 
 
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1/0"])
@@ -243,6 +254,12 @@ def test_non_exact_param_exit_2(value):
     doc = json.loads(out)
     assert doc["error"] == "invalid-input"
     assert f"--param beta={value}" in doc["message"]
+    code, out = run(["equiv", "--left", "u3", "--left-param", f"b={value}",
+                     "--right", "u1", "--right-param", "b=3", "--right-param", "mu=1"])
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == "invalid-input"
+    assert doc["message"].startswith(f"--left-param b={value} is not an exact number")
 
 
 @pytest.mark.parametrize("argv, name", [

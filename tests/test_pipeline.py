@@ -4,6 +4,7 @@ Covers:
   - balancing of leading powers -> {0, 2}
   - Laurent ansatz layout and the phi-power derivative rule
   - the derivation (product-rule) law on random Laurent objects
+  - a product of a Laurent object and a plain MultiPoly raises
   - system generation: clearing power, equation count, c1=c2=0 collapse
   - exact-zero residuals of the solved tuples, including rational
     third-case instances, and check_assignment against per-equation
@@ -43,7 +44,8 @@ from mdpwave import pipeline as pl
 from mdpwave import polyalg
 from mdpwave import report
 from mdpwave.errors import ConstraintViolation
-from mdpwave.polyalg import VARS, MultiPoly, PhiLaurent
+from mdpwave.polyalg import (VARS, MultiPoly, laurent, laurent_coeff, laurent_derivative,
+                             laurent_support)
 from mdpwave.riccati import RiccatiCoefficients, phi_expr
 from mdpwave.verifier import GridSpec, ode_residual, verify_on_grid
 
@@ -125,10 +127,10 @@ def test_balance_returns_zero_and_two():
 
 def test_ansatz_laurent_layout():
     L = pl.ansatz_laurent()
-    assert L.support == [-2, -1, 0, 1, 2]
-    assert L.coeff(0) == MultiPoly.variable("a0")
-    assert L.coeff(2) == MultiPoly.variable("a2")
-    assert L.coeff(-1) == MultiPoly.variable("c1")
+    assert laurent_support(L) == [-2, -1, 0, 1, 2]
+    assert laurent_coeff(L, 0) == MultiPoly.variable("a0")
+    assert laurent_coeff(L, 2) == MultiPoly.variable("a2")
+    assert laurent_coeff(L, -1) == MultiPoly.variable("c1")
 
 
 def test_phi_derivative_rule():
@@ -136,11 +138,11 @@ def test_phi_derivative_rule():
     beta = MultiPoly.variable("beta")
     gamma = MultiPoly.variable("gamma")
     one = MultiPoly.const(1)
-    d = PhiLaurent({1: one}).derivative()
-    assert d == PhiLaurent({0: alpha, 1: beta, 2: gamma})
-    assert PhiLaurent({0: MultiPoly.variable("a0")}).derivative() == PhiLaurent({})
-    d = PhiLaurent({-1: one}).derivative()
-    assert d == PhiLaurent({-2: -alpha, -1: -beta, 0: -gamma})
+    d = laurent_derivative(laurent({1: one}))
+    assert d == laurent({0: alpha, 1: beta, 2: gamma})
+    assert laurent_derivative(laurent({0: MultiPoly.variable("a0")})) == laurent({})
+    d = laurent_derivative(laurent({-1: one}))
+    assert d == laurent({-2: -alpha, -1: -beta, 0: -gamma})
 
 
 def _random_laurent(rng):
@@ -152,16 +154,26 @@ def _random_laurent(rng):
         if rng.random() < 0.4:
             poly = poly + F(rng.randint(-2, 2))
         coeffs[k] = coeffs.get(k, MultiPoly()) + poly
-    return PhiLaurent(coeffs)
+    return laurent(coeffs)
 
 
 def test_derivative_is_a_derivation():
     rng = random.Random(21)
     for _ in range(100):
         L, M = _random_laurent(rng), _random_laurent(rng)
-        lhs = (L * M).derivative()
-        rhs = L.derivative() * M + L * M.derivative()
+        lhs = laurent_derivative(L * M)
+        rhs = laurent_derivative(L) * M + L * laurent_derivative(M)
         assert lhs == rhs
+
+
+def test_laurent_times_plain_poly_raises():
+    # a Laurent object carries one more exponent slot than a plain
+    # MultiPoly; a mixed product must fail, not truncate to 10 slots
+    L = laurent({1: MultiPoly.variable("a1")})
+    with pytest.raises(ValueError):
+        L * MultiPoly.variable("b")
+    with pytest.raises(ValueError):
+        MultiPoly.variable("b") * L
 
 
 def test_generated_system_shape(system):
