@@ -367,8 +367,18 @@ class _CompiledSystem:
                           np.concatenate(jac_owner), self.degree)
 
     def powers(self, X):
-        """Table of X[s, j] ** k for k < degree, shared by every stack."""
-        return np.power(X[:, :, None], np.arange(self.degree))
+        """Table of X[s, j] ** k for k < degree, shared by every stack.
+
+        Columns 0 and 1 are 1.0 and X, the bits np.power gives there.  The
+        np.power call takes at least two exponents: given the one exponent 2,
+        numpy squares by x * x, which can differ from pow by an ulp."""
+        table = np.empty(X.shape + (self.degree,))
+        table[:, :, 0] = 1.0
+        if self.degree > 1:
+            table[:, :, 1] = X
+        lo = 1 if self.degree == 3 else 2
+        table[:, :, lo:] = np.power(X[:, :, None], np.arange(lo, self.degree))
+        return table
 
     @staticmethod
     def _terms(stack, table):

@@ -63,6 +63,9 @@ class MultiPoly:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.const(other)
+        if self.terms and other.terms and (
+                len(next(iter(self.terms))) != len(next(iter(other.terms)))):
+            raise ValueError("cannot add polynomials whose exponent tuples differ in length")
         out = dict(self.terms)
         for e, c in other.terms.items():
             s = out.get(e, Fraction(0)) + c

@@ -4,8 +4,9 @@ Covers:
   - balancing of leading powers -> {0, 2}
   - Laurent ansatz layout and the phi-power derivative rule
   - the derivation (product-rule) law on random Laurent objects
-  - a product of a Laurent object and a plain MultiPoly raises
-  - system generation: clearing power, equation count, c1=c2=0 collapse
+  - a product or a sum of a Laurent object and a plain MultiPoly raises
+  - system generation: clearing power, equation count, c1=c2=0 collapse,
+    and the golden digest of the generated system
   - exact-zero residuals of the solved tuples, including rational
     third-case instances, and check_assignment against per-equation
     evaluation at exact and float bindings (floats evaluated exactly and
@@ -17,7 +18,8 @@ Covers:
   - multistart root recovery and root self-consistency
   - byte-identical Newton roots (golden hashes, also on the failure
     paths), the seed-count and parameter-name checks, batch independence
-    of the compiled residual and Jacobian, the stacked least-squares solve
+    of the compiled residual and Jacobian, the power table against one
+    np.power call bit for bit, the stacked least-squares solve
     against per-matrix np.linalg.lstsq bit for bit, the compiled stacks
     against the subs + diff oracles (rational and scaled systems too), and
     the grouped line search against halving one level at a time
@@ -35,6 +37,7 @@ import subprocess
 import sys
 from fractions import Fraction as F
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -174,6 +177,25 @@ def test_laurent_times_plain_poly_raises():
         L * MultiPoly.variable("b")
     with pytest.raises(ValueError):
         MultiPoly.variable("b") * L
+
+
+def test_laurent_plus_plain_poly_raises():
+    # a sum must not merge 10- and 11-slot exponent tuples either
+    b = MultiPoly.variable("b")
+    L = laurent({2: b})
+    for mixed in (lambda: L + 1, lambda: 1 + L, lambda: L - 1, lambda: L + b,
+                  lambda: b + L, lambda: b - L):
+        with pytest.raises(ValueError):
+            mixed()
+    # a zero on either side carries no exponent tuple, so it adds
+    assert L + 0 == 0 + L == L - 0 == L + MultiPoly() == MultiPoly() + L == L
+    assert laurent_support(L + laurent({0: MultiPoly.const(1)})) == [0, 2]
+
+
+def test_generated_system_golden_digest(system):
+    text = report.dumps(system.to_json_dict())
+    assert hashlib.sha256(text.encode()).hexdigest() \
+        == "5ab0fd95e7b6b8bcc33d47a4337491be88f094748e763974436a221dba646e29"
 
 
 def test_generated_system_shape(system):
@@ -589,6 +611,25 @@ def test_compiled_system_rows_are_batch_independent(system):
             for j, u in enumerate(pl.UNKNOWNS):
                 want = float(_evaluate(_diff(p, u), bindings))
                 assert J[s, i, j] == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+def test_power_table_matches_one_np_power_call_bitwise(system):
+    rng = np.random.default_rng(5)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                        1e300, -1e300, 1.0, -1.0])
+    compiled = pl._CompiledSystem(system, _BENCH_CASES["first"])
+    # degree 3 leaves one exponent above 1, where numpy would square by x * x
+    stubs = [compiled] + [SimpleNamespace(degree=d) for d in (1, 2, 3, 5, 6)]
+    for n in (1, 2, 7, 150, 1000):
+        X = rng.uniform(-3.0, 3.0, size=(n, len(pl.UNKNOWNS)))
+        k = min(X.size, special.size)
+        X.flat[rng.choice(X.size, size=k, replace=False)] = special[:k]
+        for c in stubs:
+            with np.errstate(all="ignore"):  # 1e300 ** k overflows
+                got = pl._CompiledSystem.powers(c, X)
+                want = np.power(X[:, :, None], np.arange(c.degree))
+            assert got.shape == want.shape == X.shape + (c.degree,)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (n, c.degree)
 
 
 def _reference_stacks(system, fixed):

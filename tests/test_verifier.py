@@ -11,6 +11,8 @@ Covers:
   - the block walk: golden multi-block reports, agreement with one pass
     over every kept point at and around the block size, guard skips across
     a block edge, and what runs before and once per verification
+  - finite-difference offset packing: bitwise agreement with one tape run
+    per stencil offset, and the number and size of the packed runs
 """
 import hashlib
 import random
@@ -360,3 +362,85 @@ def test_all_points_skipped_builds_no_residual(monkeypatch):
     for method in ("symbolic", "finite-difference"):
         with pytest.raises(AllPointsSkipped):
             verify_on_grid(u, 3, grid=tiny, guard=guard, method=method)
+
+
+def _fd_terms_per_offset(tape, b, xs, ts):
+    """The finite-difference terms as computed before the stencil offsets
+    were packed: one tape run per offset, each on its own shifted copy."""
+    W1, W2, W3, h = verifier._W1, verifier._W2, verifier._W3, verifier.FD_STEP
+    b = float(b)
+    cache = {}
+
+    def u_at(i, j):
+        key = (i, j)
+        if key not in cache:
+            [cache[key]] = ex.evaluate_many(tape, {}, {"x": xs + i * h, "t": ts + j * h})
+        return cache[key]
+
+    def d_x(weights, scale, j=0):
+        (i0, w0), *rest = weights.items()
+        out = 0.0 + w0 * u_at(i0, j)
+        for i, w in rest:
+            out += w * u_at(i, j)
+        out /= scale
+        return out
+
+    u0 = u_at(0, 0)
+    ux = d_x(W1, 12 * h)
+    uxx = d_x(W2, 12 * h * h)
+    uxxx = d_x(W3, 8 * h ** 3)
+    ut = sum(w * u_at(0, j) for j, w in W1.items()) / (12 * h)
+    uxxt = sum(w * d_x(W2, 12 * h * h, j=j) for j, w in W1.items()) / (12 * h)
+    return (ut, -uxxt, (b + 1) * u0 * u0 * ux, -b * ux * uxx, -u0 * uxxx)
+
+
+def _assert_fd_terms_bitwise(u, b, xs, ts):
+    tape = ex.Tape((u,))
+    with np.errstate(all="ignore"):
+        got = verifier._fd_terms(tape, b, xs, ts)
+        want = _fd_terms_per_offset(tape, b, xs, ts)
+    assert len(got) == len(want) == 5
+    for g, w in zip(got, want):
+        assert g.shape == w.shape == xs.shape
+        assert np.array_equal(g.view(np.int64), w.view(np.int64))
+
+
+def test_fd_offsets_are_the_stencils_reads():
+    reads = {(i, 0) for i in range(-3, 4)}
+    reads |= {(i, j) for j in (-2, -1, 1, 2) for i in range(-2, 3)}
+    assert sorted(verifier._FD_OFFSETS) == sorted(reads) and len(reads) == 27
+
+
+def test_packed_fd_terms_match_per_offset_runs_on_the_default_grid(catalog_samples,
+                                                                   pole_free_samples):
+    xs, ts = GridSpec().points()
+    for fid, indices in pole_free_samples.items():
+        for i in indices:
+            params = catalog_samples[fid][i]
+            _assert_fd_terms_bitwise(catalog.build(fid, params), params["b"], xs, ts)
+
+
+@pytest.mark.parametrize("n", [1, 2, BLOCK // 27 - 1, BLOCK // 27, BLOCK // 27 + 1,
+                               BLOCK // 2 - 1, BLOCK // 2, BLOCK // 2 + 1, BLOCK])
+def test_packed_fd_terms_match_per_offset_runs_across_packing_thresholds(catalog_samples, n):
+    rng = np.random.default_rng(n)
+    xs, ts = rng.uniform(-10.0, 10.0, n), rng.uniform(0.0, 2.0, n)
+    for fid in ("u22", "u7", "cole_hopf"):
+        params = catalog_samples[fid][0]
+        _assert_fd_terms_bitwise(catalog.build(fid, params), params["b"], xs, ts)
+
+
+@pytest.mark.parametrize("n, runs", [(101 * 11, 2), (BLOCK, 27)])
+def test_fd_terms_pack_offsets_into_block_sized_runs(monkeypatch, n, runs):
+    sizes = []
+    evaluate_many = ex.evaluate_many
+
+    def spy_evaluate_many(e, params, point):
+        sizes.append(point["x"].size)
+        return evaluate_many(e, params, point)
+
+    monkeypatch.setattr(ex, "evaluate_many", spy_evaluate_many)
+    xs, ts = np.linspace(-10.0, 10.0, n), np.linspace(0.0, 2.0, n)
+    verifier._fd_terms(ex.Tape((catalog.build("u6", {"b": 3}),)), 3, xs, ts)
+    assert len(sizes) == runs
+    assert sum(sizes) == 27 * n and max(sizes) <= BLOCK
