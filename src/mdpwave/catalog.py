@@ -336,7 +336,7 @@ def profile(fid, params):
 def wave_speed(fid, params):
     """lam such that the waveform depends on (x, t) only through x + lam*t."""
     fam, p = _checked(fid, params)
-    return ex.evaluate(fam.maker(p)[1], {}, {})
+    return float(ex.evaluate_many(fam.maker(p)[1], {}, {}))
 
 
 def singular_denominator(fid, params):

@@ -9,15 +9,6 @@ class UnboundSymbol(MdpWaveError):
     """A variable was not bound at evaluation time."""
 
 
-class DomainError(MdpWaveError):
-    """A numeric domain violation (division by zero, sqrt of a negative,
-    trig pole, overflow), carrying the offending subtree."""
-
-    def __init__(self, message, subtree=None):
-        super().__init__(message if subtree is None else f"{message}: {subtree!r}")
-        self.subtree = subtree
-
-
 class ConstraintViolation(MdpWaveError):
     """One or more admissibility predicates failed.  `violations` lists
     every failed predicate as a short human-readable string."""

@@ -18,35 +18,33 @@ all operations are pure, so trees are safe to share across workers.
 
 Evaluation compiles one or more roots into a single `Tape` that evaluates
 each structurally distinct subtree once and frees its value after the
-last use.  The tape has two backends: a scalar one (`evaluate`) with loud
-domain errors, and a vectorized numpy one (`evaluate_many`) whose inf/NaN
-values callers screen with their own guards.  Equal-but-distinct nodes
-share a slot, so the `DomainError.subtree` of a failure is a structurally
-equal node, not necessarily the same object.  The numpy backend works an
-n-ary sum or product left to right: the first two operands go into a
-fresh array, and each later scalar or same-shaped operand is added or
-multiplied into that array in place, so the chain allocates one array
-rather than one per operand.  The IEEE results are those of the plain
-chain, and an operand that would broadcast to a larger shape takes the
-allocating form.  A caller's arrays are never written.
+last use.  `evaluate_many` runs the tape over numpy arrays; domain
+violations give inf/NaN values, which callers screen with their own
+guards.  It works an n-ary sum or product left to right: the first two
+operands go into a fresh array, and each later scalar or same-shaped
+operand is added or multiplied into that array in place, so the chain
+allocates one array rather than one per operand.  The IEEE results are
+those of the plain chain, and an operand that would broadcast to a
+larger shape takes the allocating form.  A caller's arrays are never
+written.
 
-numpy is the vectorized backend's alone: the first `evaluate_many` imports
-it and binds the module global `np` that `_vector_step` reads, so building,
-differentiating and scalar evaluation run without loading numpy.
+The first `evaluate_many` imports numpy and binds the module global `np`
+that `_vector_step` reads, so building and differentiating trees run
+without loading numpy.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
-from .errors import DomainError, UnboundSymbol
+from .errors import UnboundSymbol
 
 __all__ = [
     "Expr", "Rational", "Var", "Add", "Mul", "Div", "Pow", "Fun",
     "FUNCTIONS", "as_expr", "add", "mul", "sub", "div", "pow_", "fun",
     "exp", "sinh", "cosh", "tanh", "tan", "cot", "csc", "sqrt",
     "var", "sym_sqrt", "differentiate", "substitute",
-    "Tape", "evaluate", "evaluate_many", "to_prefix", "ZERO", "ONE",
+    "Tape", "evaluate_many", "to_prefix", "ZERO", "ONE",
 ]
 
 FUNCTIONS = ("exp", "sinh", "cosh", "tanh", "tan", "cot", "csc", "sqrt")
@@ -140,11 +138,7 @@ class Div(Expr):
 
 
 class Pow(Expr):
-    """Constant exponent only: a Fraction (covers integers) or a float.
-
-    Equality includes the exponent's type: the scalar evaluator treats
-    Fraction(2) and 2.0 differently at a negative base.
-    """
+    """Constant exponent only: a Fraction (covers integers) or a float."""
 
     __slots__ = ("base", "exponent")
 
@@ -157,7 +151,6 @@ class Pow(Expr):
         return self is other or (
             type(other) is Pow and self._hash == other._hash
             and self.base == other.base and self.exponent == other.exponent
-            and type(self.exponent) is type(other.exponent)
         )
 
     __hash__ = Expr.__hash__
@@ -270,7 +263,7 @@ def div(num, den):
 
 def pow_(base, exponent):
     """Constant power.  Integral float exponents become Fractions, so
-    `pow_(e, 2.0) == pow_(e, 2)` and both take the integer-power path."""
+    `pow_(e, 2.0) == pow_(e, 2)` and a rational base folds exactly."""
     base = as_expr(base)
     if isinstance(exponent, Rational):
         exponent = exponent.value
@@ -472,9 +465,7 @@ def _instruction(node):
     if isinstance(node, Div):
         return "div", None, (node.num, node.den)
     if isinstance(node, Pow):
-        e0 = node.exponent
-        integral = isinstance(e0, Fraction) and e0.denominator == 1
-        return "pow", int(e0) if integral else float(e0), (node.base,)
+        return "pow", float(node.exponent), (node.base,)
     return node.kind, None, (node.arg,)
 
 
@@ -482,18 +473,17 @@ class Tape:
     """Root expressions compiled into one topologically ordered tape.
 
     There is one slot, and one instruction, per structurally distinct
-    node: nodes are keyed by their own `__hash__`/`__eq__`, and `Pow`
-    equality includes the exponent's type.  A subtree shared between
-    roots, or repeated inside one, is therefore evaluated once.  A slot is
-    released right after its last consumer runs; root slots are never
-    released.
+    node: nodes are keyed by their own `__hash__`/`__eq__`.  A subtree
+    shared between roots, or repeated inside one, is therefore evaluated
+    once.  A slot is released right after its last consumer runs; root
+    slots are never released.
     """
 
     __slots__ = ("code", "outputs")
 
     def __init__(self, roots):
         slots = {}
-        code = []  # [op, payload, node, argument slots, slots to free after]
+        code = []  # [op, payload, argument slots, slots to free after]
 
         def visit(node):
             slot = slots.get(node)
@@ -501,87 +491,34 @@ class Tape:
                 op, payload, kids = _instruction(node)
                 args = tuple([visit(k) for k in kids])
                 slot = slots[node] = len(code)
-                code.append([op, payload, node, args, ()])
+                code.append([op, payload, args, ()])
             return slot
 
         self.outputs = tuple(visit(as_expr(r)) for r in roots)
-        last_use = {a: i for i, ins in enumerate(code) for a in ins[3]}
+        last_use = {a: i for i, ins in enumerate(code) for a in ins[2]}
         for slot, i in last_use.items():
             if slot not in self.outputs:
-                code[i][4] += (slot,)
+                code[i][3] += (slot,)
         self.code = code
 
-    def run(self, step, point):
-        """Values of the roots, computing each instruction with `step`."""
+    def run(self, point):
+        """Values of the roots at `point`, a dict of numpy arrays."""
         vals = [None] * len(self.code)
-        for slot, (op, payload, node, args, free) in enumerate(self.code):
-            vals[slot] = step(op, payload, node, [vals[a] for a in args], point)
+        for slot, (op, payload, args, free) in enumerate(self.code):
+            vals[slot] = _vector_step(op, payload, [vals[a] for a in args], point)
             for s in free:
                 vals[s] = None
         return [vals[s] for s in self.outputs]
 
 
-def _bound(point, name):
-    try:
-        return point[name]
-    except KeyError:
-        raise UnboundSymbol(f"unbound variable {name!r}") from None
-
-
-def _scalar_step(op, payload, node, xs, point):
-    if op == "rat":
-        out = payload
-    elif op == "var":
-        out = float(_bound(point, payload))
-    elif op == "add":
-        out = 0.0
-        for v in xs:
-            out += v
-    elif op == "mul":
-        out = math.prod(xs, start=1.0)
-    elif op == "div":
-        if xs[1] == 0.0:
-            raise DomainError("division by zero", node)
-        out = xs[0] / xs[1]
-    elif op == "pow":
-        out = _scalar_pow(xs[0], payload, node)
-    else:
-        out = _scalar_fun(op, xs[0], node)
-    if out != out:  # NaN guard
-        raise DomainError("evaluation produced NaN", node)
-    return out
-
-
-def _scalar_pow(base, e0, node):
-    if base == 0.0 and e0 < 0:
-        raise DomainError("zero base with negative exponent", node)
-    if type(e0) is not int and base < 0.0:
-        raise DomainError("negative base with non-integer exponent", node)
-    try:
-        return base ** e0 if type(e0) is int else math.pow(base, e0)
-    except (OverflowError, ValueError):
-        raise DomainError("overflow in power", node) from None
-
-
-def _scalar_fun(kind, a, node):
-    if kind in ("cot", "csc"):
-        s = math.sin(a)
-        if s == 0.0:
-            raise DomainError(f"{kind} at a pole", node)
-        return math.cos(a) / s if kind == "cot" else 1.0 / s
-    if kind == "sqrt" and a < 0.0:
-        raise DomainError("sqrt of a negative", node)
-    try:
-        return getattr(math, kind)(a)
-    except OverflowError:
-        raise DomainError("overflow in function evaluation", node) from None
-
-
-def _vector_step(op, payload, node, xs, point):
+def _vector_step(op, payload, xs, point):
     if op == "rat":
         return payload
     if op == "var":
-        return _bound(point, payload)
+        try:
+            return point[payload]
+        except KeyError:
+            raise UnboundSymbol(f"unbound variable {payload!r}") from None
     if op == "add" or op == "mul":
         out = xs[0]
         if len(xs) > 1:
@@ -605,44 +542,26 @@ def _vector_step(op, payload, node, xs, point):
     return getattr(np, op)(xs[0])
 
 
-def _compiled(e):
-    """(tape, whether `e` is one expression rather than several roots)."""
-    single = not isinstance(e, (Tape, tuple, list))
-    return (e if isinstance(e, Tape) else Tape((e,) if single else e)), single
-
-
-def evaluate(e, params=None, point=None):
-    """Evaluate to a float.  Every variable must be bound in `point`.
-
-    `e` is one expression (one float back), or a sequence of expressions
-    or a compiled Tape (a list of floats back, one per root).  Domain
-    violations (division by zero, sqrt of a negative, trig poles,
-    overflow) raise DomainError carrying the offending subtree; a NaN
-    never propagates out.  `params` is unused: trees embed their
-    constants, and the slot stays for callers that pass `{}` before the
-    point.
-    """
-    tape, single = _compiled(e)
-    vals = tape.run(_scalar_step, point or {})
-    return vals[0] if single else vals
-
-
 def evaluate_many(e, params=None, point=None):
     """Vectorized evaluation over numpy arrays of variable values.
 
-    `e` is taken as in `evaluate`; constant roots are broadcast to the
-    points' shape.  Unlike `evaluate`, domain violations do not raise:
-    they yield inf/NaN under suppressed numpy warnings, which callers
-    screen with their own guards.  Unbound variables still raise.
-    `params` is unused, as in `evaluate`.
+    `e` is one expression (one array back), or a sequence of expressions
+    or a compiled Tape (a list of arrays back, one per root); constant
+    roots are broadcast to the points' shape.  Domain violations (division
+    by zero, sqrt of a negative, trig poles, overflow) do not raise: they
+    yield inf/NaN under suppressed numpy warnings, which callers screen
+    with their own guards.  Unbound variables raise UnboundSymbol.
+    `params` is unused: trees embed their constants, and the slot stays
+    for callers that pass `{}` before the point.
     """
     global np
     import numpy as np
-    tape, single = _compiled(e)
+    single = not isinstance(e, (Tape, tuple, list))
+    tape = e if isinstance(e, Tape) else Tape((e,) if single else e)
     point = {k: np.asarray(v, dtype=float) for k, v in (point or {}).items()}
     shape = np.broadcast_shapes(*(a.shape for a in point.values())) if point else ()
     with np.errstate(all="ignore"):
-        vals = tape.run(_vector_step, point)
+        vals = tape.run(point)
     out = [np.full(shape, float(v)) if np.ndim(v) == 0 else np.asarray(v, dtype=float)
            for v in vals]
     return out[0] if single else out

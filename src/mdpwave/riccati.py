@@ -118,10 +118,6 @@ def classify(c):
     )
 
 
-def _frac(v):
-    return Fraction(v)
-
-
 def phi_expr(c):
     """The closed-form phi(xi) for the classified case of `c`.
 
@@ -130,7 +126,7 @@ def phi_expr(c):
     regular point.
     """
     case = classify(c)
-    a, b, g = _frac(c.alpha), _frac(c.beta), _frac(c.gamma)
+    a, b, g = Fraction(c.alpha), Fraction(c.beta), Fraction(c.gamma)
     if case == 1:
         # beta / (-gamma + beta*exp(-beta*xi))
         return ex.div(b, ex.add(-g, ex.mul(b, ex.exp(ex.mul(-b, XI)))))
@@ -168,9 +164,9 @@ def riccati_case(c):
 
 def riccati_residual(phi, c):
     """phi' - (alpha + beta*phi + gamma*phi^2) as an expression in xi."""
-    rhs = ex.add(ex.as_expr(_frac(c.alpha)),
-                 ex.mul(_frac(c.beta), phi),
-                 ex.mul(_frac(c.gamma), ex.pow_(phi, 2)))
+    rhs = ex.add(ex.as_expr(Fraction(c.alpha)),
+                 ex.mul(Fraction(c.beta), phi),
+                 ex.mul(Fraction(c.gamma), ex.pow_(phi, 2)))
     return ex.sub(ex.differentiate(phi, XI), rhs)
 
 
@@ -181,7 +177,7 @@ def pole_guard(c):
     from singular points.
     """
     case = classify(c)
-    a, b, g = _frac(c.alpha), _frac(c.beta), _frac(c.gamma)
+    a, b, g = Fraction(c.alpha), Fraction(c.beta), Fraction(c.gamma)
     if case == 1:
         return ex.add(-g, ex.mul(b, ex.exp(ex.mul(-b, XI))))
     if case == 2:

@@ -2,20 +2,22 @@
 
 Covers:
   - listing: 24 entries with the right parameter signatures
-  - build values at hand-derived points, wave speeds, validation verdicts
+  - build values at hand-derived points, wave speeds (pinned bit for bit
+    by a digest), validation verdicts
   - u11 degeneracy decided exactly, and alike, by catalog and pipeline
   - singular denominators (structural)
   - derivative/finite-difference agreement for catalogued expressions
   - numerically tracked phase velocity vs the declared wave speed
   - cross-method pointwise equivalences
 """
+import hashlib
 import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from mdpwave import catalog
+from mdpwave import catalog, report
 from mdpwave import expr as ex
 from mdpwave import pipeline as pl
 from mdpwave.errors import ConstraintViolation
@@ -36,17 +38,17 @@ def test_listing_has_24_families():
 
 def test_build_u6_value():
     u = catalog.build("u6", {"b": 3})
-    assert ex.evaluate(u, {}, {"x": 0, "t": 0}) == -15 / 8
+    assert ex.evaluate_many(u, {}, {"x": 0, "t": 0}) == -15 / 8
 
 
 def test_build_u11_value():
     u = catalog.build("u11", {"b": 3, "alpha": 1, "beta": 2, "gamma": 1})
-    assert ex.evaluate(u, {}, {"x": 0, "t": 0}) == 6.5
+    assert ex.evaluate_many(u, {}, {"x": 0, "t": 0}) == 6.5
 
 
 def test_build_u1_value():
     u = catalog.build("u1", {"b": 3, "mu": 1})
-    assert ex.evaluate(u, {}, {"x": 0, "t": 0}) == -13 / 8
+    assert ex.evaluate_many(u, {}, {"x": 0, "t": 0}) == -13 / 8
 
 
 def test_wave_speeds():
@@ -54,6 +56,21 @@ def test_wave_speeds():
     assert catalog.wave_speed("u3", {"b": 3}) == -1.5
     for b in (1, 3, 5):
         assert catalog.wave_speed("u11", {"b": b, "alpha": 1, "beta": 2, "gamma": 1}) == -b - 1
+
+
+# sha256 of the "<family> <report.format_float(wave speed)>" lines of every
+# conftest sample, in CATALOG_SAMPLES order, recorded when `wave_speed` still
+# used a scalar tree walker of its own; 14 of the 76 speeds carry an
+# irrational radical
+WAVE_SPEED_DIGEST = "5aa749a8bcbbc9762d20caf4e0f21cd101ab063db0220247c4979cbdb0c466f2"
+
+
+def test_wave_speed_digest(catalog_samples):
+    speeds = [(fid, catalog.wave_speed(fid, p))
+              for fid, samples in catalog_samples.items() for p in samples]
+    assert len(speeds) == 76 and all(type(lam) is float for _, lam in speeds)
+    text = "\n".join(f"{fid} {report.format_float(lam)}" for fid, lam in speeds)
+    assert hashlib.sha256(text.encode()).hexdigest() == WAVE_SPEED_DIGEST
 
 
 def test_validation_verdicts():
@@ -88,7 +105,7 @@ def test_singular_denominators():
     assert catalog.singular_denominator("u6", {"b": 3}) == ex.ONE
     assert catalog.singular_denominator("u11", {"b": 3, "alpha": 1, "beta": 2, "gamma": 1}) \
         == ex.pow_(ex.add(2, ex.mul(2, XI)), 2)
-    zero_at = ex.evaluate(
+    zero_at = ex.evaluate_many(
         catalog.singular_denominator("u11", {"b": 3, "alpha": 1, "beta": 2, "gamma": 1}),
         {}, {"xi": -1.0})
     assert zero_at == 0.0
@@ -112,9 +129,9 @@ def test_derivatives_match_finite_differences(catalog_samples):
         for n in (1, 2, 3):
             d = ex.differentiate(d, XI)
             for p in pts:
-                fd = sum(w * ex.evaluate(prof, {}, {"xi": p + k * h})
+                fd = sum(w * ex.evaluate_many(prof, {}, {"xi": p + k * h})
                          for k, w in stencils[n].items()) / scales[n]
-                sym = ex.evaluate(d, {}, {"xi": p})
+                sym = ex.evaluate_many(d, {}, {"xi": p})
                 assert abs(sym - fd) <= 1e-5 * max(1.0, abs(fd)), (fid, n, p)
 
 
@@ -180,6 +197,6 @@ def test_profile_and_build_agree_through_frame_shift():
     lam = catalog.wave_speed("u12", params)
     u = catalog.build("u12", params)
     for x, t in ((0.3, 0.2), (-2.0, 1.5), (4.0, 0.9)):
-        a = ex.evaluate(u, {}, {"x": x, "t": t})
-        b = ex.evaluate(prof, {}, {"xi": x + lam * t})
+        a = ex.evaluate_many(u, {}, {"x": x, "t": t})
+        b = ex.evaluate_many(prof, {}, {"xi": x + lam * t})
         assert abs(a - b) < 1e-12

@@ -24,13 +24,13 @@ from mdpwave.verifier import verify_on_grid
 
 def test_waveform_value_at_origin():
     u = cole_hopf_u(ColeHopfParams(A=2, B=0, mu=1, lam=1))
-    assert ex.evaluate(u, {}, {"x": 0, "t": 0}) == 0.5
+    assert ex.evaluate_many(u, {}, {"x": 0, "t": 0}) == 0.5
 
 
 def test_decay_to_background():
     p = ColeHopfParams(A=2, B=0.75, mu=1, lam=1)
     u = cole_hopf_u(p)
-    assert abs(ex.evaluate(u, {}, {"x": 60.0, "t": 0.0}) - p.B) < 1e-20
+    assert abs(ex.evaluate_many(u, {}, {"x": 60.0, "t": 0.0}) - p.B) < 1e-20
 
 
 def test_phase_shift_is_translation():
@@ -41,8 +41,8 @@ def test_phase_shift_is_translation():
     u0, ud = cole_hopf_u(p0), cole_hopf_u(pd)
     for _ in range(20):
         x, t = rng.uniform(-3, 3), rng.uniform(0, 2)
-        lhs = ex.evaluate(ud, {}, {"x": x, "t": t})
-        rhs = ex.evaluate(u0, {}, {"x": x + delta / p0.mu, "t": t})
+        lhs = ex.evaluate_many(ud, {}, {"x": x, "t": t})
+        rhs = ex.evaluate_many(u0, {}, {"x": x + delta / p0.mu, "t": t})
         assert abs(lhs - rhs) < 1e-12
 
 
@@ -115,4 +115,4 @@ def test_minus_branch_at_unit_mu_equals_u6():
         u6 = catalog.build("u6", {"b": F(b)})
         for _ in range(25):
             pt = {"x": rng.uniform(-5, 5), "t": rng.uniform(0, 2)}
-            assert abs(ex.evaluate(u, {}, pt) - ex.evaluate(u6, {}, pt)) < 1e-12
+            assert abs(ex.evaluate_many(u, {}, pt) - ex.evaluate_many(u6, {}, pt)) < 1e-12

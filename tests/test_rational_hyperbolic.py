@@ -23,17 +23,17 @@ from mdpwave.verifier import verify_on_grid
 
 def test_ansatz_constant():
     p = RHAnsatzParams(lam=0, a0=5, a1=0, a2=0, c1=0, c2=0)
-    assert ex.evaluate(rh_ansatz(p), {}, {"xi": 0.37}) == 5.0
+    assert ex.evaluate_many(rh_ansatz(p), {}, {"xi": 0.37}) == 5.0
 
 
 def test_ansatz_solved_family_value():
     p = family_params("u6", F(3))
-    assert ex.evaluate(rh_ansatz(p), {}, {"xi": 0.0}) == -1.875
+    assert ex.evaluate_many(rh_ansatz(p), {}, {"xi": 0.0}) == -1.875
 
 
 def test_ansatz_half_profile():
     p = RHAnsatzParams(lam=0, a0=0, a1=0, a2=1, c1=0, c2=1)
-    assert ex.evaluate(rh_ansatz(p), {}, {"xi": 0.0}) == 0.5
+    assert ex.evaluate_many(rh_ansatz(p), {}, {"xi": 0.0}) == 0.5
 
 
 def test_family_u3_exact_tuple():

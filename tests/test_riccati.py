@@ -52,21 +52,21 @@ def test_degeneracy_guard_accepts_roundoff():
 
 def test_phi_values():
     c = RiccatiCoefficients(0, 1, -1)
-    assert abs(ex.evaluate(phi_expr(c), {}, {"xi": 0.0}) - 0.5) < 1e-14
+    assert abs(ex.evaluate_many(phi_expr(c), {}, {"xi": 0.0}) - 0.5) < 1e-14
     c = RiccatiCoefficients(0, 0, 2)
-    assert abs(ex.evaluate(phi_expr(c), {}, {"xi": 1.0}) + 0.5) < 1e-14
+    assert abs(ex.evaluate_many(phi_expr(c), {}, {"xi": 1.0}) + 0.5) < 1e-14
     # alpha=1, gamma=-1 gives the plain tanh profile
     c = RiccatiCoefficients(1, 0, -1)
     phi = phi_expr(c)
     for p in (-1.0, 0.3, 2.0):
-        assert abs(ex.evaluate(phi, {}, {"xi": p}) - np.tanh(p)) < 1e-14
+        assert abs(ex.evaluate_many(phi, {}, {"xi": p}) - np.tanh(p)) < 1e-14
 
 
 def test_case5_residual_at_sample_points():
     c = RiccatiCoefficients(1, 2, 1)
     res = riccati_residual(phi_expr(c), c)
     for p in (0.1, 0.7, 2.3):
-        assert abs(ex.evaluate(res, {}, {"xi": p})) < 1e-10
+        assert abs(ex.evaluate_many(res, {}, {"xi": p})) < 1e-10
 
 
 def test_constant_fixed_point_has_zero_residual():

@@ -40,13 +40,13 @@ def test_constant_solution_residual_is_structurally_zero():
 
 def test_linear_non_solution_value():
     res = mdp_residual(X, 3)
-    assert ex.evaluate(res, {}, {"x": 2.0, "t": 0.0}) == 16.0
+    assert ex.evaluate_many(res, {}, {"x": 2.0, "t": 0.0}) == 16.0
 
 
 def test_catalog_u6_residual_pointwise():
     u = catalog.build("u6", {"b": 3})
     res = mdp_residual(u, 3)
-    assert abs(ex.evaluate(res, {}, {"x": 1.0, "t": 0.5})) < 1e-9
+    assert abs(ex.evaluate_many(res, {}, {"x": 1.0, "t": 0.5})) < 1e-9
 
 
 def test_catalog_u20_ode_residual():
@@ -54,7 +54,7 @@ def test_catalog_u20_ode_residual():
     lam = catalog.wave_speed("u20", {"b": 3, "alpha": 0, "beta": 1, "gamma": 1})
     assert lam == -2.5
     res = ode_residual(prof, 3, F(-5, 2))
-    assert abs(ex.evaluate(res, {}, {"xi": 0.7})) < 1e-9
+    assert abs(ex.evaluate_many(res, {}, {"xi": 0.7})) < 1e-9
 
 
 def test_frame_consistency_on_non_solution():
@@ -67,8 +67,8 @@ def test_frame_consistency_on_non_solution():
     pde = mdp_residual(u_xt, 3)
     for _ in range(50):
         x, t = rng.uniform(-3, 3), rng.uniform(0, 2)
-        a = ex.evaluate(pde, {}, {"x": x, "t": t})
-        b = ex.evaluate(ode, {}, {"xi": x + float(lam) * t})
+        a = ex.evaluate_many(pde, {}, {"x": x, "t": t})
+        b = ex.evaluate_many(ode, {}, {"xi": x + float(lam) * t})
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
 
@@ -90,9 +90,9 @@ def test_frame_consistency_across_families(catalog_samples):
             gv = ex.evaluate_many(guard, {}, {"xi": np.array([xi])})[0]
             if not (np.isfinite(gv) and abs(gv) > 1e-2):
                 continue
-            a = ex.evaluate(pde, {}, {"x": x, "t": t})
-            b = ex.evaluate(ode, {}, {"xi": xi})
-            scale = sum(abs(ex.evaluate(tm, {}, {"xi": xi})) for tm in terms)
+            a = ex.evaluate_many(pde, {}, {"x": x, "t": t})
+            b = ex.evaluate_many(ode, {}, {"xi": xi})
+            scale = sum(abs(ex.evaluate_many(tm, {}, {"xi": xi})) for tm in terms)
             assert abs(a - b) <= 1e-12 * max(1.0, scale), fid
             checked += 1
 
