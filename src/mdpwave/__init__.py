@@ -11,9 +11,8 @@ with a multistart numeric root finder.
 """
 from . import catalog, colehopf, pipeline, polyalg, rational_hyperbolic, riccati, verifier
 from . import expr
-from .errors import (AllPointsSkipped, ConstraintViolation, InvalidParams,
-                     MdpWaveError, SampleAtPole, UnboundSymbol,
-                     UnclassifiableCoefficients)
+from .errors import (AllPointsSkipped, ConstraintViolation, MdpWaveError,
+                     SampleAtPole, UnboundSymbol, UnclassifiableCoefficients)
 
 __version__ = "0.1.0"
 
@@ -21,7 +20,7 @@ __all__ = [
     "expr", "riccati", "catalog", "colehopf", "rational_hyperbolic",
     "polyalg", "pipeline", "verifier",
     "MdpWaveError", "UnboundSymbol", "ConstraintViolation",
-    "InvalidParams", "UnclassifiableCoefficients", "SampleAtPole",
+    "UnclassifiableCoefficients", "SampleAtPole",
     "AllPointsSkipped",
     "__version__",
 ]

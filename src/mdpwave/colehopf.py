@@ -6,7 +6,8 @@ Substituting the waveform into the evolution equation and clearing the
 (1 + zeta)^7 denominator, zeta = exp(mu*x + lam*t + delta), leaves a
 degree-6 polynomial whose coefficients pair up with opposite signs
 (zeta^6/zeta^1, zeta^5/zeta^2, zeta^4/zeta^3).  `system_residuals`
-evaluates all six in that paired layout.
+evaluates all six in that paired layout.  `branch_params` decides
+admissibility by the catalog's `cole_hopf` row, the one table of the rules.
 """
 from __future__ import annotations
 
@@ -14,9 +15,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import catalog
 from . import expr as ex
-from .errors import ConstraintViolation, InvalidParams
-from .riccati import MU_LABEL, S_LABEL, base_violations, discriminant
+from .errors import ConstraintViolation
+from .riccati import MU_LABEL, discriminant
 
 __all__ = ["ColeHopfParams", "cole_hopf_u", "system_residuals", "branch_params"]
 
@@ -49,7 +51,7 @@ def cole_hopf_u(p):
     """B + A*mu^2 / (2*(1 + cosh(mu*x + lam*t + delta))) as an expression."""
     bad = p.violations()
     if bad:
-        raise InvalidParams("; ".join(bad))
+        raise ConstraintViolation(bad)
     A, B, mu, lam, delta = (Fraction(v) for v in (p.A, p.B, p.mu, p.lam, p.delta))
     phase = ex.add(ex.mul(mu, X), ex.mul(lam, T), ex.as_expr(delta))
     return ex.add(ex.as_expr(B),
@@ -77,19 +79,17 @@ def branch_params(branch, b, mu):
 
     plus carries +sqrt(S) in B with lam = -mu*(b+1-sqrt(S))/2; minus
     carries -sqrt(S) with lam = -mu*(b+1+sqrt(S))/2, where
-    S = discriminant(b, mu^4).
+    S = discriminant(b, mu^4).  Raises ConstraintViolation with the
+    catalog's `cole_hopf` labels, and ValueError on a non-finite b or mu.
     """
     if branch not in ("plus", "minus"):
         raise ValueError(f"branch must be 'plus' or 'minus', not {branch!r}")
-    violations = base_violations(b)
-    if mu == 0:
-        violations.append(MU_LABEL)
-    S = discriminant(b, mu**4)
-    if S < 0:
-        violations.append(S_LABEL)
-    if violations:
-        raise ConstraintViolation(violations)
-    root = math.sqrt(S)
+    bad = catalog.validate("cole_hopf", {"b": b, "mu": mu,
+                                         "branch": 1 if branch == "plus" else -1})
+    if bad:
+        raise ConstraintViolation(bad)
+    # S >= 0 held exactly, so a float S below 0 is rounding
+    root = math.sqrt(max(discriminant(b, mu**4), 0))
     A = -6 * (b + 2) / (b + 1)
     if branch == "plus":
         B = (2 * mu**2 - 1 + b * (mu**2 - 1) + root) / (2 * (b + 1))
@@ -97,6 +97,4 @@ def branch_params(branch, b, mu):
     else:
         B = (b * mu**2 + 2 * mu**2 - 1 - b - root) / (2 * (b + 1))
         lam = -0.5 * mu * (b + 1 + root)
-    if lam == 0:
-        raise ConstraintViolation(["lambda != 0"])
     return A, B, lam

@@ -18,10 +18,6 @@ class ConstraintViolation(MdpWaveError):
         super().__init__("; ".join(self.violations))
 
 
-class InvalidParams(MdpWaveError):
-    """Waveform parameters violate a structural side condition."""
-
-
 class UnclassifiableCoefficients(MdpWaveError):
     """The coefficient triple matches none of the supported closed-form cases."""
 

@@ -3,7 +3,8 @@
     u(xi) = (a0 + a1*sinh(xi) + a2*cosh(xi)) / (1 + c1*sinh(xi) + c2*cosh(xi))
 
 with the eight solved parameter families u3..u10, certified by a
-collocation identity test.
+collocation identity test.  HALF_B_SPEED names the families that travel
+at lam = -b/2 (the rest at -b/2 - 1), for `family_params` and the catalog.
 
 The certificate exploits the exponential substitution zeta = exp(xi):
 the traveling-wave residual times the 5th power of the ansatz denominator
@@ -23,14 +24,15 @@ from .riccati import base_violations
 from .verifier import ode_residual_terms
 
 __all__ = [
-    "RHAnsatzParams", "FAMILY_IDS", "rh_ansatz", "rh_denominator",
-    "FREE_PARAMETER", "family_violations", "family_params", "family_wave_speed",
+    "RHAnsatzParams", "FAMILY_IDS", "HALF_B_SPEED", "rh_ansatz", "rh_denominator",
+    "FREE_PARAMETER", "family_violations", "family_params",
     "CollocationReport", "collocation_identity_check", "DEGREE_BOUND",
 ]
 
 XI = ex.var("xi")
 
 FAMILY_IDS = ("u3", "u4", "u5", "u6", "u7", "u8", "u9", "u10")
+HALF_B_SPEED = ("u3", "u4", "u7", "u8")
 
 DEGREE_BOUND = 16
 COLLOCATION_RTOL = 1e-8
@@ -85,14 +87,6 @@ def family_violations(fid, b, a2=None, c2=None):
     return out
 
 
-def family_wave_speed(fid, b):
-    """lam such that xi = x + lam*t for the family."""
-    half_b = Fraction(b) / 2 if isinstance(b, (int, Fraction)) else b / 2
-    if fid in ("u3", "u4", "u7", "u8"):
-        return -half_b
-    return -half_b - 1
-
-
 def family_params(fid, b, a2=None, c2=None):
     """The solved coefficient tuple for one of the eight families.
 
@@ -102,7 +96,8 @@ def family_params(fid, b, a2=None, c2=None):
     bad = family_violations(fid, b, a2=a2, c2=c2)
     if bad:
         raise ConstraintViolation(bad)
-    lam = family_wave_speed(fid, b)
+    half_b = Fraction(b) / 2 if isinstance(b, (int, Fraction)) else b / 2
+    lam = -half_b if fid in HALF_B_SPEED else -half_b - 1
     if fid in ("u3", "u4"):
         sign = 1 if fid == "u3" else -1
         return RHAnsatzParams(lam=lam, a0=-(3 * b + 5) / (b + 1), a1=0,

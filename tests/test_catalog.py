@@ -3,15 +3,18 @@
 Covers:
   - listing: 24 entries with the right parameter signatures
   - build values at hand-derived points, wave speeds (pinned bit for bit
-    by a digest), validation verdicts
+    by a digest, and equal to the formula `catalog list` prints),
+    validation verdicts
   - u11 degeneracy decided exactly, and alike, by catalog and pipeline
-  - singular denominators (structural)
+  - singular denominators (structural, and every sample's guard tree
+    pinned by a digest)
   - derivative/finite-difference agreement for catalogued expressions
   - numerically tracked phase velocity vs the declared wave speed
   - cross-method pointwise equivalences
 """
 import hashlib
 import math
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -21,6 +24,7 @@ from mdpwave import catalog, report
 from mdpwave import expr as ex
 from mdpwave import pipeline as pl
 from mdpwave.errors import ConstraintViolation
+from mdpwave.riccati import discriminant
 
 XI = ex.var("xi")
 
@@ -73,6 +77,35 @@ def test_wave_speed_digest(catalog_samples):
     assert hashlib.sha256(text.encode()).hexdigest() == WAVE_SPEED_DIGEST
 
 
+# the "S = ..." text of a radical family's `catalog list` wave speed -> k,
+# where S = discriminant(b, k)
+PRINTED_RADICANDS = {
+    "S = 1 - b(b+2)(mu^4 - 1)": lambda p: p["mu"] ** 4,
+    "S = 1 - b(b+2)(beta^4 - 1)": lambda p: p["beta"] ** 4,
+    "S = b(b+2)(1 - 256(alpha*gamma)^2) + 1": lambda p: 256 * (p["alpha"] * p["gamma"]) ** 2,
+    "S = b(b+2)(1 - 16(alpha*gamma)^2) + 1": lambda p: 16 * (p["alpha"] * p["gamma"]) ** 2,
+    "S = 1 - b(b+2)(Delta^2 - 1)": lambda p: (p["beta"] ** 2 - 4 * p["alpha"] * p["gamma"]) ** 2,
+}
+PRINTED_SPEED = re.compile(r"lambda = -\(b \+ 1 ([-+]) (branch\*)?sqrt\(S\)\)/2, (S = .*)")
+
+
+def test_printed_wave_speed_is_the_evaluated_one(catalog_samples):
+    docs = {f["id"]: f["wave_speed"] for f in catalog.list_families()}
+    radical = set()
+    for fid, samples in catalog_samples.items():
+        m = PRINTED_SPEED.fullmatch(docs[fid])
+        if m is None:
+            continue
+        radical.add(fid)
+        op, branch, s_text = m.groups()
+        for p in samples:
+            sign = (1 if op == "-" else -1) * (p["branch"] if branch else 1)
+            root = math.sqrt(discriminant(F(p["b"]), PRINTED_RADICANDS[s_text](p)))
+            want = -(p["b"] + 1 - sign * root) / 2
+            assert math.isclose(catalog.wave_speed(fid, p), want, rel_tol=1e-12), (fid, p)
+    assert len(radical) == 15
+
+
 def test_validation_verdicts():
     assert catalog.validate("u1", {"b": -1, "mu": 1}) == ["b != -1"]
     assert "discriminant S >= 0" in catalog.validate("u1", {"b": 3, "mu": 2})
@@ -109,6 +142,22 @@ def test_singular_denominators():
         catalog.singular_denominator("u11", {"b": 3, "alpha": 1, "beta": 2, "gamma": 1}),
         {}, {"xi": -1.0})
     assert zero_at == 0.0
+
+
+# sha256 of the "<family> <to_prefix(tree)>" lines of `build_guard_xt` and
+# then `singular_denominator`, for every conftest sample in CATALOG_SAMPLES
+# order; recorded before the radical makers shared one radicand table
+GUARD_TREE_DIGEST = "ffe00ad715d3795e65ad5190fa63f65d9cdf392f04e3b85f7af3f5fcece74a30"
+
+
+def test_guard_trees_match_golden_digest(catalog_samples):
+    lines = []
+    for fid, samples in catalog_samples.items():
+        for p in samples:
+            lines.append(f"{fid} {ex.to_prefix(catalog.build_guard_xt(fid, p))}")
+            lines.append(f"{fid} {ex.to_prefix(catalog.singular_denominator(fid, p))}")
+    assert len(lines) == 152
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == GUARD_TREE_DIGEST
 
 
 def test_derivatives_match_finite_differences(catalog_samples):

@@ -18,7 +18,7 @@ from mdpwave import catalog
 from mdpwave import expr as ex
 from mdpwave.colehopf import (ColeHopfParams, branch_params, cole_hopf_u,
                               system_residuals)
-from mdpwave.errors import ConstraintViolation, InvalidParams
+from mdpwave.errors import ConstraintViolation
 from mdpwave.verifier import verify_on_grid
 
 
@@ -47,11 +47,11 @@ def test_phase_shift_is_translation():
 
 
 def test_invalid_params_raise_on_build_only():
-    degenerate = ColeHopfParams(A=1, B=0, mu=1, lam=0)
-    with pytest.raises(InvalidParams):
-        cole_hopf_u(degenerate)
+    with pytest.raises(ConstraintViolation) as err:
+        cole_hopf_u(ColeHopfParams(A=0, B=0, mu=0, lam=0))
+    assert err.value.violations == ["A != 0", "lambda != 0", "mu != 0"]
     # system_residuals has no precondition
-    system_residuals(degenerate, 3)
+    system_residuals(ColeHopfParams(A=1, B=0, mu=1, lam=0), 3)
 
 
 def test_plus_branch_exact_values():
@@ -94,6 +94,24 @@ def test_branch_rejects_forbidden_b():
         branch_params("minus", -1, 1)
     with pytest.raises(ValueError):
         branch_params("sideways", 3, 1)
+
+
+@pytest.mark.parametrize("name", ["b", "mu"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_raise_value_error(name, value):
+    params = {"b": 3.0, "mu": 1.0, name: value}
+    with pytest.raises(ValueError, match=f"cole_hopf: {name} = .* is not a finite number"):
+        catalog.validate("cole_hopf", dict(params, branch=1))
+    for branch in ("plus", "minus"):
+        with pytest.raises(ValueError, match="is not a finite number"):
+            branch_params(branch, params["b"], params["mu"])
+
+
+def test_branch_decides_s_exactly_for_float_inputs():
+    # exact S is about +1.03e-15 here while the float S is about -8.9e-16
+    for branch in ("plus", "minus"):
+        A, B, lam = branch_params(branch, 3.2564808359472472, 1.0142953585961683)
+        assert all(math.isfinite(v) for v in (A, B, lam))
 
 
 def test_both_branches_verify_on_grid():
