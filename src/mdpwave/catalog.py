@@ -7,7 +7,10 @@ locus and (unless radical) wave speed.  A radical row also holds the sign
 in lam = -(b + 1 - sign*sqrt(S))/2 and its radicand k, S = discriminant(b,
 k), once as a (k(params), "S = ..." text) pair read by the S >= 0 check,
 by lam and by the listed wave-speed text.  The `cole_hopf` row is the one
-statement of the kink admissibility rules (`colehopf` checks through it).
+statement of the kink admissibility rules (`colehopf` checks through it),
+and the u3..u10 rows are the one statement of the rational-hyperbolic
+rules (`rational_hyperbolic` checks through them).  Every table is walked
+by `riccati.violations`.
 Profiles are expressions in xi with all constants embedded exactly;
 `build` expands xi = x + lam*t.
 Internally lam always satisfies xi = x + lam*t, so the familiar
@@ -26,8 +29,8 @@ from typing import Callable
 from . import expr as ex
 from . import rational_hyperbolic as rh
 from .errors import ConstraintViolation
-from .riccati import (BASE_CHECKS, MU_LABEL, S_LABEL, discriminant,
-                      is_degenerate)
+from .riccati import (BASE_CHECKS, BETA_CHECK, MU_CHECK, S_LABEL,
+                      discriminant, is_degenerate, violations)
 
 __all__ = [
     "family_ids", "list_families", "validate", "build", "profile",
@@ -78,10 +81,9 @@ def _radical(p, radicand, sign):
     return root, ex.mul(-HALF, ex.sub(b + 1, root))
 
 
-_BASE = tuple((label, lambda p, excluded=excluded: p["b"] == excluded)
-              for label, excluded in BASE_CHECKS)
-_MU = (MU_LABEL, lambda p: p["mu"] == 0)
-_BETA = ("beta != 0", lambda p: p["beta"] == 0)
+# the radicand condition on the free parameter of u7..u10, by its name
+_FREE = {"a2": ("(b+1)^2*a2^2 >= 1", lambda p: (p["b"] + 1) ** 2 * p["a2"] ** 2 < 1),
+         "c2": ("c2^2 >= 1", lambda p: p["c2"] ** 2 < 1)}
 
 
 def _s_check(radicand, when=lambda p: True):
@@ -95,25 +97,25 @@ def _zero_speed(p):
     return discriminant(b, _MU4[0](p)) == (b + 1) ** 2 and p["branch"] * (b + 1) > 0
 
 
-_KINK = _BASE + (_MU, _s_check(_MU4))
-_COLE_HOPF = _BASE + (_MU, ("branch in {+1, -1}", lambda p: p["branch"] ** 2 != 1),
-                      _s_check(_MU4))
+_KINK = BASE_CHECKS + (MU_CHECK, _s_check(_MU4))
+_COLE_HOPF = BASE_CHECKS + (MU_CHECK, ("branch in {+1, -1}", lambda p: p["branch"] ** 2 != 1),
+                            _s_check(_MU4))
 # the frequency mu*lam must not vanish, a side condition of the form that is
 # checked only once every other check holds
 _COLE_HOPF += (("lambda != 0", lambda p, rest=_COLE_HOPF:
-                not any(fails(p) for _, fails in rest) and _zero_speed(p)),)
-_U11 = _BASE + (_BETA, ("beta^2 = 4*alpha*gamma", lambda p: p["beta"] != 0
-                        and not is_degenerate(p["alpha"], p["beta"], p["gamma"])))
-_EXP_PAIR = _BASE + (_BETA, _s_check(_BETA4))
+                not violations(rest, p) and _zero_speed(p)),)
+_U11 = BASE_CHECKS + (BETA_CHECK, ("beta^2 = 4*alpha*gamma", lambda p: p["beta"] != 0
+                      and not is_degenerate(p["alpha"], p["beta"], p["gamma"])))
+_EXP_PAIR = BASE_CHECKS + (BETA_CHECK, _s_check(_BETA4))
 
 
 def _trig(radicand):
-    return _BASE + (("alpha*gamma > 0", lambda p: p["alpha"] * p["gamma"] <= 0),
-                    _s_check(radicand))
+    return BASE_CHECKS + (("alpha*gamma > 0", lambda p: p["alpha"] * p["gamma"] <= 0),
+                          _s_check(radicand))
 
 
-_TANH = _BASE + (("Delta > 0", lambda p: _delta(p) <= 0),
-                 _s_check(_DELTA2, when=lambda p: _delta(p) > 0))
+_TANH = BASE_CHECKS + (("Delta > 0", lambda p: _delta(p) <= 0),
+                       _s_check(_DELTA2, when=lambda p: _delta(p) > 0))
 
 
 # --- kink-profile families (u1, u2, generic) -------------------------------
@@ -195,15 +197,8 @@ def _tanh_inv_maker(p, root):
 
 # --- rational-hyperbolic families (u3..u10) ---------------------------------
 
-def _rh_checks(fid):
-    if fid not in rh.FREE_PARAMETER:
-        return _BASE
-    name, label, fails = rh.FREE_PARAMETER[fid]
-    return _BASE + ((label, lambda p: fails(p["b"], p[name])),)
-
-
 def _rh_maker(p, fid):
-    params = rh.family_params(fid, p["b"], a2=p.get("a2"), c2=p.get("c2"))
+    params = rh.coefficients(fid, p["b"], a2=p.get("a2"), c2=p.get("c2"))
     prof = rh.rh_ansatz(params)
     guard = ex.ONE if params.c2 > 0 else rh.rh_denominator(params)
     return prof, ex.as_expr(params.lam), guard
@@ -225,9 +220,12 @@ def _make_registry():
     addf("u2", ("b", "mu"), _KINK, _kink_maker, sign=-1, **kink)
 
     for fid in rh.FAMILY_IDS:
-        parameters = ("b",) + rh.FREE_PARAMETER.get(fid, ())[:1]
+        parameters, checks = ("b",), BASE_CHECKS
+        free = rh.FREE_PARAMETER.get(fid)
+        if free:
+            parameters, checks = ("b", free), checks + (_FREE[free],)
         speed = "lambda = -b/2" + ("" if fid in rh.HALF_B_SPEED else " - 1")
-        addf(fid, parameters, _rh_checks(fid),
+        addf(fid, parameters, checks,
              (lambda f: lambda p: _rh_maker(p, f))(fid), speed_doc=speed)
 
     addf("u11", ("b", "alpha", "beta", "gamma"), _U11, _u11_maker,
@@ -295,19 +293,16 @@ def _norm_params(fid, params):
     return fam, out
 
 
-def _violations(fam, p):
-    return [label for label, fails in fam.checks if fails(p)]
-
-
 def validate(fid, params):
     """List of violated predicates, in table order; empty when admissible."""
-    return _violations(*_norm_params(fid, params))
+    fam, p = _norm_params(fid, params)
+    return violations(fam.checks, p)
 
 
 def _made(fid, params):
     """(profile, lam, guard), expressions in xi, of admissible `params`."""
     fam, p = _norm_params(fid, params)
-    bad = _violations(fam, p)
+    bad = violations(fam.checks, p)
     if bad:
         raise ConstraintViolation(bad)
     if fam.radicand is None:

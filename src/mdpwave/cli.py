@@ -259,8 +259,8 @@ def _cmd_cole_hopf(args):
 
 
 def _cmd_rh(args):
-    params = _params(args.param, "rh",
-                     ("b",) + rh.FREE_PARAMETER.get(args.family, ())[:1])
+    free = rh.FREE_PARAMETER.get(args.family)
+    params = _params(args.param, "rh", ("b", free) if free else ("b",))
     fam_params = rh.family_params(args.family, params["b"],
                                   a2=params.get("a2"), c2=params.get("c2"))
     u = rh.rh_ansatz(fam_params)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import catalog
 from . import expr as ex
 from .errors import ConstraintViolation
-from .riccati import MU_LABEL, discriminant
+from .riccati import MU_CHECK, discriminant, violations
 
 __all__ = ["ColeHopfParams", "cole_hopf_u", "system_residuals", "branch_params"]
 
@@ -36,20 +36,15 @@ class ColeHopfParams:
     lam: float
     delta: float = 0.0
 
-    def violations(self):
-        out = []
-        if self.A == 0:
-            out.append("A != 0")
-        if self.lam == 0:
-            out.append("lambda != 0")
-        if self.mu == 0:
-            out.append(MU_LABEL)
-        return out
+
+# (label, fails) rows on the fields of a ColeHopfParams
+_PARAM_CHECKS = (("A != 0", lambda p: p["A"] == 0),
+                 ("lambda != 0", lambda p: p["lam"] == 0), MU_CHECK)
 
 
 def cole_hopf_u(p):
     """B + A*mu^2 / (2*(1 + cosh(mu*x + lam*t + delta))) as an expression."""
-    bad = p.violations()
+    bad = violations(_PARAM_CHECKS, vars(p))
     if bad:
         raise ConstraintViolation(bad)
     A, B, mu, lam, delta = (Fraction(v) for v in (p.A, p.B, p.mu, p.lam, p.delta))

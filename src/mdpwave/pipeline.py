@@ -10,7 +10,9 @@ negative phi power, and collects one exact polynomial equation per
 surviving power.  The solved coefficient tuples for families u11..u23 can
 be checked against that system with exact rational arithmetic, and the
 specialized system can be solved numerically by a damped multistart
-Gauss-Newton iteration.
+Gauss-Newton iteration.  `ansatz_tuple` admits a triple by its case's rows
+in `_CASE_CHECKS`, conditions on the Riccati triple that stay apart from
+the catalog's family rows on purpose.
 """
 from __future__ import annotations
 
@@ -22,7 +24,8 @@ from typing import NamedTuple
 from .errors import ConstraintViolation
 from .polyalg import (VARS, MultiPoly, bind, laurent, laurent_coeff, laurent_derivative,
                       laurent_support)
-from .riccati import S_LABEL, base_violations, discriminant, is_degenerate
+from .riccati import (BASE_CHECKS, BETA_CHECK, S_LABEL, discriminant, is_degenerate,
+                      violations)
 
 np = _gelsd = None  # numpy and its lstsq gufunc, bound by _load_numpy
 
@@ -187,29 +190,19 @@ def _sqrt_exact_or_float(value):
     return math.sqrt(q)
 
 
-def _case_violations(case, alpha, beta, gamma, b):
-    out = base_violations(b)
-    if case == "first":
-        if beta == 0:
-            out.append("beta != 0")
-        if not is_degenerate(alpha, beta, gamma):
-            out.append("beta^2 = 4*alpha*gamma")
-    elif case == "second":
-        if alpha != 0:
-            out.append("alpha = 0")
-        if beta == 0:
-            out.append("beta != 0")
-    elif case == "third":
-        if beta != 0:
-            out.append("beta = 0")
-        if alpha * gamma == 0:
-            out.append("alpha*gamma != 0")
-    elif case == "fourth":
-        if beta * beta - 4 * alpha * gamma == 0:
-            out.append("Delta != 0")
-    else:
-        raise ValueError(f"unknown case {case!r}")
-    return out
+# Each case's conditions on the Riccati triple, as (label, fails) rows.
+# They are kept apart from the catalog's family rows on purpose: the third
+# case accepts alpha*gamma < 0, which u14 rejects.
+_CASE_CHECKS = {
+    "first": BASE_CHECKS + (BETA_CHECK, (
+        "beta^2 = 4*alpha*gamma",
+        lambda p: not is_degenerate(p["alpha"], p["beta"], p["gamma"]))),
+    "second": BASE_CHECKS + (("alpha = 0", lambda p: p["alpha"] != 0), BETA_CHECK),
+    "third": BASE_CHECKS + (("beta = 0", lambda p: p["beta"] != 0),
+                            ("alpha*gamma != 0", lambda p: p["alpha"] * p["gamma"] == 0)),
+    "fourth": BASE_CHECKS + (("Delta != 0", lambda p: p["beta"] * p["beta"]
+                              - 4 * p["alpha"] * p["gamma"] == 0),),
+}
 
 
 def ansatz_tuple(fid, alpha, beta, gamma, b):
@@ -223,7 +216,8 @@ def ansatz_tuple(fid, alpha, beta, gamma, b):
     if case is None:
         raise ValueError(f"{fid!r} is not a phi-power family")
     alpha, beta, gamma, b = (Fraction(v) for v in (alpha, beta, gamma, b))
-    bad = _case_violations(case, alpha, beta, gamma, b)
+    bad = violations(_CASE_CHECKS[case],
+                     {"alpha": alpha, "beta": beta, "gamma": gamma, "b": b})
     if bad:
         raise ConstraintViolation(bad)
     p1, p2 = b + 1, b + 2

@@ -4,7 +4,10 @@
 
 with the eight solved parameter families u3..u10, certified by a
 collocation identity test.  HALF_B_SPEED names the families that travel
-at lam = -b/2 (the rest at -b/2 - 1), for `family_params` and the catalog.
+at lam = -b/2 (the rest at -b/2 - 1), for `coefficients` and the catalog.
+The admissibility of the eight families is the catalog's u3..u10 rows:
+`family_violations` checks through `catalog.validate`, and
+FREE_PARAMETER names the one coefficient that u7..u10 keep free.
 
 The certificate exploits the exponential substitution zeta = exp(xi):
 the traveling-wave residual times the 5th power of the ansatz denominator
@@ -20,12 +23,11 @@ from fractions import Fraction
 
 from . import expr as ex
 from .errors import ConstraintViolation, SampleAtPole
-from .riccati import base_violations
 from .verifier import ode_residual_terms
 
 __all__ = [
     "RHAnsatzParams", "FAMILY_IDS", "HALF_B_SPEED", "rh_ansatz", "rh_denominator",
-    "FREE_PARAMETER", "family_violations", "family_params",
+    "FREE_PARAMETER", "family_violations", "family_params", "coefficients",
     "CollocationReport", "collocation_identity_check", "DEGREE_BOUND",
 ]
 
@@ -65,26 +67,24 @@ def rh_denominator(p):
                   ex.mul(Fraction(p.c2), ex.cosh(XI)))
 
 
-# the radicand condition on the free parameter of u7..u10:
-# family -> (parameter, label, fails(b, value))
-_A2 = ("a2", "(b+1)^2*a2^2 >= 1", lambda b, a2: (b + 1) ** 2 * a2 ** 2 < 1)
-_C2 = ("c2", "c2^2 >= 1", lambda b, c2: c2 ** 2 < 1)
-FREE_PARAMETER = {"u7": _A2, "u8": _A2, "u9": _C2, "u10": _C2}
+FREE_PARAMETER = {"u7": "a2", "u8": "a2", "u9": "c2", "u10": "c2"}
 
 
 def family_violations(fid, b, a2=None, c2=None):
-    """Admissibility predicates for one family; empty list when admissible."""
+    """The catalog's violated predicates for one family, decided exactly
+    for float inputs too; empty list when admissible.  Raises ValueError
+    on an unknown family, a missing free parameter or a non-finite value.
+    """
+    from . import catalog  # the catalog imports this module at load
     if fid not in FAMILY_IDS:
         raise ValueError(f"unknown family {fid!r}")
-    out = base_violations(b)
-    if fid in FREE_PARAMETER:
-        name, label, fails = FREE_PARAMETER[fid]
-        value = a2 if name == "a2" else c2
-        if value is None:
+    params = {"b": b}
+    name = FREE_PARAMETER.get(fid)
+    if name:
+        params[name] = a2 if name == "a2" else c2
+        if params[name] is None:
             raise ValueError(f"family {fid} requires the free parameter {name}")
-        if fails(b, value):
-            out.append(label)
-    return out
+    return catalog.validate(fid, params)
 
 
 def family_params(fid, b, a2=None, c2=None):
@@ -96,6 +96,11 @@ def family_params(fid, b, a2=None, c2=None):
     bad = family_violations(fid, b, a2=a2, c2=c2)
     if bad:
         raise ConstraintViolation(bad)
+    return coefficients(fid, b, a2=a2, c2=c2)
+
+
+def coefficients(fid, b, a2=None, c2=None):
+    """`family_params` for parameters already found admissible."""
     half_b = Fraction(b) / 2 if isinstance(b, (int, Fraction)) else b / 2
     lam = -half_b if fid in HALF_B_SPEED else -half_b - 1
     if fid in ("u3", "u4"):
@@ -108,12 +113,13 @@ def family_params(fid, b, a2=None, c2=None):
                               a2=0, c1=0, c2=sign)
     if fid in ("u7", "u8"):
         sign = -1 if fid == "u7" else 1
-        root = math.sqrt((b + 1) ** 2 * a2 ** 2 - 1)
+        # the radicand >= 0 held exactly, so a float one below 0 is rounding
+        root = math.sqrt(max((b + 1) ** 2 * a2 ** 2 - 1, 0))
         return RHAnsatzParams(lam=lam, a0=-(3 * b + 5) / (b + 1),
                               a1=sign * root / (b + 1), a2=a2,
                               c1=sign * root, c2=a2 * (b + 1))
     sign = 1 if fid == "u9" else -1
-    root = math.sqrt(c2 ** 2 - 1)
+    root = math.sqrt(max(c2 ** 2 - 1, 0))
     return RHAnsatzParams(lam=lam, a0=-3 * (b + 2) / (b + 1), a1=0,
                           a2=0, c1=sign * root, c2=c2)
 

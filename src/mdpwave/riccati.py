@@ -8,10 +8,12 @@ common printed tables are typographically inconsistent the sign
 conventions here are the ones that satisfy that identity (see
 docs/riccati_cases.md for the per-case forms).
 
-The module also holds the admissibility facts every family shares (the
-excluded values of b and the wave-speed discriminant), beside the
-degeneracy test that the catalog and the pipeline use for the same
-purpose.
+The module also holds the admissibility rows every family shares (the
+excluded values of b, a nonzero mu, a nonzero beta) and the wave-speed
+discriminant, beside the degeneracy test that the catalog and the
+pipeline use for the same purpose.  A check is a (label, fails(params))
+row on a dict of parameters, and `violations` is the one walker that
+turns a table of rows into the labels that fail.
 """
 from __future__ import annotations
 
@@ -25,7 +27,8 @@ from .errors import UnclassifiableCoefficients
 __all__ = [
     "RiccatiCoefficients", "RiccatiCase", "classify", "phi_expr",
     "riccati_case", "riccati_residual", "pole_guard", "is_degenerate",
-    "BASE_CHECKS", "MU_LABEL", "S_LABEL", "base_violations", "discriminant",
+    "BASE_CHECKS", "MU_CHECK", "BETA_CHECK", "S_LABEL", "violations",
+    "discriminant",
 ]
 
 XI = ex.var("xi")
@@ -76,14 +79,16 @@ def is_degenerate(alpha, beta, gamma):
 # S = discriminant(b, k) and k = mu^4 (kinks), beta^4 (u12, u13),
 # 256*(alpha*gamma)^2 (u14, u15), 16*(alpha*gamma)^2 (u16..u19) or
 # Delta^2 (u20..u23).
-BASE_CHECKS = (("b != -1", -1), ("b != -2", -2))  # (label, excluded b)
-MU_LABEL = "mu != 0"
+BASE_CHECKS = (("b != -1", lambda p: p["b"] == -1),
+               ("b != -2", lambda p: p["b"] == -2))
+MU_CHECK = ("mu != 0", lambda p: p["mu"] == 0)
+BETA_CHECK = ("beta != 0", lambda p: p["beta"] == 0)
 S_LABEL = "discriminant S >= 0"
 
 
-def base_violations(b):
-    """The labels of BASE_CHECKS that `b` fails, in table order."""
-    return [label for label, excluded in BASE_CHECKS if b == excluded]
+def violations(checks, p):
+    """The labels of the (label, fails) rows that `p` fails, in table order."""
+    return [label for label, fails in checks if fails(p)]
 
 
 def discriminant(b, k):

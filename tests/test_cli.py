@@ -3,7 +3,8 @@
 Covers:
   - catalog listing shape and JSON validity
   - verify: pass/fail/violation exit codes, report contents, config echo
-  - riccati / cole-hopf / rh subcommands
+  - riccati / cole-hopf / rh subcommands, `rh` byte for byte for all eight
+    families
   - pipeline generate (bit-exact round trip), check (exact rationals, and
     float residuals of an irrational tuple rounded once),
     solve (root list, determinism under a fixed RNG seed)
@@ -30,6 +31,7 @@ import pytest
 
 from mdpwave.cli import main
 from mdpwave.pipeline import AlgebraicSystem, generate_system
+from mdpwave.rational_hyperbolic import FAMILY_IDS
 
 
 def run(argv):
@@ -125,6 +127,32 @@ def test_rh_subcommand():
     assert code == 0
     assert doc["collocation"]["passed"] is True
     assert doc["coefficients"]["c2"] == 4.0
+
+
+# (free parameter, sha256 of stdout) of `rh --family <fid> --param b=3`,
+# recorded from the code before the rational-hyperbolic checks moved into
+# the catalog's rows
+_RH_COMMANDS = {
+    "u3": ([], "c4c5f666993a6e222291c53969f16ec740f8f619bf5298bc08b82cb49f69eff9"),
+    "u4": ([], "57557d8a8b7e9e68ac72190be0bff87f5cac78ef39d82ffe91df048ca7e25e86"),
+    "u5": ([], "3d474c7805f2664248a34597c7c9970c75790d2e170d47688385277c20a5518a"),
+    "u6": ([], "2a3a1fe9b7ca9d4554b75ca20d09218abd92adfeed02cc038daba91526078abd"),
+    "u7": (["a2=2"], "270ed53e6322dd204e5a9e76e1e6b09fcf08a96dec847bba3198dec0d49f9b0b"),
+    "u8": (["a2=2"], "946252d560937154066482c12e4aace55d00e8bd72e17d79d81bd44ba40b9491"),
+    "u9": (["c2=2"], "48b6dea5bd3ae3a67e3324c610a73312e1f2660de2457e6268464f61e2d03eff"),
+    "u10": (["c2=-3/2"], "83e000a2a1fa285a11455258707fb94fc861b4f481b9c892005fb7207c6fdd11"),
+}
+
+
+@pytest.mark.parametrize("fid", FAMILY_IDS)
+def test_rh_every_family_byte_identical(fid):
+    free, digest = _RH_COMMANDS[fid]
+    argv = ["rh", "--family", fid, "--param", "b=3"]
+    for pair in free:
+        argv += ["--param", pair]
+    code, out = run(argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_pipeline_check_exact_zero_residuals():

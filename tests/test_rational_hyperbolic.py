@@ -3,16 +3,22 @@
 Covers:
   - ansatz values (constant, solved-family, half-profile cases)
   - the eight solved coefficient tuples, radicand checks, sign pairing
+  - admissibility through the catalog's rows: exact for float inputs near
+    the radicand boundary, ValueError on non-finite inputs, and one walk
+    of the rows per catalog build
   - collocation verdicts: solved families pass, perturbations fail,
     the zero solution passes, pole samples get resampled
   - agreement between the collocation verdict and grid verification
 """
+import math
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from mdpwave import catalog
 from mdpwave import expr as ex
+from mdpwave import rational_hyperbolic as rh
 from mdpwave.errors import ConstraintViolation
 from mdpwave.rational_hyperbolic import (FAMILY_IDS, RHAnsatzParams,
                                          collocation_identity_check,
@@ -60,6 +66,80 @@ def test_family_radicand_violations():
         family_params("u7", 3)  # free parameter required
     with pytest.raises(ValueError):
         family_params("u99", 3)
+
+
+def _near_radicand_boundary(rng):
+    """(fid, b, a2, c2) with the free parameter a few ulps from where its
+    radicand vanishes."""
+    fid = rng.choice(("u7", "u8", "u9", "u10"))
+    b = rng.uniform(-5.0, 5.0)
+    edge = rng.choice((1.0, -1.0))
+    if fid in ("u7", "u8"):
+        edge /= b + 1
+    for _ in range(rng.randint(0, 4)):
+        edge = math.nextafter(edge, rng.choice((0.0, 2 * edge)))
+    return (fid, b, edge, None) if fid in ("u7", "u8") else (fid, b, None, edge)
+
+
+@pytest.mark.parametrize("fid, b, a2, labels", [
+    # exact radicand < 0, float one >= 0
+    ("u7", 0.1, 0.9090909090909091, ["(b+1)^2*a2^2 >= 1"]),
+    # exact radicand >= 0, float one < 0
+    ("u7", -0.3, 1.4285714285714286, []),
+])
+def test_float_radicand_decided_exactly(fid, b, a2, labels):
+    assert catalog.validate(fid, {"b": b, "a2": a2}) == labels
+    assert rh.family_violations(fid, b, a2=a2) == labels
+    if labels:
+        with pytest.raises(ConstraintViolation):
+            family_params(fid, b, a2=a2)
+    else:
+        p = family_params(fid, b, a2=a2)
+        assert all(math.isfinite(v) for v in (p.a1, p.c1))
+
+
+def test_near_boundary_floats_agree_with_catalog():
+    rng = random.Random(19)
+    admitted = rejected = 0
+    for _ in range(3000):
+        fid, b, a2, c2 = _near_radicand_boundary(rng)
+        free = {"a2": a2} if c2 is None else {"c2": c2}
+        labels = catalog.validate(fid, {"b": b, **free})
+        assert rh.family_violations(fid, b, a2=a2, c2=c2) == labels, (fid, b, free)
+        if labels:
+            rejected += 1
+            continue
+        admitted += 1
+        p = family_params(fid, b, a2=a2, c2=c2)
+        assert all(math.isfinite(v) for v in (p.lam, p.a0, p.a1, p.a2, p.c1, p.c2))
+    assert admitted > 500 and rejected > 500
+
+
+@pytest.mark.parametrize("fid, b, free", [
+    ("u5", math.nan, {}),
+    ("u3", math.inf, {}),
+    ("u7", 3.0, {"a2": math.inf}),
+    ("u8", -math.inf, {"a2": 1.0}),
+    ("u9", 3.0, {"c2": math.nan}),
+    ("u10", 3.0, {"c2": -math.inf}),
+])
+def test_non_finite_parameters_raise_value_error(fid, b, free):
+    with pytest.raises(ValueError, match="is not a finite number"):
+        family_params(fid, b, **free)
+
+
+@pytest.mark.parametrize("fid, free", [
+    ("u3", {}), ("u6", {}), ("u7", {"a2": 2}), ("u10", {"c2": F(3, 2)})])
+def test_catalog_build_walks_the_rows_once(fid, free, monkeypatch):
+    walked, walk = [], catalog.violations
+
+    def counting(checks, p):
+        walked.append(checks)
+        return walk(checks, p)
+
+    monkeypatch.setattr(catalog, "violations", counting)
+    catalog.build(fid, {"b": 3, **free})
+    assert len(walked) == 1
 
 
 def test_u3_u4_differ_by_sign_pair():
