@@ -212,8 +212,9 @@ def _cmd_riccati(args):
     if args.samples < 1:
         raise ValueError("--samples must be >= 1")
     c = ric.RiccatiCoefficients(**params)
-    case = ric.riccati_case(c)
-    res = ric.riccati_residual(case.phi, c)
+    case = ric.classify(c)
+    phi = ric.phi_expr(c)
+    res = ric.riccati_residual(phi, c)
     guard = ric.pole_guard(c)
     xs = np.linspace(-3.0, 3.0, args.samples)
     gv = ex.evaluate_many(guard, {}, {"xi": xs})
@@ -224,9 +225,9 @@ def _cmd_riccati(args):
     doc = {
         "config": {"command": "riccati", "params": params,
                    "samples": args.samples},
-        "case": case.case_id,
+        "case": case,
         "delta": float(c.delta),
-        "phi": ex.to_prefix(case.phi),
+        "phi": ex.to_prefix(phi),
         "max_residual": max_res,
         "residual_samples": int(rv.size),
     }

@@ -8,6 +8,11 @@ rests on numeric agreement, not on normal forms.  `add` and `mul` keep a
 lone constant as the leaf it came in as and do Fraction arithmetic only
 when a second constant meets it; small integers share one leaf each.
 
+Every node carries one structural key, (op, payload, children), set at
+construction.  Equality and hashing, the tape compile, `substitute` and
+`to_prefix` each read that key, so they are written once for all node
+kinds; only `differentiate` keeps a rule per kind.
+
 Constants stay exact rationals inside trees; floats only appear when a
 tree is evaluated.  Differentiation is structural and closed over the
 function set (e.g. csc' = -csc*cot), so derived trees never introduce new
@@ -53,9 +58,22 @@ np = None  # numpy, bound by the first evaluate_many
 
 
 class Expr:
-    """Base node.  Subclasses set `_hash` at construction."""
+    """Base node.  Each constructor sets `_key = (op, payload, children)`
+    and `_hash = hash(_key)`; the key is the node's whole identity.
 
-    __slots__ = ("_hash",)
+    The op is the tape's name for the node: "rat" (payload the Fraction),
+    "var" (the name), "add" and "mul" (the terms or factors as children),
+    "div" (children `(num, den)`), "pow" (the exponent, children
+    `(base,)`) or a function kind (children `(arg,)`).  Payloads are None
+    where no op is named.  The key holds the named slots' own objects.
+    """
+
+    __slots__ = ("_key", "_hash")
+
+    def __eq__(self, other):
+        return self is other or (
+            type(other) is type(self) and self._hash == other._hash and self._key == other._key
+        )
 
     def __hash__(self):
         return self._hash
@@ -69,12 +87,8 @@ class Rational(Expr):
 
     def __init__(self, value):
         self.value = value if isinstance(value, Fraction) else Fraction(value)
-        self._hash = hash(("rat", self.value))
-
-    def __eq__(self, other):
-        return self is other or (type(other) is Rational and self.value == other.value)
-
-    __hash__ = Expr.__hash__
+        self._key = key = ("rat", self.value, ())
+        self._hash = hash(key)
 
 
 class Var(Expr):
@@ -82,12 +96,8 @@ class Var(Expr):
 
     def __init__(self, name):
         self.name = name
-        self._hash = hash(("var", name))
-
-    def __eq__(self, other):
-        return self is other or (type(other) is Var and self.name == other.name)
-
-    __hash__ = Expr.__hash__
+        self._key = key = ("var", name, ())
+        self._hash = hash(key)
 
 
 class Add(Expr):
@@ -95,14 +105,8 @@ class Add(Expr):
 
     def __init__(self, terms):
         self.terms = terms
-        self._hash = hash(("add", terms))
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is Add and self._hash == other._hash and self.terms == other.terms
-        )
-
-    __hash__ = Expr.__hash__
+        self._key = key = ("add", None, terms)
+        self._hash = hash(key)
 
 
 class Mul(Expr):
@@ -110,14 +114,8 @@ class Mul(Expr):
 
     def __init__(self, factors):
         self.factors = factors
-        self._hash = hash(("mul", factors))
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is Mul and self._hash == other._hash and self.factors == other.factors
-        )
-
-    __hash__ = Expr.__hash__
+        self._key = key = ("mul", None, factors)
+        self._hash = hash(key)
 
 
 class Div(Expr):
@@ -126,15 +124,8 @@ class Div(Expr):
     def __init__(self, num, den):
         self.num = num
         self.den = den
-        self._hash = hash(("div", num, den))
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is Div and self._hash == other._hash
-            and self.num == other.num and self.den == other.den
-        )
-
-    __hash__ = Expr.__hash__
+        self._key = key = ("div", None, (num, den))
+        self._hash = hash(key)
 
 
 class Pow(Expr):
@@ -145,15 +136,8 @@ class Pow(Expr):
     def __init__(self, base, exponent):
         self.base = base
         self.exponent = exponent
-        self._hash = hash(("pow", base, exponent))
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is Pow and self._hash == other._hash
-            and self.base == other.base and self.exponent == other.exponent
-        )
-
-    __hash__ = Expr.__hash__
+        self._key = key = ("pow", exponent, (base,))
+        self._hash = hash(key)
 
 
 class Fun(Expr):
@@ -162,15 +146,8 @@ class Fun(Expr):
     def __init__(self, kind, arg):
         self.kind = kind
         self.arg = arg
-        self._hash = hash(("fun", kind, arg))
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is Fun and self._hash == other._hash
-            and self.kind == other.kind and self.arg == other.arg
-        )
-
-    __hash__ = Expr.__hash__
+        self._key = key = (kind, None, (arg,))
+        self._hash = hash(key)
 
 
 def as_expr(v):
@@ -416,7 +393,8 @@ def substitute(e, v, replacement):
     """Replace every occurrence of variable `v` by `replacement`.
 
     Structural and capture-free (there are no binders).  Returns `e`
-    unchanged (same object) when `v` does not occur.
+    unchanged (same object) when `v` does not occur, and likewise every
+    subtree in which it does not occur.
     """
     name = v.name if isinstance(v, Var) else v
     replacement = as_expr(replacement)
@@ -427,55 +405,39 @@ def substitute(e, v, replacement):
         hit = memo.get(key)
         if hit is not None:
             return hit
-        if isinstance(node, Var):
-            out = replacement if node.name == name else node
-        elif isinstance(node, Rational):
-            out = node
-        elif isinstance(node, Add):
-            kids = [walk(t) for t in node.terms]
-            out = node if all(a is b for a, b in zip(kids, node.terms)) else add(*kids)
-        elif isinstance(node, Mul):
-            kids = [walk(f) for f in node.factors]
-            out = node if all(a is b for a, b in zip(kids, node.factors)) else mul(*kids)
-        elif isinstance(node, Div):
-            n2, d2 = walk(node.num), walk(node.den)
-            out = node if (n2 is node.num and d2 is node.den) else div(n2, d2)
-        elif isinstance(node, Pow):
-            b2 = walk(node.base)
-            out = node if b2 is node.base else pow_(b2, node.exponent)
+        op, payload, kids = node._key
+        if op == "var":
+            out = replacement if payload == name else node
         else:
-            a2 = walk(node.arg)
-            out = node if a2 is node.arg else fun(node.kind, a2)
+            new = [walk(k) for k in kids]
+            out = node if all(a is b for a, b in zip(new, kids)) else _rebuild(op, payload, new)
         memo[key] = out
         return out
 
     return walk(as_expr(e))
 
 
-def _instruction(node):
-    """(op, payload, children) of the tape instruction for one node."""
-    if isinstance(node, Rational):
-        return "rat", float(node.value), ()
-    if isinstance(node, Var):
-        return "var", node.name, ()
-    if isinstance(node, Add):
-        return "add", None, node.terms
-    if isinstance(node, Mul):
-        return "mul", None, node.factors
-    if isinstance(node, Div):
-        return "div", None, (node.num, node.den)
-    if isinstance(node, Pow):
-        return "pow", float(node.exponent), (node.base,)
-    return node.kind, None, (node.arg,)
+def _rebuild(op, payload, kids):
+    """The node `op` over new children, through the folding constructors."""
+    if op == "add":
+        return add(*kids)
+    if op == "mul":
+        return mul(*kids)
+    if op == "div":
+        return div(*kids)
+    if op == "pow":
+        return pow_(kids[0], payload)
+    return fun(op, kids[0])
 
 
 class Tape:
     """Root expressions compiled into one topologically ordered tape.
 
     There is one slot, and one instruction, per structurally distinct
-    node: nodes are keyed by their own `__hash__`/`__eq__`.  A subtree
-    shared between roots, or repeated inside one, is therefore evaluated
-    once.  A slot is released right after its last consumer runs; root
+    node: nodes are keyed by their own `__hash__`/`__eq__`, and each
+    instruction is the node's key with a "rat" or "pow" payload as a
+    float.  A subtree shared between roots, or repeated inside one, is
+    therefore evaluated once.  A slot is released right after its last consumer runs; root
     slots are never released.
     """
 
@@ -488,7 +450,9 @@ class Tape:
         def visit(node):
             slot = slots.get(node)
             if slot is None:
-                op, payload, kids = _instruction(node)
+                op, payload, kids = node._key
+                if op == "rat" or op == "pow":
+                    payload = float(payload)
                 args = tuple([visit(k) for k in kids])
                 slot = slots[node] = len(code)
                 code.append([op, payload, args, ()])
@@ -567,43 +531,32 @@ def evaluate_many(e, params=None, point=None):
     return out[0] if single else out
 
 
+_SYMBOLS = {"add": "+", "mul": "*", "div": "/", "pow": "^"}
+
+
 def to_prefix(e):
-    """Plain-text prefix rendering, for debugging (not a stable format)."""
+    """The report format of an expression: `(op child ...)` in prefix form.
+
+    A rational prints as `str` of its Fraction (`3`, `-1/2`) and a variable
+    as its name; a sum, product, quotient and power print as `+ * / ^`
+    and a function as its kind.  A power's exponent follows its base, a
+    Fraction as `1/2` and a float as its repr (`2.5`).  `mdpwave riccati`
+    prints its `phi` in this form, so the bytes are part of the report.
+    """
     parts = []
 
     def walk(node):
-        if isinstance(node, Rational):
-            parts.append(str(node.value))
-        elif isinstance(node, Var):
-            parts.append(node.name)
-        elif isinstance(node, Add):
-            parts.append("(+")
-            for t in node.terms:
-                parts.append(" ")
-                walk(t)
-            parts.append(")")
-        elif isinstance(node, Mul):
-            parts.append("(*")
-            for f in node.factors:
-                parts.append(" ")
-                walk(f)
-            parts.append(")")
-        elif isinstance(node, Div):
-            parts.append("(/ ")
-            walk(node.num)
+        op, payload, kids = node._key
+        if op == "rat" or op == "var":
+            parts.append(str(payload))
+            return
+        parts.append("(" + _SYMBOLS.get(op, op))
+        for k in kids:
             parts.append(" ")
-            walk(node.den)
-            parts.append(")")
-        elif isinstance(node, Pow):
-            parts.append("(^ ")
-            walk(node.base)
-            e0 = node.exponent
-            parts.append(f" {e0}" if isinstance(e0, Fraction) else f" {e0!r}")
-            parts.append(")")
-        else:
-            parts.append(f"({node.kind} ")
-            walk(node.arg)
-            parts.append(")")
+            walk(k)
+        if op == "pow":
+            parts.append(f" {payload}")
+        parts.append(")")
 
     walk(as_expr(e))
     return "".join(parts)

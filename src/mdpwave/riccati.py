@@ -1,8 +1,12 @@
 """Closed-form solutions of the quadratic first-order equation
 phi'(xi) = alpha + beta*phi + gamma*phi^2.
 
-Seven coefficient regimes are recognised, each with a closed-form phi.
-The ground truth for every stored form is the residual identity
+Seven coefficient regimes are recognised, each written once as a row of
+`_CASES`: (case id, condition on the raw triple, form).  The rows are in
+precedence order and the first whose condition holds decides; its form
+maps the exact triple to phi and phi's pole guard.  `classify`,
+`phi_expr` and `pole_guard` each read the same matched row.  The ground
+truth for every stored form is the residual identity
 phi' - (alpha + beta*phi + gamma*phi^2) == 0, checked numerically; where
 common printed tables are typographically inconsistent the sign
 conventions here are the ones that satisfy that identity (see
@@ -17,7 +21,6 @@ turns a table of rows into the labels that fail.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,8 +28,8 @@ from . import expr as ex
 from .errors import UnclassifiableCoefficients
 
 __all__ = [
-    "RiccatiCoefficients", "RiccatiCase", "classify", "phi_expr",
-    "riccati_case", "riccati_residual", "pole_guard", "is_degenerate",
+    "RiccatiCoefficients", "classify", "phi_expr",
+    "riccati_residual", "pole_guard", "is_degenerate",
     "BASE_CHECKS", "MU_CHECK", "BETA_CHECK", "S_LABEL", "violations",
     "discriminant",
 ]
@@ -52,15 +55,6 @@ class RiccatiCoefficients:
     def __post_init__(self):
         if self.alpha == 0 and self.beta == 0 and self.gamma == 0:
             raise ValueError("coefficient triple must not be identically zero")
-
-
-@dataclass(frozen=True)
-class RiccatiCase:
-    """A classified triple together with its closed-form phi(xi)."""
-
-    case_id: int
-    coefficients: RiccatiCoefficients
-    phi: ex.Expr
 
 
 def is_degenerate(alpha, beta, gamma):
@@ -96,31 +90,85 @@ def discriminant(b, k):
     return 1 - b * (b + 2) * (k - 1)
 
 
-def classify(c):
-    """Map a coefficient triple to its case id (1..7).
+def _form1(a, b, g):
+    # beta / (-gamma + beta*exp(-beta*xi))
+    den = ex.add(-g, ex.mul(b, ex.exp(ex.mul(-b, XI))))
+    return ex.div(b, den), den
 
-    The checks run in a fixed precedence order so overlapping conditions
-    resolve deterministically; raises UnclassifiableCoefficients for the
-    one omitted regime (alpha != 0, beta == gamma == 0).
-    """
+
+def _form2(a, b, g):
+    den = ex.mul(g, XI)
+    return ex.div(-1, den), den
+
+
+def _form3(a, b, g):
+    return ex.div(ex.add(-a, ex.mul(b, ex.exp(ex.mul(b, XI)))), b), ex.ONE
+
+
+def _form4(a, b, g):
+    sign = 1 if a > 0 else -1
+    if a * g > 0:
+        arg = ex.mul(ex.sqrt(a * g), XI)
+        return ex.mul(sign, ex.sqrt(ex.div(a, g)), ex.tan(arg)), ex.cot(arg)
+    arg = ex.mul(ex.sqrt(-(a * g)), XI)
+    return ex.mul(sign, ex.sqrt(ex.div(-a, g)), ex.tanh(arg)), ex.ONE
+
+
+def _form5(a, b, g):
+    # -2*alpha*(beta*xi + 2) / (beta^2 * xi)
+    return ex.div(ex.mul(-2, a, ex.add(ex.mul(b, XI), 2)), ex.mul(b * b, XI)), XI
+
+
+def _form6(a, b, g):
+    root = ex.sqrt(4 * a * g - b * b)
+    arg = ex.mul(Fraction(1, 2), root, XI)
+    phi = ex.div(ex.sub(ex.mul(root, ex.tan(arg)), b), ex.mul(2, g))
+    return phi, ex.cot(arg)
+
+
+def _form7(a, b, g):
+    # -(sqrt(delta)*tanh(sqrt(delta)/2 * xi) + beta) / (2*gamma)
+    root = ex.sqrt(b * b - 4 * a * g)
+    arg = ex.mul(Fraction(1, 2), root, XI)
+    phi = ex.div(ex.mul(-1, ex.add(ex.mul(root, ex.tanh(arg)), b)), ex.mul(2, g))
+    return phi, ex.ONE
+
+
+# (case id, condition on the raw alpha, beta, gamma, form), in precedence
+# order so that overlapping conditions resolve deterministically.  A form
+# maps the exact triple to (phi, an expression in xi that vanishes exactly
+# on phi's pole set, or the constant 1 when phi has none).  No row holds
+# for the one omitted regime, alpha != 0 and beta == gamma == 0.
+_CASES = (
+    (2, lambda a, b, g: b == 0 and a == 0 and g != 0, _form2),
+    (1, lambda a, b, g: a == 0 and b != 0, _form1),
+    (3, lambda a, b, g: g == 0 and b != 0, _form3),
+    (5, lambda a, b, g: b != 0 and is_degenerate(a, b, g), _form5),
+    (4, lambda a, b, g: b == 0 and a * g != 0, _form4),
+    (6, lambda a, b, g: b * b < 4 * a * g, _form6),
+    (7, lambda a, b, g: b * b > 4 * a * g and g != 0, _form7),
+)
+
+
+def _row(c):
     a, b, g = c.alpha, c.beta, c.gamma
-    if b == 0 and a == 0 and g != 0:
-        return 2
-    if a == 0 and b != 0:
-        return 1
-    if g == 0 and b != 0:
-        return 3
-    if b != 0 and is_degenerate(a, b, g):
-        return 5
-    if b == 0 and a * g != 0:
-        return 4
-    if b * b < 4 * a * g:
-        return 6
-    if b * b > 4 * a * g and g != 0:
-        return 7
+    for row in _CASES:
+        if row[1](a, b, g):
+            return row
     raise UnclassifiableCoefficients(
         f"no closed form stored for (alpha, beta, gamma) = ({a}, {b}, {g})"
     )
+
+
+def _forms(c):
+    return _row(c)[2](Fraction(c.alpha), Fraction(c.beta), Fraction(c.gamma))
+
+
+def classify(c):
+    """Map a coefficient triple to its case id (1..7): the first row of
+    `_CASES` whose condition holds.  Raises UnclassifiableCoefficients when
+    none does."""
+    return _row(c)[0]
 
 
 def phi_expr(c):
@@ -130,41 +178,7 @@ def phi_expr(c):
     returned expression satisfies the defining residual identity at every
     regular point.
     """
-    case = classify(c)
-    a, b, g = Fraction(c.alpha), Fraction(c.beta), Fraction(c.gamma)
-    if case == 1:
-        # beta / (-gamma + beta*exp(-beta*xi))
-        return ex.div(b, ex.add(-g, ex.mul(b, ex.exp(ex.mul(-b, XI)))))
-    if case == 2:
-        return ex.div(-1, ex.mul(g, XI))
-    if case == 3:
-        return ex.div(ex.add(-a, ex.mul(b, ex.exp(ex.mul(b, XI)))), b)
-    if case == 4:
-        sign = 1 if c.alpha > 0 else -1
-        if a * g > 0:
-            root = ex.sqrt(a * g)
-            return ex.mul(sign, ex.sqrt(ex.div(a, g)), ex.tan(ex.mul(root, XI)))
-        root = ex.sqrt(-(a * g))
-        return ex.mul(sign, ex.sqrt(ex.div(-a, g)), ex.tanh(ex.mul(root, XI)))
-    if case == 5:
-        # -2*alpha*(beta*xi + 2) / (beta^2 * xi)
-        return ex.div(ex.mul(-2, a, ex.add(ex.mul(b, XI), 2)),
-                      ex.mul(b * b, XI))
-    if case == 6:
-        d = 4 * a * g - b * b
-        half_root = ex.mul(Fraction(1, 2), ex.sqrt(d))
-        return ex.div(ex.sub(ex.mul(ex.sqrt(d), ex.tan(ex.mul(half_root, XI))), b),
-                      ex.mul(2, g))
-    # case 7: -(sqrt(delta)*tanh(sqrt(delta)/2 * xi) + beta) / (2*gamma)
-    d = b * b - 4 * a * g
-    half_root = ex.mul(Fraction(1, 2), ex.sqrt(d))
-    return ex.div(ex.mul(-1, ex.add(ex.mul(ex.sqrt(d), ex.tanh(ex.mul(half_root, XI))), b)),
-                  ex.mul(2, g))
-
-
-def riccati_case(c):
-    """Classify and bundle the closed form in one step."""
-    return RiccatiCase(classify(c), c, phi_expr(c))
+    return _forms(c)[0]
 
 
 def riccati_residual(phi, c):
@@ -181,21 +195,4 @@ def pole_guard(c):
     Pole-free cases return the constant 1.  Used by samplers to stay away
     from singular points.
     """
-    case = classify(c)
-    a, b, g = Fraction(c.alpha), Fraction(c.beta), Fraction(c.gamma)
-    if case == 1:
-        return ex.add(-g, ex.mul(b, ex.exp(ex.mul(-b, XI))))
-    if case == 2:
-        return ex.mul(g, XI)
-    if case == 3:
-        return ex.ONE
-    if case == 4:
-        if a * g > 0:
-            return ex.cot(ex.mul(ex.sqrt(a * g), XI))
-        return ex.ONE
-    if case == 5:
-        return XI
-    if case == 6:
-        d = 4 * a * g - b * b
-        return ex.cot(ex.mul(Fraction(1, 2), ex.sqrt(d), XI))
-    return ex.ONE
+    return _forms(c)[1]

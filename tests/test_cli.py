@@ -4,7 +4,7 @@ Covers:
   - catalog listing shape and JSON validity
   - verify: pass/fail/violation exit codes, report contents, config echo
   - riccati / cole-hopf / rh subcommands, `rh` byte for byte for all eight
-    families
+    families and `riccati` for every case and both case-4 branches
   - pipeline generate (bit-exact round trip), check (exact rationals, and
     float residuals of an irrational tuple rounded once),
     solve (root list, determinism under a fixed RNG seed)
@@ -109,6 +109,33 @@ def test_riccati_unclassifiable_exit_2():
                      "--param", "gamma=0"])
     assert code == 2
     assert json.loads(out)["error"] == "invalid-input"
+
+
+# (case, sha256 of stdout) of `riccati` per (alpha, beta, gamma), recorded
+# before the seven regimes became one table: every case, both case-4
+# branches, and so every function kind `phi` prints with
+_RICCATI_COMMANDS = {
+    ("0", "1", "-1"): (1, "af59b29fcf22bf5cdf0aceeac007accf9d30b8fd5b0fe537ee38ae5ab6bafa4e"),
+    ("0", "0", "2"): (2, "27e580bfc29853b1cb3b662ba6a5930f6c1d3d2a33635ea71ae9c5dbd4ba5938"),
+    ("9/10", "-11/10", "0"): (3, "71c1b47368b5025ca46a2f80e48d0356d4841021ebba50edbe7654a4f9800bd7"),
+    ("1", "0", "1"): (4, "59178daf60e2b206799ea6d3762bfb8f10ac839fe4a59d33b954413c084139fd"),
+    ("-1", "0", "2"): (4, "291c861e6c832e2fb0b6acebf11f46357a05682b552adaa2a2ffd2956afab702"),
+    ("1", "2", "1"): (5, "f34a696dfda28093f0fd74437b6aad875e9e95a6a9a68b2f3f46072d6efe01d8"),
+    ("1", "1", "1"): (6, "dbbe43fc6fb81ec037cdcf256c989306d4239650dc39753439e3f43c8a20fa9f"),
+    ("1", "3", "1"): (7, "d644c821844d31dfcd7a26be035fd5f6cb7cbc514c43f95c37dc8d9b68059508"),
+}
+
+
+@pytest.mark.parametrize("triple", list(_RICCATI_COMMANDS), ids="/".join)
+def test_riccati_every_case_byte_identical(triple):
+    case, digest = _RICCATI_COMMANDS[triple]
+    argv = ["riccati"]
+    for name, value in zip(("alpha", "beta", "gamma"), triple):
+        argv += ["--param", f"{name}={value}"]
+    code, out = run(argv)
+    assert code == 0
+    assert json.loads(out)["case"] == case
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_cole_hopf_subcommand():

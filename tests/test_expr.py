@@ -12,6 +12,9 @@ Covers:
     roots equal to per-root evaluation, roots never freed, broadcasting
   - in-place sums and products: caller arrays untouched, broadcasting to a
     larger shape, scalar points, no RuntimeWarning on non-finite values
+  - the structural key: exact prefix text for every node kind, float and
+    Fraction exponents as one node, nodes differing in kind or order
+    unequal, substitute keeping every subtree without the variable
 """
 import math
 import random
@@ -456,3 +459,53 @@ def test_prefix_rendering_is_text():
     e = ex.add(1, ex.cosh(ex.add(X, ex.mul(F(-5, 2), T))))
     s = ex.to_prefix(e)
     assert isinstance(s, str) and "cosh" in s and s.startswith("(")
+
+
+def test_prefix_rendering_of_every_node_kind():
+    e = ex.add(
+        ex.mul(F(-3, 2), X),
+        ex.div(ex.exp(X), ex.sinh(T)),
+        ex.pow_(X, F(1, 2)),
+        ex.pow_(ex.cosh(X), 2.5),
+        ex.tanh(ex.tan(X)),
+        ex.cot(ex.csc(ex.sqrt(T))),
+    )
+    assert ex.to_prefix(e) == ("(+ (* -3/2 x) (/ (exp x) (sinh t)) (^ x 1/2) (^ (cosh x) 2.5)"
+                               " (tanh (tan x)) (cot (csc (sqrt t))))")
+    assert repr(ex.pow_(X, F(-1, 3))) == "(^ x -1/3)"
+
+
+def test_float_and_fraction_exponents_are_one_node():
+    half, exact = ex.pow_(X, 0.5), ex.pow_(X, F(1, 2))
+    assert half == exact and hash(half) == hash(exact)
+    assert len(ex.Tape([half, exact]).code) == 2
+
+
+def test_nodes_differing_only_in_kind_or_order_are_unequal():
+    pairs = [
+        (ex.sinh(X), ex.cosh(X)),
+        (ex.Add((X, T)), ex.Mul((X, T))),
+        (ex.Add((X, T)), ex.Add((T, X))),
+        (ex.div(X, T), ex.div(T, X)),
+    ]
+    for a, b in pairs:
+        assert a != b and b != a
+        assert len(ex.Tape([a, b]).code) == len(ex.Tape([a]).code) + 1
+
+
+def test_substitute_keeps_every_subtree_without_the_variable():
+    e = ex.add(ex.mul(2, X, ex.cosh(T)), ex.div(ex.sinh(T), ex.add(1, X)),
+               ex.pow_(ex.exp(T), F(1, 2)), ex.pow_(T, 2.5), ex.tan(ex.csc(T)))
+    r = ex.mul(3, T)
+    for node in _subtree_nodes(e):
+        has_x = X in _subtree_nodes(node)
+        assert (ex.substitute(node, X, r) is node) is not has_x
+    kept = {id(t) for t in ex.substitute(e, X, r).terms}
+    assert all(id(t) in kept for t in e.terms if X not in _subtree_nodes(t))
+
+
+def _subtree_nodes(node):
+    out = [node]
+    for child in _children(node):
+        out += _subtree_nodes(child)
+    return out

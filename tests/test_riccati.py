@@ -16,8 +16,7 @@ import pytest
 from mdpwave import expr as ex
 from mdpwave.errors import UnclassifiableCoefficients
 from mdpwave.riccati import (RiccatiCoefficients, classify, is_degenerate,
-                             phi_expr, pole_guard, riccati_case,
-                             riccati_residual)
+                             phi_expr, pole_guard, riccati_residual)
 
 
 def test_classification_examples():
@@ -107,8 +106,7 @@ def _sample_triple(rng, case):
 
 
 def max_residual(c, n_points=200, guard_eps=1e-2):
-    case = riccati_case(c)
-    res = riccati_residual(case.phi, c)
+    res = riccati_residual(phi_expr(c), c)
     guard = pole_guard(c)
     xs = np.linspace(-3.0, 3.0, n_points)
     gv = ex.evaluate_many(guard, {}, {"xi": xs})
