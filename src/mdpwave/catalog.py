@@ -33,7 +33,7 @@ from .riccati import (BASE_CHECKS, BETA_CHECK, MU_CHECK, S_LABEL,
                       discriminant, is_degenerate, violations)
 
 __all__ = [
-    "family_ids", "list_families", "validate", "build", "profile",
+    "family_ids", "list_families", "validate", "build", "build_wave", "profile",
     "wave_speed", "singular_denominator",
 ]
 
@@ -331,10 +331,21 @@ def singular_denominator(fid, params):
 def build(fid, params):
     """The waveform as an expression in (x, t), xi expanded to x + lam*t."""
     prof, lam, _ = _made(fid, params)
-    return ex.substitute(prof, XI, ex.add(X, ex.mul(lam, T)))
+    return _in_xt(prof, lam)
 
 
 def build_guard_xt(fid, params):
     """The singular denominator in (x, t) coordinates, matching `build`."""
     _, lam, guard = _made(fid, params)
-    return ex.substitute(guard, XI, ex.add(X, ex.mul(lam, T)))
+    return _in_xt(guard, lam)
+
+
+def build_wave(fid, params):
+    """(`build`, `build_guard_xt`, `wave_speed`) from one check of `params`
+    and one call of the family's maker."""
+    prof, lam, guard = _made(fid, params)
+    return _in_xt(prof, lam), _in_xt(guard, lam), float(ex.evaluate_many(lam, {}, {}))
+
+
+def _in_xt(e, lam):
+    return ex.substitute(e, XI, ex.add(X, ex.mul(lam, T)))

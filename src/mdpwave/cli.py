@@ -188,8 +188,7 @@ def _cmd_verify(args):
     params = _params(args.param)
     grid = _grid_from_args(args)
     _check_tol(args.tol)
-    u = catalog.build(args.family, params)
-    guard = catalog.build_guard_xt(args.family, params)
+    u, guard, lam = catalog.build_wave(args.family, params)
     rep = verifier.verify_on_grid(u, params["b"], grid=grid, tol=args.tol,
                                   guard=guard, method=args.method)
     doc = {
@@ -199,7 +198,7 @@ def _cmd_verify(args):
             "tol": rep.tolerance, "method": args.method,
         },
         "family": args.family,
-        "wave_speed": catalog.wave_speed(args.family, params),
+        "wave_speed": lam,
         "report": rep.to_dict(),
     }
     _emit(doc, args.out)

@@ -22,23 +22,25 @@ takes, and drops it when the build is done.  All values are immutable and
 all operations are pure, so trees are safe to share across workers.
 
 Evaluation compiles one or more roots into a single `Tape` that evaluates
-each structurally distinct subtree once and frees its value after the
-last use.  `evaluate_many` runs the tape over numpy arrays; domain
+each structurally distinct subtree once.  The tape runs over numpy arrays
+in a workspace: rows of the points' shape, one per value that is live at
+once.  Each instruction that depends on a variable calls its ufuncs with
+`out=` its own row, and a row is reused once its value's last consumer has
+run, but never for an operand of the same instruction; constant subtrees
+stay scalars.  An n-ary sum or product is worked left to right in its row,
+so the IEEE results are those of the plain chain.  `evaluate_many` runs
+the tape on a fresh workspace; a caller that evaluates block after block
+(`verifier`) passes the same workspace to `Tape.run` each time.  Domain
 violations give inf/NaN values, which callers screen with their own
-guards.  It works an n-ary sum or product left to right: the first two
-operands go into a fresh array, and each later scalar or same-shaped
-operand is added or multiplied into that array in place, so the chain
-allocates one array rather than one per operand.  The IEEE results are
-those of the plain chain, and an operand that would broadcast to a
-larger shape takes the allocating form.  A caller's arrays are never
-written.
+guards.  A caller's arrays are never written.
 
-The first `evaluate_many` imports numpy and binds the module global `np`
-that `_vector_step` reads, so building and differentiating trees run
-without loading numpy.
+The first `Tape.run` or `evaluate_many` imports numpy and binds the module
+global `np` that `_vector_step` reads, so building and differentiating
+trees run without loading numpy.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -54,7 +56,7 @@ __all__ = [
 
 FUNCTIONS = ("exp", "sinh", "cosh", "tanh", "tan", "cot", "csc", "sqrt")
 
-np = None  # numpy, bound by the first evaluate_many
+np = None  # numpy, bound by the first Tape.run or evaluate_many
 
 
 class Expr:
@@ -436,46 +438,76 @@ class Tape:
     There is one slot, and one instruction, per structurally distinct
     node: nodes are keyed by their own `__hash__`/`__eq__`, and each
     instruction is the node's key with a "rat" or "pow" payload as a
-    float.  A subtree shared between roots, or repeated inside one, is
-    therefore evaluated once.  A slot is released right after its last consumer runs; root
-    slots are never released.
+    float, plus its workspace row.  A subtree shared between roots, or
+    repeated inside one, is therefore evaluated once.  A value that
+    depends on a variable goes into a row of the workspace given to `run`
+    (`rows` of them): a row is reused once its value's last consumer has
+    run, never for an operand of the same instruction, and never a root's.
+    A `cot` also takes a scratch row, named by its payload.
     """
 
-    __slots__ = ("code", "outputs")
+    __slots__ = ("code", "outputs", "rows")
 
     def __init__(self, roots):
         slots = {}
-        code = []  # [op, payload, argument slots, slots to free after]
+        code = []  # [op, payload, argument slots, row: None for none, -1 until placed]
+        varies = []  # per slot: whether its value depends on a variable
 
         def visit(node):
             slot = slots.get(node)
             if slot is None:
                 op, payload, kids = node._key
-                if op == "rat" or op == "pow":
-                    payload = float(payload)
-                args = tuple([visit(k) for k in kids])
+                row = None
+                if kids:
+                    args = tuple(map(visit, kids))
+                    for a in args:
+                        if varies[a]:
+                            row = -1
+                            break
+                    if op == "pow":
+                        payload = float(payload)
+                else:
+                    args = kids
+                    if op == "rat":
+                        payload = float(payload)
                 slot = slots[node] = len(code)
-                code.append([op, payload, args, ()])
+                code.append([op, payload, args, row])
+                varies.append(row is not None or op == "var")
             return slot
 
         self.outputs = tuple(visit(as_expr(r)) for r in roots)
-        last_use = {a: i for i, ins in enumerate(code) for a in ins[2]}
-        for slot, i in last_use.items():
-            if slot not in self.outputs:
-                code[i][3] += (slot,)
+        # walk back from the roots, which are read last: the first use met
+        # is a value's last, so it takes a free row there, and its row is
+        # free again above the instruction that writes it
+        free, fresh = [], itertools.count()
+        for ins in reversed(code + [[None, None, self.outputs, None]]):
+            for a in ins[2]:
+                if code[a][3] == -1:
+                    code[a][3] = free.pop() if free else next(fresh)
+            if ins[3] is not None:
+                if ins[0] == "cot":  # a scratch row, free again once it has run
+                    ins[1] = free.pop() if free else next(fresh)
+                    free.append(ins[1])
+                free.append(ins[3])
         self.code = code
+        self.rows = next(fresh)
 
-    def run(self, point):
-        """Values of the roots at `point`, a dict of numpy arrays."""
+    def run(self, point, work):
+        """Values of the roots at `point`, a dict of numpy arrays.  Row r of
+        the workspace is `work[r]`, an array of the points' broadcast shape;
+        a root is a row, a point array or a constant scalar."""
+        global np
+        import numpy as np
         vals = [None] * len(self.code)
-        for slot, (op, payload, args, free) in enumerate(self.code):
-            vals[slot] = _vector_step(op, payload, [vals[a] for a in args], point)
-            for s in free:
-                vals[s] = None
+        for slot, (op, payload, args, row) in enumerate(self.code):
+            vals[slot] = _vector_step(op, payload, [vals[a] for a in args], point,
+                                      None if row is None else work[row], work)
         return [vals[s] for s in self.outputs]
 
 
-def _vector_step(op, payload, xs, point):
+def _vector_step(op, payload, xs, point, out, work):
+    """One instruction: its ufuncs write into `out`, or return a new scalar
+    when `out` is None (a constant)."""
     if op == "rat":
         return payload
     if op == "var":
@@ -484,26 +516,23 @@ def _vector_step(op, payload, xs, point):
         except KeyError:
             raise UnboundSymbol(f"unbound variable {payload!r}") from None
     if op == "add" or op == "mul":
-        out = xs[0]
-        if len(xs) > 1:
-            out = out + xs[1] if op == "add" else out * xs[1]
-            for v in xs[2:]:  # `out` is a scalar or an array this step made
-                if type(out) is not np.ndarray or (type(v) is np.ndarray and v.shape != out.shape):
-                    out = out + v if op == "add" else out * v
-                elif op == "add":
-                    out += v
-                else:
-                    out *= v
-        return out
+        if len(xs) == 1:  # a bitwise copy into its row
+            return np.positive(xs[0], out)
+        f = np.add if op == "add" else np.multiply
+        acc = f(xs[0], xs[1], out)
+        for v in xs[2:]:
+            acc = f(acc, v, out)
+        return acc
     if op == "div":
-        return xs[0] / xs[1]
+        return np.divide(xs[0], xs[1], out)
     if op == "pow":
-        return np.power(xs[0], payload)
+        return np.power(xs[0], payload, out)
     if op == "cot":
-        return np.cos(xs[0]) / np.sin(xs[0])
+        sin = np.sin(xs[0], None if out is None else work[payload])
+        return np.divide(np.cos(xs[0], out), sin, out)
     if op == "csc":
-        return 1.0 / np.sin(xs[0])
-    return getattr(np, op)(xs[0])
+        return np.divide(1.0, np.sin(xs[0], out), out)
+    return getattr(np, op)(xs[0], out)
 
 
 def evaluate_many(e, params=None, point=None):
@@ -511,12 +540,13 @@ def evaluate_many(e, params=None, point=None):
 
     `e` is one expression (one array back), or a sequence of expressions
     or a compiled Tape (a list of arrays back, one per root); constant
-    roots are broadcast to the points' shape.  Domain violations (division
-    by zero, sqrt of a negative, trig poles, overflow) do not raise: they
-    yield inf/NaN under suppressed numpy warnings, which callers screen
-    with their own guards.  Unbound variables raise UnboundSymbol.
-    `params` is unused: trees embed their constants, and the slot stays
-    for callers that pass `{}` before the point.
+    roots are broadcast to the points' shape.  The tape runs on a fresh
+    workspace, and each array returned is its own.  Domain violations
+    (division by zero, sqrt of a negative, trig poles, overflow) do not
+    raise: they yield inf/NaN under suppressed numpy warnings, which
+    callers screen with their own guards.  Unbound variables raise
+    UnboundSymbol.  `params` is unused: trees embed their constants, and
+    the slot stays for callers that pass `{}` before the point.
     """
     global np
     import numpy as np
@@ -524,10 +554,18 @@ def evaluate_many(e, params=None, point=None):
     tape = e if isinstance(e, Tape) else Tape((e,) if single else e)
     point = {k: np.asarray(v, dtype=float) for k, v in (point or {}).items()}
     shape = np.broadcast_shapes(*(a.shape for a in point.values())) if point else ()
+    work = [np.empty(shape) for _ in range(tape.rows)]
     with np.errstate(all="ignore"):
-        vals = tape.run(point)
-    out = [np.full(shape, float(v)) if np.ndim(v) == 0 else np.asarray(v, dtype=float)
-           for v in vals]
+        vals = tape.run(point, work)
+    rows = {id(r) for r in work}
+    out = []
+    for v in vals:  # a row is handed out once; a point array or a repeat is copied
+        if np.ndim(v) == 0:
+            v = np.full(shape, float(v))
+        elif id(v) not in rows:
+            v = v.copy()
+        rows.discard(id(v))
+        out.append(v)
     return out[0] if single else out
 
 

@@ -10,16 +10,18 @@ residual terms, so near-pole points with huge cancelling terms and far-field
 points with uniformly tiny terms are both judged fairly; the raw maximum is
 always reported alongside.
 
-The kept points are walked in fixed blocks of `BLOCK` points: one tape is
-compiled per verification and run on each block, and each block's maxima
-are combined.  Every point's value is computed by the same elementwise
-operations whatever block it falls in, and a maximum is exact in any
-grouping, so the report bytes do not depend on the block size.
-
-`BLOCK` bounds the values in one tape slot, points or points times stencil
-offsets: the finite-difference path packs as many of its 27 shifted copies
-of a block into one tape run as fit (two runs on the default grid, one copy
-per run once a block holds more than BLOCK / 2 points).
+The guard and then the kept points are walked in blocks of `BLOCK` points,
+one compiled tape each, and the blocks' maxima are combined; a point's
+value takes the same elementwise operations in any block, and a maximum is
+exact in any grouping, so the report bytes do not depend on the block
+size.  Each walk allocates one workspace that every block reuses: the tape
+writes each value into a row as wide as a tape run (`expr.Tape`: a row is
+reused once its value's last consumer has run, never for an operand of the
+same instruction), the rows after the tape's hold the shifted points, and
+rows a block wide hold the stencil, residual and scale sums.  A tape run
+holds at most `BLOCK` values: the finite-difference path packs as many of
+its 27 shifted copies of a block into one run as fit (two runs on the
+default grid, one copy per run once a block holds more than BLOCK / 2).
 """
 from __future__ import annotations
 
@@ -52,9 +54,10 @@ _W1 = {-2: 1.0, -1: -8.0, 1: 8.0, 2: -1.0}            # / 12h
 _W2 = {-2: -1.0, -1: 16.0, 0: -30.0, 1: 16.0, 2: -1.0}  # / 12h^2
 _W3 = {-3: 1.0, -2: -8.0, -1: 13.0, 1: -13.0, 2: 8.0, 3: -1.0}  # / 8h^3
 # the (x, t) offsets, in steps, at which the stencils read u: every x
-# offset at t, and _W2's x offsets at each t offset of _W1
+# offset at t, and _W2's x offsets at each t offset of _W1; ordered by t
+# offset, then x offset, the order in which _fd_terms adds them up
 _FD_OFFSETS = tuple(sorted({(i, 0) for i in (*_W1, *_W2, *_W3)}
-                           | {(i, j) for j in _W1 for i in _W2}))
+                           | {(i, j) for j in _W1 for i in _W2}, key=lambda o: (o[1], o[0])))
 
 
 @dataclass(frozen=True)
@@ -161,50 +164,87 @@ def ode_residual(U, b, lam):
     return ex.add(*ode_residual_terms(U, b, lam))
 
 
-def _fd_terms(tape, b, xs, ts):
+def _workspace(tape, n, symbolic):
+    """(rows as wide as a tape run, rows as wide as a block) for blocks of
+    up to `n` points: the tape's rows, and for the finite-difference path
+    the shifted points after them; then 3 rows for the residual and scale
+    sums, or the 8 stencil sums (whose first 3 are free again for them)."""
+    import numpy as np
+    m = min(BLOCK, n)
+    if symbolic:
+        return np.empty((tape.rows, m)), np.empty((3, m))
+    return np.empty((tape.rows + 2, min(BLOCK // m, len(_FD_OFFSETS)) * m)), np.empty((8, m))
+
+
+def _fd_terms(tape, b, xs, ts, work, sums):
     """Residual terms with every derivative replaced by 4th-order central
     differences of u itself (the one root of `tape`): an evaluation path
     fully independent of the symbolic differentiator.
 
-    u is read at `_FD_OFFSETS`, as many offsets per tape run as fit in
-    `BLOCK` values, on their shifted points concatenated; each value takes
-    the same elementwise operations as alone, so the packing moves no bit.
+    u is read at `_FD_OFFSETS`, as many per tape run as fit in a row of
+    `work`, and added into the stencil sums that read it, rows of `sums`
+    (both from `_workspace`): zeroed rows plus w*u in each `_W*` dict's
+    order, the operations of `0.0 + w0*u0 + w1*u1 + ...`, so no bit
+    moves.  The terms are rows of `sums`.
     """
     import numpy as np
-    b, h = float(b), FD_STEP
-    per_run = max(1, BLOCK // len(xs))
-    cache = {}
+    b, h, n = float(b), FD_STEP, len(xs)
+    xw, tw = work[tape.rows:]
+    # u0, d2 and tmp first: they are free again once the terms are made
+    u0, d2, tmp, ux, uxx, uxxx, ut, uxxt = sums = sums[:, :n]
+    sums[1] = sums[3:] = 0.0
+
+    def acc(row, w, v):
+        np.add(row, np.multiply(w, v, tmp), row)
+
+    per_run = max(1, BLOCK // n)
     for lo in range(0, len(_FD_OFFSETS), per_run):
         group = _FD_OFFSETS[lo:lo + per_run]
-        shifted = [(xs + i * h, ts + j * h) for i, j in group]
-        x, t = shifted[0] if len(group) == 1 else map(np.concatenate, zip(*shifted))
-        [u] = ex.evaluate_many(tape, {}, {"x": x, "t": t})
-        cache.update(zip(group, u.reshape(len(group), -1)))
+        for k, (i, j) in enumerate(group):
+            np.add(xs, i * h, xw[k * n:(k + 1) * n])
+            np.add(ts, j * h, tw[k * n:(k + 1) * n])
+        width = len(group) * n
+        [u] = tape.run({"x": xw[:width], "t": tw[:width]}, work[:tape.rows, :width])
+        for k, (i, j) in enumerate(group):
+            v = u if np.ndim(u) == 0 else u[k * n:(k + 1) * n]
+            if j == 0:
+                if i == 0:
+                    np.copyto(u0, v)
+                for row, weights in ((ux, _W1), (uxx, _W2), (uxxx, _W3)):
+                    if i in weights:
+                        acc(row, weights[i], v)
+                continue
+            if i == 0:
+                acc(ut, _W1[j], v)
+            acc(d2, _W2[i], v)
+            if i == 2:  # u_xx at this t offset is complete
+                acc(uxxt, _W1[j], np.divide(d2, 12 * h * h, d2))
+                d2[:] = 0.0
+    for row, scale in ((ux, 12 * h), (uxx, 12 * h * h), (uxxx, 8 * h ** 3),
+                       (ut, 12 * h), (uxxt, 12 * h)):
+        np.divide(row, scale, row)
+    # (b+1)*u0*u0*ux, -b*ux*uxx and -u0*uxxx, left to right, into the
+    # rows of ux, uxx and uxxx (uxx's first: it reads ux)
+    np.multiply(np.multiply(-b, ux, tmp), uxx, uxx)
+    np.multiply(np.multiply(np.multiply(b + 1, u0, tmp), u0, tmp), ux, ux)
+    np.multiply(np.negative(u0, u0), uxxx, uxxx)
+    return ut, np.negative(uxxt, uxxt), ux, uxx, uxxx
 
-    def u_at(i, j):
-        return cache[i, j]
 
-    def d_x(weights, scale, j=0):
-        (i0, w0), *rest = weights.items()
-        out = 0.0 + w0 * u_at(i0, j)  # 0.0 + turns a -0.0 start into 0.0
-        for i, w in rest:
-            out += w * u_at(i, j)
-        out /= scale
-        return out
-
-    u0 = u_at(0, 0)
-    ux = d_x(_W1, 12 * h)
-    uxx = d_x(_W2, 12 * h * h)
-    uxxx = d_x(_W3, 8 * h ** 3)
-    ut = sum(w * u_at(0, j) for j, w in _W1.items()) / (12 * h)
-    uxxt = sum(w * d_x(_W2, 12 * h * h, j=j) for j, w in _W1.items()) / (12 * h)
-    return (
-        ut,
-        -uxxt,
-        (b + 1) * u0 * u0 * ux,
-        -b * ux * uxx,
-        -u0 * uxxx,
-    )
+def _block_maxima(terms, res, scale, tmp):
+    """One block's (max |R|, max scaled |R|), R and the scale summed left to
+    right in place; a NaN or inf counts as inf, as in the report."""
+    import numpy as np
+    np.add(terms[0], terms[1], res)
+    np.add(np.abs(terms[0], scale), np.abs(terms[1], tmp), scale)
+    for t in terms[2:]:
+        np.add(res, t, res)
+        np.add(scale, np.abs(t, tmp), scale)
+    top = float(np.max(np.abs(res, res)))  # NaN when any R is NaN
+    if not (math.isfinite(top) and math.isfinite(float(np.max(scale)))):
+        return (math.inf if math.isnan(top) else top), math.inf
+    np.maximum(1.0, scale, out=scale)
+    return top, float(np.max(np.divide(res, scale, scale)))
 
 
 def verify_on_grid(u, b, grid=None, tol=None, guard=None, method="symbolic"):
@@ -222,36 +262,39 @@ def verify_on_grid(u, b, grid=None, tol=None, guard=None, method="symbolic"):
     if tol is None:
         tol = DEFAULT_TOL_SYMBOLIC if method == "symbolic" else DEFAULT_TOL_FINITE_DIFF
     guard = ex.ONE if guard is None else ex.as_expr(guard)
+    symbolic = method == "symbolic"
 
     xs, ts = grid.points()
-    gv = ex.evaluate_many(guard, {}, {"x": xs, "t": ts})
-    keep = np.abs(gv) >= grid.eps_den  # NaN guards compare false -> skipped
-    n_total = xs.size
-    n_keep = int(np.count_nonzero(keep))
-    if n_keep == 0:
-        raise AllPointsSkipped(
-            "the singularity guard swallowed the whole grid; "
-            "widen the grid or revisit the parameters"
-        )
-
-    xk, tk = xs[keep], ts[keep]
-    symbolic = method == "symbolic"
-    tape = ex.Tape(mdp_residual_terms(u, b) if symbolic else (u,))
-    max_abs = max_scaled = -np.inf
-    for lo in range(0, n_keep, BLOCK):
-        xb, tb = xk[lo:lo + BLOCK], tk[lo:lo + BLOCK]
-        with np.errstate(all="ignore"):  # non-finite points are screened below
-            if symbolic:
-                terms = ex.evaluate_many(tape, {}, {"x": xb, "t": tb})
-            else:
-                terms = _fd_terms(tape, b, xb, tb)
-            residual = sum(terms)
-            scale = sum(np.abs(t) for t in terms)
-            scaled = np.abs(residual) / np.maximum(1.0, scale)
-        scaled = np.where(np.isfinite(residual) & np.isfinite(scale), scaled, np.inf)
-        abs_res = np.abs(residual)
-        max_abs = max(max_abs, float(np.max(np.where(np.isfinite(abs_res), abs_res, np.inf))))
-        max_scaled = max(max_scaled, float(np.max(scaled)))
+    n_total = n_keep = xs.size
+    with np.errstate(all="ignore"):  # non-finite values are screened by the reductions
+        if type(guard) is ex.Rational:  # not evaluated
+            n_keep *= abs(float(guard.value)) >= grid.eps_den
+        else:
+            tape = ex.Tape((guard,))
+            work = np.empty((tape.rows + 1, min(BLOCK, n_total)))
+            keep = np.empty(n_total, dtype=bool)
+            for lo in range(0, n_total, BLOCK):
+                m = min(BLOCK, n_total - lo)
+                [g] = tape.run({"x": xs[lo:lo + m], "t": ts[lo:lo + m]}, work[:, :m])
+                # a NaN guard compares false: skipped
+                np.greater_equal(np.abs(g, work[-1, :m]), grid.eps_den, keep[lo:lo + m])
+            n_keep = int(np.count_nonzero(keep))
+            if n_keep < n_total:
+                xs, ts = xs[keep], ts[keep]
+        if n_keep == 0:
+            raise AllPointsSkipped(
+                "the singularity guard swallowed the whole grid; "
+                "widen the grid or revisit the parameters"
+            )
+        tape = ex.Tape(mdp_residual_terms(u, b) if symbolic else (u,))
+        work, sums = _workspace(tape, n_keep, symbolic)
+        max_abs = max_scaled = -math.inf
+        for lo in range(0, n_keep, BLOCK):
+            xb, tb = xs[lo:lo + BLOCK], ts[lo:lo + BLOCK]
+            terms = (tape.run({"x": xb, "t": tb}, work[:, :xb.size]) if symbolic
+                     else _fd_terms(tape, b, xb, tb, work, sums))
+            top, top_scaled = _block_maxima(terms, *sums[:3, :xb.size])
+            max_abs, max_scaled = max(max_abs, top), max(max_scaled, top_scaled)
     return ResidualReport(
         max_abs=max_abs,
         max_scaled=max_scaled,

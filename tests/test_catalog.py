@@ -4,6 +4,7 @@ Covers:
   - listing: 24 entries with the right parameter signatures
   - build values at hand-derived points, wave speeds (pinned bit for bit
     by a digest, and equal to the formula `catalog list` prints),
+    `build_wave` against `build`, `build_guard_xt` and `wave_speed`,
     validation verdicts
   - u11 degeneracy decided exactly, and alike, by catalog and pipeline
   - singular denominators (structural, and every sample's guard tree
@@ -104,6 +105,15 @@ def test_printed_wave_speed_is_the_evaluated_one(catalog_samples):
             want = -(p["b"] + 1 - sign * root) / 2
             assert math.isclose(catalog.wave_speed(fid, p), want, rel_tol=1e-12), (fid, p)
     assert len(radical) == 15
+
+
+def test_build_wave_is_build_guard_and_speed_at_once(catalog_samples):
+    for fid, samples in catalog_samples.items():
+        for p in samples:
+            u, guard, lam = catalog.build_wave(fid, p)
+            assert u == catalog.build(fid, p), fid
+            assert guard == catalog.build_guard_xt(fid, p), fid
+            assert lam == catalog.wave_speed(fid, p), fid
 
 
 def test_validation_verdicts():

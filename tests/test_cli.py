@@ -2,7 +2,8 @@
 
 Covers:
   - catalog listing shape and JSON validity
-  - verify: pass/fail/violation exit codes, report contents, config echo
+  - verify: pass/fail/violation exit codes, report contents, config echo,
+    one build of the family's wave per command
   - riccati / cole-hopf / rh subcommands, `rh` byte for byte for all eight
     families and `riccati` for every case and both case-4 branches
   - pipeline generate (bit-exact round trip), check (exact rationals, and
@@ -82,6 +83,29 @@ def test_verify_finite_difference_method():
     assert code == 0
     assert doc["report"]["method"] == "finite-difference"
     assert doc["report"]["tolerance"] == 1e-4
+
+
+@pytest.mark.parametrize("fid, params, method", [
+    ("u6", {"b": "3"}, "symbolic"),
+    ("u22", {"b": "3", "alpha": "2", "beta": "3", "gamma": "1"}, "finite-difference"),
+    ("u5", {"b": "3"}, "symbolic"),
+])
+def test_verify_builds_its_wave_once(monkeypatch, fid, params, method):
+    from mdpwave import catalog
+    calls = []
+    made = catalog._made
+
+    def counting_made(*args):
+        calls.append(args[0])
+        return made(*args)
+
+    monkeypatch.setattr(catalog, "_made", counting_made)
+    argv = ["verify", "--family", fid, "--method", method]
+    for k, v in params.items():
+        argv += ["--param", f"{k}={v}"]
+    code, out = run(argv)
+    assert code == 0 and calls == [fid]
+    assert json.loads(out)["wave_speed"] == catalog.wave_speed(fid, params)
 
 
 def test_riccati_subcommand():

@@ -9,7 +9,10 @@ Covers:
   - iterated derivatives, substitution, evaluate/substitute commutation
   - vectorized evaluation matching a plain `math` walk of the tree
   - the compiled tape: one slot per structurally distinct node, shared
-    roots equal to per-root evaluation, roots never freed, broadcasting
+    roots equal to per-root evaluation, workspace rows reused but never
+    while their value is still to be read, never an operand's row, and
+    never a root's, broadcasting; every array `evaluate_many` returns is
+    its own
   - in-place sums and products: caller arrays untouched, broadcasting to a
     larger shape, scalar points, no RuntimeWarning on non-finite values
   - the structural key: exact prefix text for every node kind, float and
@@ -368,16 +371,48 @@ def test_tape_has_one_slot_per_distinct_node(catalog_samples):
                 stack.extend(_children(node))
         tape = ex.Tape(terms)
         assert len(tape.code) == len(distinct)
-        # every non-root slot is freed once, by its last consumer
-        freed = {}
-        for i, (_, _, args, free) in enumerate(tape.code):
-            for slot in free:
-                assert slot in args and slot not in freed
-                freed[slot] = i
-        assert set(freed) | set(tape.outputs) == set(range(len(tape.code)))
-        assert not set(freed) & set(tape.outputs)
-        for slot, i in freed.items():
-            assert all(slot not in ins[2] for ins in tape.code[i + 1:])
+        _assert_rows_hold_their_values(tape)
+        # rows are reused: fewer rows than values that need one
+        assert tape.rows < sum(ins[3] is not None for ins in tape.code)
+
+
+def _assert_rows_hold_their_values(tape):
+    """Replay the tape's row assignment: every operand is still in its row
+    when it is read, no instruction writes an operand's row, and every root
+    is still in its row at the end."""
+    holder = {}  # row -> slot whose value it holds
+    for i, (op, payload, args, row) in enumerate(tape.code):
+        arg_rows = {tape.code[a][3] for a in args} - {None}
+        for a in args:
+            if tape.code[a][3] is not None:
+                assert holder[tape.code[a][3]] == a
+        if row is None:
+            assert op == "var" or all(tape.code[a][3] is None and tape.code[a][0] != "var"
+                                      for a in args)
+            continue
+        assert 0 <= row < tape.rows and row not in arg_rows
+        if op == "cot":  # its scratch row: neither its own nor an operand's
+            assert 0 <= payload < tape.rows and payload != row and payload not in arg_rows
+            holder.pop(payload, None)
+        holder[row] = i
+    for s in tape.outputs:
+        if tape.code[s][3] is not None:
+            assert holder[tape.code[s][3]] == s
+
+
+def test_tape_rows_around_roots_and_scratch():
+    # a root read by a later instruction keeps its row, a cot takes a
+    # scratch row, and repeated operands take one row
+    inner = ex.cosh(X)
+    roots = [inner, ex.cot(ex.mul(2, inner)), ex.Mul((inner, inner, T)), ex.sqrt(2), X]
+    tape = ex.Tape(roots)
+    _assert_rows_hold_their_values(tape)
+    assert [tape.code[s][3] is None for s in tape.outputs] == [False, False, False, True, True]
+    xs, ts = np.linspace(-1.0, 1.0, 7), np.linspace(0.0, 2.0, 7)
+    got = ex.evaluate_many(tape, {}, {"x": xs, "t": ts})
+    assert np.array_equal(got[0], np.cosh(xs))
+    assert np.array_equal(got[1], np.cos(2.0 * np.cosh(xs)) / np.sin(2.0 * np.cosh(xs)))
+    assert np.array_equal(got[2], np.cosh(xs) * np.cosh(xs) * ts)
 
 
 def test_tape_keeps_a_root_that_is_also_a_subtree():
@@ -395,6 +430,27 @@ def test_constant_root_broadcasts_to_grid_shape():
     half, root2, x = ex.evaluate_many([ex.Rational(F(1, 2)), ex.sqrt(2), X], {}, {"x": grid})
     assert half.shape == root2.shape == x.shape == (3, 4)
     assert (half == 0.5).all() and (root2 == math.sqrt(2)).all()
+
+
+def test_evaluate_many_hands_out_independent_arrays():
+    # a repeated root, a root that is also an operand, variable and
+    # constant roots: from one call and from two calls of one tape, every
+    # array is its own, and none is the caller's
+    xs, ts = np.linspace(-1.0, 1.0, 5), np.linspace(0.0, 2.0, 5)
+    x0, t0 = xs.copy(), ts.copy()
+    c = ex.cosh(X)
+    tape = ex.Tape([c, ex.mul(2, c), c, X, X, ex.Rational(F(1, 2)), ex.sqrt(2), ex.add(X, T)])
+    first = ex.evaluate_many(tape, {}, {"x": xs, "t": ts})
+    second = ex.evaluate_many(tape, {}, {"x": xs, "t": ts})
+    for got in (first, second):
+        assert all(v.shape == xs.shape for v in got)
+        assert np.array_equal(got[0], np.cosh(x0)) and np.array_equal(got[2], np.cosh(x0))
+        assert (got[5] == 0.5).all() and (got[6] == math.sqrt(2)).all()
+    arrays = first + second
+    for k, v in enumerate(arrays):
+        v[...] = -1.0 - k
+    assert all((v == -1.0 - k).all() for k, v in enumerate(arrays))
+    assert np.array_equal(xs, x0) and np.array_equal(ts, t0)
 
 
 def _chains(first):

@@ -8,9 +8,11 @@ Covers:
     the all-skipped error, and the finite-difference cross-check path
   - no numpy warning escapes an unguarded verification
   - golden digests of every residual tree the builders produce
-  - the block walk: golden multi-block reports, agreement with one pass
-    over every kept point at and around the block size, guard skips across
-    a block edge, and what runs before and once per verification
+  - the block walk: golden multi-block reports (also on two shifted
+    benchmark windows), agreement with one pass of the allocating
+    arithmetic over every kept point at and around the block size, guard
+    skips across a block edge, what runs before and once per verification,
+    and a constant guard that is never evaluated
   - finite-difference offset packing: bitwise agreement with one tape run
     per stencil offset, and the number and size of the packed runs
 """
@@ -273,9 +275,43 @@ def test_multi_block_reports_match_golden_digests(catalog_samples):
         assert got == want, (fid, method)
 
 
+def _window(dx, dt):
+    """One of perfbench verify-grid's grids: BIG_GRID's shape with x
+    shifted by dx and t by dt."""
+    return GridSpec(x_min=float(-10 + dx), x_max=float(10 + dx), nx=1001,
+                    t_min=float(dt), t_max=float(2 + dt), nt=101)
+
+
+# the same digests on two shifted windows of the benchmark's verify-grid
+# workload, recorded at the commit before verification wrote into a reused
+# workspace
+SHIFTED_REPORT_DIGESTS = {
+    ((F(7, 8), F(3, 4)), "u14", 0, "symbolic"):
+        "e7882208cd11bd9e0f2a8f12063f3ac2242ad594c9d18f46a661ad23a9a618ab",
+    ((F(7, 8), F(3, 4)), "u22", 0, "finite-difference"):
+        "6f9586a9685dd8daac2d7ac2a3be13a8e9f3ffa90f9f24c3cd358ba74efbd70a",
+    ((F(-1), F(1, 4)), "u14", 0, "symbolic"):
+        "4c6466681166e5d3bc2e1adcd96e7e4c74d8aea58a20802aa221994f569e650c",
+    ((F(-1), F(1, 4)), "u22", 0, "finite-difference"):
+        "612a51c2304c105c5bce40aef1b973abe706e1f86dcddeb3a0604c52b6ce3a49",
+}
+
+
+def test_shifted_window_reports_match_golden_digests(catalog_samples):
+    for (shift, fid, i, method), want in SHIFTED_REPORT_DIGESTS.items():
+        params = catalog_samples[fid][i]
+        rep = verify_on_grid(catalog.build(fid, params), params["b"], grid=_window(*shift),
+                             guard=catalog.build_guard_xt(fid, params), method=method)
+        assert rep.passed and rep.points_evaluated > BLOCK, (shift, fid, method)
+        assert (rep.points_skipped > 0) == (fid == "u14"), (shift, fid, method)
+        got = hashlib.sha256(report.dumps(rep.to_dict()).encode()).hexdigest()
+        assert got == want, (shift, fid, method)
+
+
 def _single_pass(u, b, grid, guard=ex.ONE, method="symbolic"):
     """(max_abs, max_scaled, points evaluated) from one pass over every
-    kept point at once."""
+    kept point at once, with the allocating sums and reductions that
+    verification used before it wrote into a workspace."""
     xs, ts = grid.points()
     keep = np.abs(ex.evaluate_many(guard, {}, {"x": xs, "t": ts})) >= grid.eps_den
     xk, tk = xs[keep], ts[keep]
@@ -283,7 +319,7 @@ def _single_pass(u, b, grid, guard=ex.ONE, method="symbolic"):
         if method == "symbolic":
             terms = ex.evaluate_many(mdp_residual_terms(u, b), {}, {"x": xk, "t": tk})
         else:
-            terms = verifier._fd_terms(ex.Tape((u,)), b, xk, tk)
+            terms = _fd_terms_per_offset(ex.Tape((u,)), b, xk, tk)
         residual = sum(terms)
         scale = sum(np.abs(t) for t in terms)
         scaled = np.abs(residual) / np.maximum(1.0, scale)
@@ -329,25 +365,56 @@ def test_guard_runs_first_and_the_residual_is_built_once(monkeypatch):
     guard = catalog.build_guard_xt("u5", params)
     grid = GridSpec(nx=2001, nt=11)
     calls = []
-    evaluate_many, residual_terms = ex.evaluate_many, verifier.mdp_residual_terms
+    init, run, residual_terms = ex.Tape.__init__, ex.Tape.run, verifier.mdp_residual_terms
 
-    def spy_evaluate_many(e, *args, **kwargs):
-        calls.append(e)
-        return evaluate_many(e, *args, **kwargs)
+    def spy_init(tape, roots):
+        calls.append(("compile", tuple(roots)))
+        init(tape, roots)
+
+    def spy_run(tape, point, work):
+        calls.append(("run", tape, point["x"].size))
+        return run(tape, point, work)
 
     def spy_residual_terms(*args):
-        calls.append("residual terms")
+        calls.append(("residual terms",))
         return residual_terms(*args)
 
-    monkeypatch.setattr(ex, "evaluate_many", spy_evaluate_many)
+    monkeypatch.setattr(ex.Tape, "__init__", spy_init)
+    monkeypatch.setattr(ex.Tape, "run", spy_run)
     monkeypatch.setattr(verifier, "mdp_residual_terms", spy_residual_terms)
     rep = verify_on_grid(u, 3, grid=grid, guard=guard)
     blocks = -(-rep.points_evaluated // BLOCK)
-    assert blocks == 2
-    assert calls[0] is guard and calls[1] == "residual terms"
-    assert len(calls) == 2 + blocks and calls.count("residual terms") == 1
-    tapes = calls[2:]
-    assert all(isinstance(t, ex.Tape) and t is tapes[0] for t in tapes)
+    guard_blocks = -(-grid.nx * grid.nt // BLOCK)
+    assert blocks == guard_blocks == 2
+    # the guard: one compile, then one run per block of grid points
+    assert calls[0] == ("compile", (guard,))
+    guard_runs = calls[1:1 + guard_blocks]
+    assert all(c[0] == "run" for c in guard_runs)
+    assert sum(c[2] for c in guard_runs) == grid.nx * grid.nt
+    # then the residual: built and compiled once, one run per block
+    assert calls[1 + guard_blocks] == ("residual terms",)
+    assert calls[2 + guard_blocks][0] == "compile"
+    runs = calls[3 + guard_blocks:]
+    assert len(runs) == blocks and all(c[0] == "run" for c in runs)
+    assert all(c[1] is runs[0][1] for c in runs)
+    assert sum(c[2] for c in runs) == rep.points_evaluated
+
+
+def test_a_constant_guard_is_not_evaluated(monkeypatch):
+    compiled = []
+    init = ex.Tape.__init__
+
+    def spy_init(tape, roots):
+        compiled.append(tuple(roots))
+        init(tape, roots)
+
+    monkeypatch.setattr(ex.Tape, "__init__", spy_init)
+    u = catalog.build("u6", {"b": 3})
+    rep = verify_on_grid(u, 3, guard=ex.Rational(F(1, 2)))
+    assert rep.points_skipped == 0 and len(compiled) == 1
+    with pytest.raises(AllPointsSkipped):
+        verify_on_grid(u, 3, guard=ex.Rational(F(1, 10000)))
+    assert len(compiled) == 1
 
 
 def test_all_points_skipped_builds_no_residual(monkeypatch):
@@ -366,7 +433,9 @@ def test_all_points_skipped_builds_no_residual(monkeypatch):
 
 def _fd_terms_per_offset(tape, b, xs, ts):
     """The finite-difference terms as computed before the stencil offsets
-    were packed: one tape run per offset, each on its own shifted copy."""
+    were packed and before the stencils were summed into a workspace: one
+    tape run per offset, each on its own shifted copy, and a fresh array
+    for every sum."""
     W1, W2, W3, h = verifier._W1, verifier._W2, verifier._W3, verifier.FD_STEP
     b = float(b)
     cache = {}
@@ -397,7 +466,7 @@ def _fd_terms_per_offset(tape, b, xs, ts):
 def _assert_fd_terms_bitwise(u, b, xs, ts):
     tape = ex.Tape((u,))
     with np.errstate(all="ignore"):
-        got = verifier._fd_terms(tape, b, xs, ts)
+        got = verifier._fd_terms(tape, b, xs, ts, *verifier._workspace(tape, xs.size, False))
         want = _fd_terms_per_offset(tape, b, xs, ts)
     assert len(got) == len(want) == 5
     for g, w in zip(got, want):
@@ -433,14 +502,17 @@ def test_packed_fd_terms_match_per_offset_runs_across_packing_thresholds(catalog
 @pytest.mark.parametrize("n, runs", [(101 * 11, 2), (BLOCK, 27)])
 def test_fd_terms_pack_offsets_into_block_sized_runs(monkeypatch, n, runs):
     sizes = []
-    evaluate_many = ex.evaluate_many
+    run = ex.Tape.run
 
-    def spy_evaluate_many(e, params, point):
+    def spy_run(tape, point, work):
         sizes.append(point["x"].size)
-        return evaluate_many(e, params, point)
+        assert work.shape[1] == point["x"].size
+        return run(tape, point, work)
 
-    monkeypatch.setattr(ex, "evaluate_many", spy_evaluate_many)
+    monkeypatch.setattr(ex.Tape, "run", spy_run)
     xs, ts = np.linspace(-10.0, 10.0, n), np.linspace(0.0, 2.0, n)
-    verifier._fd_terms(ex.Tape((catalog.build("u6", {"b": 3}),)), 3, xs, ts)
+    tape = ex.Tape((catalog.build("u6", {"b": 3}),))
+    work, sums = verifier._workspace(tape, n, False)
+    verifier._fd_terms(tape, 3, xs, ts, work, sums)
     assert len(sizes) == runs
-    assert sum(sizes) == 27 * n and max(sizes) <= BLOCK
+    assert sum(sizes) == 27 * n and max(sizes) == work.shape[1] <= BLOCK
