@@ -6,11 +6,12 @@ predicate) admissibility checks, and a maker of its profile, singularity
 locus and (unless radical) wave speed.  A radical row also holds the sign
 in lam = -(b + 1 - sign*sqrt(S))/2 and its radicand k, S = discriminant(b,
 k), once as a (k(params), "S = ..." text) pair read by the S >= 0 check,
-by lam and by the listed wave-speed text.  The `cole_hopf` row is the one
-statement of the kink admissibility rules (`colehopf` checks through it),
-and the u3..u10 rows are the one statement of the rational-hyperbolic
-rules (`rational_hyperbolic` checks through them).  Every table is walked
-by `riccati.violations`.
+by the listed wave-speed text and, through `radical`, by lam and by
+`pipeline.ansatz_tuple`.  The `cole_hopf` row is the one statement of the
+kink admissibility rules (`colehopf` checks through it), and the u3..u10
+rows are the one statement of the rational-hyperbolic rules
+(`rational_hyperbolic` checks through them).  Every table is walked by
+`riccati.violations`.
 Profiles are expressions in xi with all constants embedded exactly;
 `build` expands xi = x + lam*t.
 Internally lam always satisfies xi = x + lam*t, so the familiar
@@ -33,8 +34,8 @@ from .riccati import (BASE_CHECKS, BETA_CHECK, MU_CHECK, S_LABEL,
                       discriminant, is_degenerate, violations)
 
 __all__ = [
-    "family_ids", "list_families", "validate", "build", "build_wave", "profile",
-    "wave_speed", "singular_denominator",
+    "family_ids", "list_families", "validate", "radical", "build", "build_wave",
+    "profile", "wave_speed", "singular_denominator",
 ]
 
 XI = ex.var("xi")
@@ -74,13 +75,6 @@ _AG16 = (lambda p: 16 * (p["alpha"] * p["gamma"]) ** 2,
 _DELTA2 = (lambda p: _delta(p) ** 2, "S = 1 - b(b+2)(Delta^2 - 1)")
 
 
-def _radical(p, radicand, sign):
-    """(sign*sqrt(S), lam) for S = discriminant(b, k(params)), lam = -(b + 1 - sign*sqrt(S))/2."""
-    b = p["b"]
-    root = ex.mul(sign, ex.sym_sqrt(discriminant(b, radicand[0](p))))
-    return root, ex.mul(-HALF, ex.sub(b + 1, root))
-
-
 # the radicand condition on the free parameter of u7..u10, by its name
 _FREE = {"a2": ("(b+1)^2*a2^2 >= 1", lambda p: (p["b"] + 1) ** 2 * p["a2"] ** 2 < 1),
          "c2": ("c2^2 >= 1", lambda p: p["c2"] ** 2 < 1)}
@@ -91,19 +85,15 @@ def _s_check(radicand, when=lambda p: True):
     return (S_LABEL, lambda p: when(p) and discriminant(p["b"], radicand[0](p)) < 0)
 
 
-def _zero_speed(p):
-    """lam = -(b + 1 - branch*sqrt(S))/2 vanishes: branch*sqrt(S) = b + 1."""
-    b = p["b"]
-    return discriminant(b, _MU4[0](p)) == (b + 1) ** 2 and p["branch"] * (b + 1) > 0
-
-
 _KINK = BASE_CHECKS + (MU_CHECK, _s_check(_MU4))
-_COLE_HOPF = BASE_CHECKS + (MU_CHECK, ("branch in {+1, -1}", lambda p: p["branch"] ** 2 != 1),
-                            _s_check(_MU4))
-# the frequency mu*lam must not vanish, a side condition of the form that is
-# checked only once every other check holds
-_COLE_HOPF += (("lambda != 0", lambda p, rest=_COLE_HOPF:
-                not violations(rest, p) and _zero_speed(p)),)
+# The frequency mu*lam must not vanish where every other row holds (b != -1,
+# -2, mu != 0, branch = +-1, S >= 0).  There lam = 0 means branch*sqrt(S) =
+# b + 1, and S = (b+1)^2 reduces to b(b+2)mu^4 = 0, so b = 0 and, as b + 1 >
+# 0, branch = +1.  At b = 0, S = 1, so the row fails exactly at b = 0,
+# branch = +1, mu != 0, with every other row holding.
+_COLE_HOPF = BASE_CHECKS + (
+    MU_CHECK, ("branch in {+1, -1}", lambda p: p["branch"] ** 2 != 1), _s_check(_MU4),
+    ("lambda != 0", lambda p: p["b"] == 0 and p["branch"] == 1 and p["mu"] != 0))
 _U11 = BASE_CHECKS + (BETA_CHECK, ("beta^2 = 4*alpha*gamma", lambda p: p["beta"] != 0
                       and not is_degenerate(p["alpha"], p["beta"], p["gamma"])))
 _EXP_PAIR = BASE_CHECKS + (BETA_CHECK, _s_check(_BETA4))
@@ -299,6 +289,14 @@ def validate(fid, params):
     return violations(fam.checks, p)
 
 
+def radical(fid, p):
+    """(sign, S) of a radical row at `p`, an unchecked dict of exact values:
+    S = discriminant(b, k(p)) for the row's radicand k, and the sign of
+    sqrt(S) in lam = -(b + 1 - sign*sqrt(S))/2 (p["branch"] for cole_hopf)."""
+    fam = _REGISTRY[fid]
+    return fam.sign or int(p["branch"]), discriminant(p["b"], fam.radicand[0](p))
+
+
 def _made(fid, params):
     """(profile, lam, guard), expressions in xi, of admissible `params`."""
     fam, p = _norm_params(fid, params)
@@ -307,7 +305,9 @@ def _made(fid, params):
         raise ConstraintViolation(bad)
     if fam.radicand is None:
         return fam.maker(p)
-    root, lam = _radical(p, fam.radicand, fam.sign or int(p["branch"]))
+    sign, S = radical(fam.fid, p)
+    root = ex.mul(sign, ex.sym_sqrt(S))
+    lam = ex.mul(-HALF, ex.sub(p["b"] + 1, root))
     prof, guard = fam.maker(p, root)
     return prof, lam, guard
 

@@ -335,7 +335,7 @@ def _cmd_pipeline_solve(args):
 def _equiv_side(fid, params):
     """(u, guard) of one side of `equiv`; violations are prefixed by its id."""
     try:
-        return catalog.build(fid, params), catalog.build_guard_xt(fid, params)
+        return catalog.build_wave(fid, params)[:2]
     except ConstraintViolation as err:
         raise ConstraintViolation([f"{fid}: {v}" for v in err.violations]) from None
 
@@ -398,8 +398,7 @@ def _cmd_plot_data(args):
     # GridSpec checks the x axis, eps_den and t: a profile is the grid at t_min = t_max = t
     grid = verifier.GridSpec(x_min=args.x_min, x_max=args.x_max, nx=args.nx,
                              t_min=args.t, t_max=args.t, eps_den=args.eps_den)
-    u = catalog.build(args.family, params)
-    guard = catalog.build_guard_xt(args.family, params)
+    u, guard, _ = catalog.build_wave(args.family, params)
     xs = np.linspace(grid.x_min, grid.x_max, grid.nx)
     ts = np.full(xs.shape, grid.t_min)
     uv, gv = ex.evaluate_many([u, guard], {}, {"x": xs, "t": ts})

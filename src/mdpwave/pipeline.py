@@ -10,9 +10,17 @@ negative phi power, and collects one exact polynomial equation per
 surviving power.  The solved coefficient tuples for families u11..u23 can
 be checked against that system with exact rational arithmetic, and the
 specialized system can be solved numerically by a damped multistart
-Gauss-Newton iteration.  `ansatz_tuple` admits a triple by its case's rows
-in `_CASE_CHECKS`, conditions on the Riccati triple that stay apart from
-the catalog's family rows on purpose.
+Gauss-Newton iteration.
+
+`ansatz_tuple` admits a triple by its case's rows in `_CASE_CHECKS`,
+conditions on the Riccati triple kept apart from the catalog's family rows
+on purpose, and reads its tuple off one table.  With root = sign*sqrt(S),
+the sign and radicand S read from the family's catalog row
+(`catalog.radical`; u11 has no radical, root = -(b+1)), and K = beta^2 +
+8*alpha*gamma (which the case conditions make beta^2, 8*alpha*gamma or
+12*alpha*gamma + Delta), a0 = ((b+2)K - (b+1) + root)/(2(b+1)) and lam =
+(-(b+1) + root)/2; `_TAILS` names the tails among a1, a2, c1, c2, each
+6(b+2)/(b+1) times the product `_TAIL_FACTORS` names, and the others are 0.
 """
 from __future__ import annotations
 
@@ -21,11 +29,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
+from . import catalog
 from .errors import ConstraintViolation
 from .polyalg import (VARS, MultiPoly, bind, laurent, laurent_coeff, laurent_derivative,
                       laurent_support)
-from .riccati import (BASE_CHECKS, BETA_CHECK, S_LABEL, discriminant, is_degenerate,
-                      violations)
+from .riccati import BASE_CHECKS, BETA_CHECK, S_LABEL, is_degenerate, violations
 
 np = _gelsd = None  # numpy and its lstsq gufunc, bound by _load_numpy
 
@@ -205,86 +213,39 @@ _CASE_CHECKS = {
 }
 
 
-def ansatz_tuple(fid, alpha, beta, gamma, b):
-    """The solved (a0, a1, a2, c1, c2, lam) tuple for one phi-power family.
+_TAILS = {"u11": "c1 c2", "u12": "a1 a2", "u13": "a1 a2", "u14": "a2 c2", "u15": "a2 c2",
+          "u16": "c2", "u17": "a2", "u18": "c2", "u19": "a2", "u20": "a1 a2",
+          "u21": "a1 a2", "u22": "c1 c2", "u23": "c1 c2"}
+_TAIL_FACTORS = {"a1": ("beta", "gamma"), "a2": ("gamma", "gamma"),
+                 "c1": ("alpha", "beta"), "c2": ("alpha", "alpha")}
+_ZERO = Fraction(0)
 
-    Values are exact rationals whenever the case's radical is a rational
-    square (floats otherwise).  Raises ConstraintViolation when the case
-    condition or a radicand fails.
-    """
+
+def ansatz_tuple(fid, alpha, beta, gamma, b):
+    """The solved (a0, a1, a2, c1, c2, lam) tuple for one phi-power family
+    (see the module docstring): exact rationals whenever S is a rational
+    square, as all arithmetic is exact up to the one `+ root`, and floats
+    otherwise.  Raises ConstraintViolation when the case condition or a
+    radicand fails."""
     case = next((c for c, fams in CASE_FAMILIES.items() if fid in fams), None)
     if case is None:
         raise ValueError(f"{fid!r} is not a phi-power family")
     alpha, beta, gamma, b = (Fraction(v) for v in (alpha, beta, gamma, b))
-    bad = violations(_CASE_CHECKS[case],
-                     {"alpha": alpha, "beta": beta, "gamma": gamma, "b": b})
+    p = {"alpha": alpha, "beta": beta, "gamma": gamma, "b": b}
+    bad = violations(_CASE_CHECKS[case], p)
     if bad:
         raise ConstraintViolation(bad)
     p1, p2 = b + 1, b + 2
-    zero = Fraction(0)
-
-    def radical(k, sign):
-        """(sign*sqrt(S), lam) for S = discriminant(b, k)."""
-        root = sign * _sqrt_exact_or_float(discriminant(b, k))
-        return root, (-b - 1 + root) / 2
-
     if fid == "u11":
-        return {
-            "a0": Fraction(3, 2) * p2 * beta * beta / p1 - 1,
-            "a1": zero, "a2": zero,
-            "c1": 6 * p2 * alpha * beta / p1,
-            "c2": 6 * p2 * alpha * alpha / p1,
-            "lam": -b - 1,
-        }
-    if fid in ("u12", "u13"):
-        root, lam = radical(beta ** 4, -1 if fid == "u12" else 1)
-        return {
-            "a0": (p2 * beta * beta - b - 1 + root) / (2 * p1),
-            "a1": 6 * p2 * beta * gamma / p1,
-            "a2": 6 * p2 * gamma * gamma / p1,
-            "c1": zero, "c2": zero,
-            "lam": lam,
-        }
-    if fid in ("u14", "u15"):
-        ag = alpha * gamma
-        root, lam = radical(256 * ag * ag, -1 if fid == "u14" else 1)
-        return {
-            "a0": (8 * ag * b + 16 * ag - b - 1 + root) / (2 * p1),
-            "a1": zero,
-            "a2": 6 * p2 * gamma * gamma / p1,
-            "c1": zero,
-            "c2": 6 * p2 * alpha * alpha / p1,
-            "lam": lam,
-        }
-    if fid in ("u16", "u17", "u18", "u19"):
-        ag = alpha * gamma
-        root, lam = radical(16 * ag * ag, -1 if fid in ("u16", "u17") else 1)
-        a2 = 6 * p2 * gamma * gamma / p1 if fid in ("u17", "u19") else zero
-        c2 = 6 * p2 * alpha * alpha / p1 if fid in ("u16", "u18") else zero
-        return {
-            "a0": (8 * ag * b + 16 * ag - b - 1 + root) / (2 * p1),
-            "a1": zero, "a2": a2, "c1": zero, "c2": c2,
-            "lam": lam,
-        }
-    # fourth case
-    delta = beta * beta - 4 * alpha * gamma
-    ag = alpha * gamma
-    root, lam = radical(delta * delta, -1 if fid in ("u20", "u23") else 1)
-    a0 = (24 * ag + 2 * delta + b * (12 * ag + delta - 1) - 1 + root) / (2 * p1)
-    if fid in ("u20", "u21"):
-        return {
-            "a0": a0,
-            "a1": 6 * p2 * beta * gamma / p1,
-            "a2": 6 * p2 * gamma * gamma / p1,
-            "c1": zero, "c2": zero,
-            "lam": lam,
-        }
-    return {
-        "a0": a0, "a1": zero, "a2": zero,
-        "c1": 6 * p2 * alpha * beta / p1,
-        "c2": 6 * p2 * alpha * alpha / p1,
-        "lam": lam,
-    }
+        a0, lam = Fraction(3, 2) * p2 * beta * beta / p1 - 1, -p1
+    else:
+        sign, S = catalog.radical(fid, p)
+        root = sign * _sqrt_exact_or_float(S)
+        a0 = (p2 * (beta * beta + 8 * alpha * gamma) - p1 + root) / (2 * p1)
+        lam = (-p1 + root) / 2
+    weight, tails = 6 * p2 / p1, _TAILS[fid]
+    return {"a0": a0, **{name: weight * p[x] * p[y] if name in tails else _ZERO
+                         for name, (x, y) in _TAIL_FACTORS.items()}, "lam": lam}
 
 
 class _Stack(NamedTuple):

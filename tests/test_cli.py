@@ -3,7 +3,8 @@
 Covers:
   - catalog listing shape and JSON validity
   - verify: pass/fail/violation exit codes, report contents, config echo,
-    one build of the family's wave per command
+    one build of the family's wave per command (and per side of `equiv`
+    and per `plot-data`)
   - riccati / cole-hopf / rh subcommands, `rh` byte for byte for all eight
     families and `riccati` for every case and both case-4 branches
   - pipeline generate (bit-exact round trip), check (exact rationals, and
@@ -85,12 +86,8 @@ def test_verify_finite_difference_method():
     assert doc["report"]["tolerance"] == 1e-4
 
 
-@pytest.mark.parametrize("fid, params, method", [
-    ("u6", {"b": "3"}, "symbolic"),
-    ("u22", {"b": "3", "alpha": "2", "beta": "3", "gamma": "1"}, "finite-difference"),
-    ("u5", {"b": "3"}, "symbolic"),
-])
-def test_verify_builds_its_wave_once(monkeypatch, fid, params, method):
+def _count_made(monkeypatch):
+    """The family ids `catalog._made` is called with, in call order."""
     from mdpwave import catalog
     calls = []
     made = catalog._made
@@ -100,12 +97,39 @@ def test_verify_builds_its_wave_once(monkeypatch, fid, params, method):
         return made(*args)
 
     monkeypatch.setattr(catalog, "_made", counting_made)
+    return calls
+
+
+@pytest.mark.parametrize("fid, params, method", [
+    ("u6", {"b": "3"}, "symbolic"),
+    ("u22", {"b": "3", "alpha": "2", "beta": "3", "gamma": "1"}, "finite-difference"),
+    ("u5", {"b": "3"}, "symbolic"),
+])
+def test_verify_builds_its_wave_once(monkeypatch, fid, params, method):
+    from mdpwave import catalog
+    calls = _count_made(monkeypatch)
     argv = ["verify", "--family", fid, "--method", method]
     for k, v in params.items():
         argv += ["--param", f"{k}={v}"]
     code, out = run(argv)
     assert code == 0 and calls == [fid]
     assert json.loads(out)["wave_speed"] == catalog.wave_speed(fid, params)
+
+
+@pytest.mark.parametrize("argv, built, want", [
+    (["equiv", "--left", "u3", "--left-param", "b=3", "--right", "u1",
+      "--right-param", "b=3", "--right-param", "mu=1"], ["u3", "u1"], 0),
+    (["equiv", "--left", "u22", "--left-param", "b=3", "--left-param", "alpha=2",
+      "--left-param", "beta=3", "--left-param", "gamma=1", "--right", "u5",
+      "--right-param", "b=3"], ["u22", "u5"], 1),
+    (["plot-data", "--family", "u5", "--param", "b=3", "--t", "0"], ["u5"], 0),
+    (["plot-data", "--family", "u14", "--param", "b=3", "--param", "alpha=1/4",
+      "--param", "gamma=1/4", "--t", "0.5"], ["u14"], 0),
+], ids=["equiv-u3-u1", "equiv-u22-u5", "plot-data-u5", "plot-data-u14"])
+def test_equiv_and_plot_data_build_each_side_once(monkeypatch, argv, built, want):
+    calls = _count_made(monkeypatch)
+    code, _ = run(argv)
+    assert code == want and calls == built
 
 
 def test_riccati_subcommand():

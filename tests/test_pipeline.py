@@ -11,6 +11,8 @@ Covers:
     third-case instances, and check_assignment against per-equation
     evaluation at exact and float bindings (floats evaluated exactly and
     rounded once; Fractions, never ints; non-finite values rejected)
+  - the two u11-u23 formulas joined: each catalog profile against
+    a0 + a1 phi + a2 phi^2 + c1/phi + c2/phi^2 from the solved tuple
   - polyalg.bind against Fraction oracles on seeded random polynomials,
     full and partial bindings, and a group that cancels
   - serialization round trip through report.dumps, bit exact, and the
@@ -42,6 +44,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from mdpwave import catalog
 from mdpwave import expr as ex
 from mdpwave import pipeline as pl
 from mdpwave import polyalg
@@ -49,7 +52,7 @@ from mdpwave import report
 from mdpwave.errors import ConstraintViolation
 from mdpwave.polyalg import (VARS, MultiPoly, laurent, laurent_coeff, laurent_derivative,
                              laurent_support)
-from mdpwave.riccati import RiccatiCoefficients, phi_expr
+from mdpwave.riccati import RiccatiCoefficients, classify, phi_expr, pole_guard
 from mdpwave.verifier import GridSpec, ode_residual, verify_on_grid
 
 
@@ -303,6 +306,36 @@ def test_trivial_assignment_exact_zero(system):
     bindings = dict(a0=0, a1=0, a2=0, c1=0, c2=0, lam=0,
                     alpha=F(1), beta=F(2), gamma=F(1), b=F(3))
     assert all(r == 0 for r in pl.check_assignment(system, bindings))
+
+
+@pytest.mark.parametrize("fid", [f for fams in pl.CASE_FAMILIES.values() for f in fams])
+def test_ansatz_tuple_matches_catalog_profile(catalog_samples, fid):
+    """The catalog's printed u11-u23 profile and a0 + a1 phi + a2 phi^2 +
+    c1/phi + c2/phi^2 from `ansatz_tuple` and `riccati.phi_expr` agree to
+    1e-10 relative on every conftest sample, xi in [-3, 3] off the poles.
+
+    At alpha = 0 the triple of u20 and u21 is Riccati case 1, whose phi is
+    another solution of phi' = alpha + beta phi + gamma phi^2 than the tanh
+    form these profiles are printed with, so those samples are excluded."""
+    xi = np.linspace(-3.0, 3.0, 601)
+    excluded = []
+    for i, params in enumerate(catalog_samples[fid]):
+        p = {k: F(params.get(k, 0)) for k in pl.PARAMETERS}
+        c = RiccatiCoefficients(p["alpha"], p["beta"], p["gamma"])
+        if fid in pl.CASE_FAMILIES["fourth"] and classify(c) == 1:
+            excluded.append(i)
+            continue
+        vals = {k: float(v) for k, v in pl.ansatz_tuple(fid, **p).items()}
+        phi, guard, den, u = ex.evaluate_many(
+            [phi_expr(c), pole_guard(c), catalog.singular_denominator(fid, params),
+             catalog.profile(fid, params)], {}, {"xi": xi})
+        ok = (np.abs(guard) >= 1e-3) & (np.abs(den) >= 1e-3) & (np.abs(phi) >= 1e-3)
+        phi, u = phi[ok], u[ok]
+        ansatz = (vals["a0"] + vals["a1"] * phi + vals["a2"] * phi ** 2
+                  + vals["c1"] / phi + vals["c2"] / phi ** 2)
+        assert ok.sum() > 500
+        assert np.all(np.abs(ansatz - u) <= 1e-10 * np.maximum(1.0, np.abs(u))), (fid, i)
+    assert excluded == ([0, 1] if fid in ("u20", "u21") else [])
 
 
 def test_case_condition_violations():
