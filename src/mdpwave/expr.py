@@ -34,9 +34,10 @@ the tape on a fresh workspace; a caller that evaluates block after block
 violations give inf/NaN values, which callers screen with their own
 guards.  A caller's arrays are never written.
 
-The first `Tape.run` or `evaluate_many` imports numpy and binds the module
-global `np` that `_vector_step` reads, so building and differentiating
-trees run without loading numpy.
+A tape's first run imports numpy and prepares its steps: each ufunc call
+resolved to the ufunc and its operand and output registers.  Constants are
+evaluated then, once; every run loops over the other steps.  Building and
+differentiating trees, and compiling a tape, run without loading numpy.
 """
 from __future__ import annotations
 
@@ -444,9 +445,13 @@ class Tape:
     (`rows` of them): a row is reused once its value's last consumer has
     run, never for an operand of the same instruction, and never a root's.
     A `cot` also takes a scratch row, named by its payload.
+
+    The first `run` prepares the steps (`_bind`): a constant instruction
+    is evaluated once, to the scalar every run reads, and `run` is one loop
+    over the ufunc calls of the others, each with its operands and row.
     """
 
-    __slots__ = ("code", "outputs", "rows")
+    __slots__ = ("code", "outputs", "rows", "_fixed", "_vars", "_roots", "_steps")
 
     def __init__(self, roots):
         slots = {}
@@ -491,48 +496,74 @@ class Tape:
                 free.append(ins[3])
         self.code = code
         self.rows = next(fresh)
+        self._steps = None  # prepared by the first run
 
     def run(self, point, work):
         """Values of the roots at `point`, a dict of numpy arrays.  Row r of
         the workspace is `work[r]`, an array of the points' broadcast shape;
         a root is a row, a point array or a constant scalar."""
+        if self._steps is None:
+            self._bind()
+        regs = [*work, *self._fixed]
+        try:
+            for name, r in self._vars:
+                regs[r] = point[name]
+        except KeyError:
+            raise UnboundSymbol(f"unbound variable {name!r}") from None
+        for f, a, b, out in self._steps:
+            if b is None:
+                f(regs[a], regs[out])
+            else:
+                f(regs[a], regs[b], regs[out])
+        return [regs[r] for r in self._roots]
+
+    def _bind(self):
+        """Bind numpy and prepare the steps, one (ufunc, operand, second
+        operand or None, output) per ufunc call, over registers: the
+        workspace's rows, then the leaves and constants (`_fixed`), counted
+        from the end.  The constants' steps run here, once."""
         global np
         import numpy as np
-        vals = [None] * len(self.code)
-        for slot, (op, payload, args, row) in enumerate(self.code):
-            vals[slot] = _vector_step(op, payload, [vals[a] for a in args], point,
-                                      None if row is None else work[row], work)
-        return [vals[s] for s in self.outputs]
+        fixed, variables, at, steps, const_steps = [], [], [], [], []  # at: per slot, its register
+        for op, payload, args, row in self.code:
+            if row is None:  # a leaf or a constant: a register of its own
+                fixed.append(payload if op == "rat" else None)
+                out, todo = -len(fixed), const_steps
+            else:
+                out, todo = row, steps
+            at.append(out)
+            if op == "var":
+                variables.append((payload, out))
+            if not args:
+                continue
+            f, x = getattr(np, _UFUNCS.get(op, op)), at[args[0]]
+            if len(args) > 1:  # worked left to right in its row
+                for a in args[1:]:
+                    todo.append((f, x, at[a], out))
+                    x = out
+            elif op == "pow":  # x ** payload
+                fixed.append(payload)
+                todo.append((f, x, -len(fixed), out))
+            elif op == "csc":  # 1 / sin(x), sin into its row
+                fixed.append(1.0)
+                todo += [(np.sin, x, None, out), (f, -len(fixed), out, out)]
+            elif op == "cot":  # cos(x) / sin(x), sin into its scratch row
+                if row is None:
+                    fixed.append(None)
+                sin = -len(fixed) if row is None else payload
+                todo += [(np.sin, x, None, sin), (np.cos, x, None, out), (f, out, sin, out)]
+            else:  # a function, or a lone term's bitwise copy into its row
+                todo.append((f if op in FUNCTIONS else np.positive, x, None, out))
+        fixed.reverse()  # the k-th register made is at -k
+        for f, a, b, out in const_steps:  # each call makes the scalar its register keeps
+            fixed[out] = f(fixed[a]) if b is None else f(fixed[a], fixed[b])
+        self._fixed, self._vars = fixed, variables
+        self._roots = tuple(at[s] for s in self.outputs)
+        self._steps = tuple(steps)
 
 
-def _vector_step(op, payload, xs, point, out, work):
-    """One instruction: its ufuncs write into `out`, or return a new scalar
-    when `out` is None (a constant)."""
-    if op == "rat":
-        return payload
-    if op == "var":
-        try:
-            return point[payload]
-        except KeyError:
-            raise UnboundSymbol(f"unbound variable {payload!r}") from None
-    if op == "add" or op == "mul":
-        if len(xs) == 1:  # a bitwise copy into its row
-            return np.positive(xs[0], out)
-        f = np.add if op == "add" else np.multiply
-        acc = f(xs[0], xs[1], out)
-        for v in xs[2:]:
-            acc = f(acc, v, out)
-        return acc
-    if op == "div":
-        return np.divide(xs[0], xs[1], out)
-    if op == "pow":
-        return np.power(xs[0], payload, out)
-    if op == "cot":
-        sin = np.sin(xs[0], None if out is None else work[payload])
-        return np.divide(np.cos(xs[0], out), sin, out)
-    if op == "csc":
-        return np.divide(1.0, np.sin(xs[0], out), out)
-    return getattr(np, op)(xs[0], out)
+# numpy's name for an op's ufunc where it is not the op's own; cot and csc divide by a sin
+_UFUNCS = {"mul": "multiply", "div": "divide", "pow": "power", "cot": "divide", "csc": "divide"}
 
 
 def evaluate_many(e, params=None, point=None):

@@ -17,15 +17,17 @@ exact in any grouping, so the report bytes do not depend on the block
 size.  Each walk allocates one workspace that every block reuses: the tape
 writes each value into a row as wide as a tape run (`expr.Tape`: a row is
 reused once its value's last consumer has run, never for an operand of the
-same instruction), the rows after the tape's hold the shifted points, and
-rows a block wide hold the stencil, residual and scale sums.  A tape run
-holds at most `BLOCK` values: the finite-difference path packs as many of
-its 27 shifted copies of a block into one run as fit (two runs on the
-default grid, one copy per run once a block holds more than BLOCK / 2).
+same instruction), the rows after the tape's hold packed points, and rows
+a block wide hold the sums and the block's 7 x and 5 t shifts, made once.
+A tape run holds at most `BLOCK` values: the finite-difference path packs
+as many of its 27 shifted copies of a block into one run as fit (two runs
+on the default grid), or reads one offset's shifted rows as they are once
+a block holds more than BLOCK / 2.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
@@ -58,6 +60,7 @@ _W3 = {-3: 1.0, -2: -8.0, -1: 13.0, 1: -13.0, 2: 8.0, 3: -1.0}  # / 8h^3
 # offset, then x offset, the order in which _fd_terms adds them up
 _FD_OFFSETS = tuple(sorted({(i, 0) for i in (*_W1, *_W2, *_W3)}
                            | {(i, j) for j in _W1 for i in _W2}, key=lambda o: (o[1], o[0])))
+_FD_XS, _FD_TS = (tuple(sorted(set(c))) for c in zip(*_FD_OFFSETS))  # the distinct ones
 
 
 @dataclass(frozen=True)
@@ -76,6 +79,10 @@ class GridSpec:
         bounds = (self.x_min, self.x_max, self.t_min, self.t_max)
         if not all(math.isfinite(v) for v in bounds):
             raise ValueError("x_min, x_max, t_min and t_max must be finite")
+        try:
+            operator.index(self.nx), operator.index(self.nt)
+        except TypeError:
+            raise ValueError("nx and nt must be integers") from None
         if self.nx < 2 or self.nt < 2:
             raise ValueError("nx and nt must both be >= 2")
         if not self.x_min < self.x_max:
@@ -167,13 +174,15 @@ def ode_residual(U, b, lam):
 def _workspace(tape, n, symbolic):
     """(rows as wide as a tape run, rows as wide as a block) for blocks of
     up to `n` points: the tape's rows, and for the finite-difference path
-    the shifted points after them; then 3 rows for the residual and scale
-    sums, or the 8 stencil sums (whose first 3 are free again for them)."""
+    the packed points after them; then 3 rows for the residual and scale
+    sums, or the 8 stencil sums (whose first 3 are free again for them)
+    and the shifted points."""
     import numpy as np
     m = min(BLOCK, n)
     if symbolic:
         return np.empty((tape.rows, m)), np.empty((3, m))
-    return np.empty((tape.rows + 2, min(BLOCK // m, len(_FD_OFFSETS)) * m)), np.empty((8, m))
+    return (np.empty((tape.rows + 2, min(BLOCK // m, len(_FD_OFFSETS)) * m)),
+            np.empty((8 + len(_FD_XS) + len(_FD_TS), m)))
 
 
 def _fd_terms(tape, b, xs, ts, work, sums):
@@ -181,18 +190,27 @@ def _fd_terms(tape, b, xs, ts, work, sums):
     differences of u itself (the one root of `tape`): an evaluation path
     fully independent of the symbolic differentiator.
 
-    u is read at `_FD_OFFSETS`, as many per tape run as fit in a row of
-    `work`, and added into the stencil sums that read it, rows of `sums`
-    (both from `_workspace`): zeroed rows plus w*u in each `_W*` dict's
-    order, the operations of `0.0 + w0*u0 + w1*u1 + ...`, so no bit
-    moves.  The terms are rows of `sums`.
+    The block's x shifted by each of `_FD_XS` and t by each of `_FD_TS`
+    are made once, into rows of `sums`.  u is read at `_FD_OFFSETS`, as
+    many per tape run as fit in a row of `work` (a packed run gathers its
+    copies there; one offset's run reads its shifted rows as they are),
+    and added into the stencil sums that read it, rows of `sums` (both
+    from `_workspace`): zeroed rows plus w*u in each `_W*` dict's order,
+    the operations of `0.0 + w0*u0 + w1*u1 + ...`, so no bit moves.  The
+    terms are rows of `sums`.
     """
     import numpy as np
     b, h, n = float(b), FD_STEP, len(xs)
     xw, tw = work[tape.rows:]
+    sums, shifted = sums[:8, :n], sums[8:, :n]
     # u0, d2 and tmp first: they are free again once the terms are made
-    u0, d2, tmp, ux, uxx, uxxx, ut, uxxt = sums = sums[:, :n]
+    u0, d2, tmp, ux, uxx, uxxx, ut, uxxt = sums
     sums[1] = sums[3:] = 0.0
+    x_at, t_at = shifted[:len(_FD_XS)], shifted[len(_FD_XS):]
+    for row, i in zip(x_at, _FD_XS):
+        np.add(xs, i * h, row)
+    for row, j in zip(t_at, _FD_TS):
+        np.add(ts, j * h, row)
 
     def acc(row, w, v):
         np.add(row, np.multiply(w, v, tmp), row)
@@ -200,11 +218,14 @@ def _fd_terms(tape, b, xs, ts, work, sums):
     per_run = max(1, BLOCK // n)
     for lo in range(0, len(_FD_OFFSETS), per_run):
         group = _FD_OFFSETS[lo:lo + per_run]
-        for k, (i, j) in enumerate(group):
-            np.add(xs, i * h, xw[k * n:(k + 1) * n])
-            np.add(ts, j * h, tw[k * n:(k + 1) * n])
         width = len(group) * n
-        [u] = tape.run({"x": xw[:width], "t": tw[:width]}, work[:tape.rows, :width])
+        if per_run == 1:
+            point = {"x": x_at[_FD_XS.index(group[0][0])], "t": t_at[_FD_TS.index(group[0][1])]}
+        else:  # each offset's copy, gathered into one run
+            np.take(x_at, [_FD_XS.index(i) for i, _ in group], 0, xw[:width].reshape(-1, n), "clip")
+            np.take(t_at, [_FD_TS.index(j) for _, j in group], 0, tw[:width].reshape(-1, n), "clip")
+            point = {"x": xw[:width], "t": tw[:width]}
+        [u] = tape.run(point, work[:tape.rows, :width])
         for k, (i, j) in enumerate(group):
             v = u if np.ndim(u) == 0 else u[k * n:(k + 1) * n]
             if j == 0:
@@ -254,6 +275,7 @@ def verify_on_grid(u, b, grid=None, tol=None, guard=None, method="symbolic"):
     pole-free families); points with |guard| below `grid.eps_den`, or where
     the guard is not finite, are skipped and counted.  `method` selects the
     symbolic-derivative path or the finite-difference cross-check path.
+    `tol` (by default the method's) must be finite and > 0.
     """
     import numpy as np
     if method not in ("symbolic", "finite-difference"):
@@ -261,6 +283,8 @@ def verify_on_grid(u, b, grid=None, tol=None, guard=None, method="symbolic"):
     grid = grid or GridSpec()
     if tol is None:
         tol = DEFAULT_TOL_SYMBOLIC if method == "symbolic" else DEFAULT_TOL_FINITE_DIFF
+    elif not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     guard = ex.ONE if guard is None else ex.as_expr(guard)
     symbolic = method == "symbolic"
 

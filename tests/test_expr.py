@@ -425,6 +425,26 @@ def test_tape_keeps_a_root_that_is_also_a_subtree():
     assert [float(v) for v in ex.evaluate_many([outer, inner], {}, {"x": 0.0})] == [3.0, 1.0]
 
 
+def test_tape_evaluates_a_constant_subtree_once_across_runs(monkeypatch):
+    calls = []
+    for name in ("sqrt", "cosh", "sinh", "cos", "sin"):
+        def spy(*args, real=getattr(np, name), name=name):
+            calls.append((name, np.ndim(args[0])))
+            return real(*args)
+        monkeypatch.setattr(np, name, spy)
+    # sqrt(3) + cosh(1/2) and a constant cot: one scalar each, made once
+    const = ex.add(ex.sqrt(3), ex.cosh(ex.Rational(F(1, 2))), ex.cot(ex.Rational(F(1, 3))))
+    tape = ex.Tape([ex.mul(const, ex.sinh(X))])
+    xs = np.linspace(-1.0, 1.0, 5)
+    work = [np.empty(xs.shape) for _ in range(tape.rows)]
+    for _ in range(4):
+        [got] = tape.run({"x": xs}, work)
+    assert sorted(calls) == sorted([("sqrt", 0), ("cosh", 0), ("sin", 0), ("cos", 0)]
+                                   + [("sinh", 1)] * 4)
+    want = (math.sqrt(3) + math.cosh(0.5) + math.cos(1 / 3) / math.sin(1 / 3)) * np.sinh(xs)
+    assert np.allclose(got, want, rtol=1e-15, atol=0)
+
+
 def test_constant_root_broadcasts_to_grid_shape():
     grid = np.zeros((3, 4))
     half, root2, x = ex.evaluate_many([ex.Rational(F(1, 2)), ex.sqrt(2), X], {}, {"x": grid})

@@ -17,6 +17,7 @@ Covers:
     per stencil offset, and the number and size of the packed runs
 """
 import hashlib
+import math
 import random
 from fractions import Fraction as F
 
@@ -163,6 +164,16 @@ def test_finite_difference_mode_fails_non_solution():
     assert not rep.passed
 
 
+def test_verify_on_grid_rejects_a_tol_not_finite_and_positive():
+    # u6's b=3 wave is no solution at b=5: an infinite tol would pass it
+    u = catalog.build("u6", {"b": 3})
+    assert not verify_on_grid(u, 5).passed
+    for tol in (math.inf, math.nan, 0.0, -1e-7, -math.inf):
+        for method in ("symbolic", "finite-difference"):
+            with pytest.raises(ValueError, match="tol"):
+                verify_on_grid(u, 5, tol=tol, method=method)
+
+
 def test_grid_spec_validation():
     with pytest.raises(ValueError):
         GridSpec(nx=1)
@@ -172,6 +183,12 @@ def test_grid_spec_validation():
         GridSpec(t_min=1.0, t_max=0.0)
     with pytest.raises(ValueError):
         GridSpec(eps_den=0.0)
+    for bad in (2.5, 3.0, "5", None):
+        with pytest.raises(ValueError):
+            GridSpec(nx=bad)
+        with pytest.raises(ValueError):
+            GridSpec(nt=bad)
+    assert GridSpec(nx=np.int64(5), nt=np.int32(3)).points()[0].size == 15
     with pytest.raises(ValueError):
         verify_on_grid(X, 3, method="spectral")
 
@@ -255,6 +272,7 @@ def test_ode_residual_trees_match_golden_digests():
 BIG_GRID = GridSpec(nx=1001, nt=101)
 REPORT_DIGESTS = {
     ("u14", 0, "symbolic"): "a30db442738d58eab08b35cabf7e5e265b3b9d65de0d004e65dc0af6ea1270e8",
+    ("u14", 2, "symbolic"): "b0244038072597746b24883fd6db9a36f9cc18e9e58aa4dfd127a4bd95598ba4",
     ("u22", 0, "symbolic"): "eaf90c8f42b8f38a1e46b517124db7bb6a830cf57a5a1bc3c3e473dc20b7b77f",
     ("u22", 0, "finite-difference"): "2d39a7887d99021203a6d416dfc2194f78ffb83f15e4bc1b70aa8a2c15b1ef3f",
     ("cole_hopf", 0, "symbolic"): "15e063ac52b81bb3e7dfeb5358b8543ae5f7e24e5ff530d90e3f407081387714",
@@ -501,11 +519,13 @@ def test_packed_fd_terms_match_per_offset_runs_across_packing_thresholds(catalog
 
 @pytest.mark.parametrize("n, runs", [(101 * 11, 2), (BLOCK, 27)])
 def test_fd_terms_pack_offsets_into_block_sized_runs(monkeypatch, n, runs):
-    sizes = []
+    sizes, read = [], {"x": set(), "t": set()}
     run = ex.Tape.run
 
     def spy_run(tape, point, work):
         sizes.append(point["x"].size)
+        for name, v in point.items():
+            read[name].add(v.__array_interface__["data"][0])
         assert work.shape[1] == point["x"].size
         return run(tape, point, work)
 
@@ -516,3 +536,6 @@ def test_fd_terms_pack_offsets_into_block_sized_runs(monkeypatch, n, runs):
     verifier._fd_terms(tape, 3, xs, ts, work, sums)
     assert len(sizes) == runs
     assert sum(sizes) == 27 * n and max(sizes) == work.shape[1] <= BLOCK
+    # packed runs read the points gathered into the workspace; runs of one
+    # offset read the 7 x-shifted and 5 t-shifted rows each block makes once
+    assert (len(read["x"]), len(read["t"])) == ((1, 1) if runs < 27 else (7, 5))
