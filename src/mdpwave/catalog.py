@@ -31,7 +31,7 @@ from . import expr as ex
 from . import rational_hyperbolic as rh
 from .errors import ConstraintViolation
 from .riccati import (BASE_CHECKS, BETA_CHECK, MU_CHECK, S_LABEL,
-                      discriminant, is_degenerate, violations)
+                      discriminant, exact, is_degenerate, violations)
 
 __all__ = [
     "family_ids", "list_families", "validate", "radical", "build", "build_wave",
@@ -262,7 +262,8 @@ def list_families():
 
 
 def _norm_params(fid, params):
-    """(the family's row, `params` as Fractions with the defaults filled in)."""
+    """(the family's row, `params` as Fractions of Python ints with the
+    defaults filled in)."""
     try:
         fam = _REGISTRY[fid]
     except KeyError:
@@ -272,7 +273,7 @@ def _norm_params(fid, params):
         if k not in fam.parameters and k not in fam.optional:
             raise ValueError(f"family {fam.fid} has no parameter {k!r}")
         try:
-            out[k] = Fraction(v)
+            out[k] = exact(v)
         except (OverflowError, ValueError):
             raise ValueError(f"family {fam.fid}: {k} = {v!r} is not a finite number") from None
     missing = [k for k in fam.parameters if k not in out]

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import catalog
 from . import expr as ex
 from .errors import ConstraintViolation
-from .riccati import MU_CHECK, discriminant, violations
+from .riccati import MU_CHECK, discriminant, exact, violations
 
 __all__ = ["ColeHopfParams", "cole_hopf_u", "system_residuals", "branch_params"]
 
@@ -47,7 +46,7 @@ def cole_hopf_u(p):
     bad = violations(_PARAM_CHECKS, vars(p))
     if bad:
         raise ConstraintViolation(bad)
-    A, B, mu, lam, delta = (Fraction(v) for v in (p.A, p.B, p.mu, p.lam, p.delta))
+    A, B, mu, lam, delta = map(exact, (p.A, p.B, p.mu, p.lam, p.delta))
     phase = ex.add(ex.mul(mu, X), ex.mul(lam, T), ex.as_expr(delta))
     return ex.add(ex.as_expr(B),
                   ex.div(ex.mul(A, mu * mu), ex.mul(2, ex.add(1, ex.cosh(phase)))))

@@ -5,8 +5,9 @@ quotients, constant powers, and a closed set of elementary functions.
 Constructors fold the trivial identities (0*e, 1*e, e+0, e^1,
 rational-constant arithmetic) and nothing else; correctness downstream
 rests on numeric agreement, not on normal forms.  `add` and `mul` keep a
-lone constant as the leaf it came in as and do Fraction arithmetic only
-when a second constant meets it; small integers share one leaf each.
+lone constant as the leaf it came in as.  When a second constant meets
+it, two integers fold with int arithmetic and any other pair with
+Fraction arithmetic; the integers -64..64 share one leaf each.
 
 Every node carries one structural key, (op, payload, children), set at
 construction.  Equality and hashing, the tape compile, `substitute` and
@@ -62,7 +63,8 @@ np = None  # numpy, bound by the first Tape.run or evaluate_many
 
 class Expr:
     """Base node.  Each constructor sets `_key = (op, payload, children)`
-    and `_hash = hash(_key)`; the key is the node's whole identity.
+    and `_hash = hash(_key)`, a rational with its numerator and denominator
+    in the Fraction's place; the key is the node's whole identity.
 
     The op is the tape's name for the node: "rat" (payload the Fraction),
     "var" (the name), "add" and "mul" (the terms or factors as children),
@@ -89,9 +91,9 @@ class Rational(Expr):
     __slots__ = ("value",)
 
     def __init__(self, value):
-        self.value = value if isinstance(value, Fraction) else Fraction(value)
-        self._key = key = ("rat", self.value, ())
-        self._hash = hash(key)
+        self.value = value = value if isinstance(value, Fraction) else Fraction(value)
+        self._key = ("rat", value, ())
+        self._hash = hash(("rat", value.numerator, value.denominator))
 
 
 class Var(Expr):
@@ -157,8 +159,10 @@ def as_expr(v):
     """Coerce a number to an exact rational leaf; pass expressions through."""
     if isinstance(v, Expr):
         return v
-    if isinstance(v, (int, Fraction)):
-        return _SMALL.get(v) or Rational(Fraction(v))
+    if isinstance(v, int):
+        return _SMALL.get(v) or Rational(v)
+    if isinstance(v, Fraction):
+        return (v.denominator == 1 and _SMALL.get(v.numerator)) or Rational(v)
     if isinstance(v, float):
         if not math.isfinite(v):
             raise ValueError(f"non-finite constant {v!r}")
@@ -173,19 +177,39 @@ ZERO = _SMALL[0]
 ONE = _SMALL[1]
 
 
-def add(*terms):
+def _gather(items, kind, product):
+    """(the constant leaf or None, the other operands) of a sum or product
+    of `items`, flattening operands of the same `kind`."""
     out = []
-    const = None  # the first constant leaf, until a second one forces a sum
-    for t in terms:
-        if not isinstance(t, Expr):
+    const = None
+    for t in items:
+        if type(t) is not Rational:
+            if type(t) is kind:
+                for p in t._key[2]:
+                    if type(p) is not Rational:
+                        out.append(p)
+                    else:
+                        const = p if const is None else _fold(const, p, product)
+                continue
+            if isinstance(t, Expr):
+                out.append(t)
+                continue
             t = as_expr(t)
-        for p in (t.terms if type(t) is Add else (t,)):
-            if type(p) is not Rational:
-                out.append(p)
-            elif const is None:
-                const = p
-            else:
-                const = Rational(const.value + p.value)
+        const = t if const is None else _fold(const, t, product)
+    return const, out
+
+
+def _fold(a, b, product):
+    """The leaf of two constant leaves' product or sum."""
+    a, b = a.value, b.value
+    if a.denominator == 1 == b.denominator:
+        v = a.numerator * b.numerator if product else a.numerator + b.numerator
+        return _SMALL.get(v) or Rational(v)
+    return Rational(a * b if product else a + b)
+
+
+def add(*terms):
+    const, out = _gather(terms, Add, False)
     if const is not None and const.value:
         out.insert(0, const)
     if not out:
@@ -196,18 +220,7 @@ def add(*terms):
 
 
 def mul(*factors):
-    out = []
-    const = None  # the first constant leaf, until a second one forces a product
-    for f in factors:
-        if not isinstance(f, Expr):
-            f = as_expr(f)
-        for p in (f.factors if type(f) is Mul else (f,)):
-            if type(p) is not Rational:
-                out.append(p)
-            elif const is None:
-                const = p
-            else:
-                const = Rational(const.value * p.value)
+    const, out = _gather(factors, Mul, True)
     if const is None:
         if not out:
             return ONE
@@ -444,7 +457,9 @@ class Tape:
     depends on a variable goes into a row of the workspace given to `run`
     (`rows` of them): a row is reused once its value's last consumer has
     run, never for an operand of the same instruction, and never a root's.
-    A `cot` also takes a scratch row, named by its payload.
+    A `cot` also takes a scratch row, named by its payload.  The compile
+    looks each child's slot up in place and descends only into a node
+    that has none yet.
 
     The first `run` prepares the steps (`_bind`): a constant instruction
     is evaluated once, to the scalar every run reads, and `run` is one loop
@@ -458,29 +473,31 @@ class Tape:
         code = []  # [op, payload, argument slots, row: None for none, -1 until placed]
         varies = []  # per slot: whether its value depends on a variable
 
-        def visit(node):
-            slot = slots.get(node)
-            if slot is None:
-                op, payload, kids = node._key
-                row = None
-                if kids:
-                    args = tuple(map(visit, kids))
-                    for a in args:
-                        if varies[a]:
-                            row = -1
-                            break
-                    if op == "pow":
-                        payload = float(payload)
-                else:
-                    args = kids
-                    if op == "rat":
-                        payload = float(payload)
-                slot = slots[node] = len(code)
-                code.append([op, payload, args, row])
-                varies.append(row is not None or op == "var")
+        def visit(node):  # a node without a slot: its children's slots first
+            op, payload, kids = node._key
+            row = None
+            if kids:
+                args = []
+                for k in kids:
+                    a = slots.get(k)
+                    if a is None:
+                        a = visit(k)
+                    if varies[a]:
+                        row = -1
+                    args.append(a)
+                args = tuple(args)
+                if op == "pow":
+                    payload = float(payload)
+            else:
+                args = kids
+                if op == "rat":
+                    payload = float(payload)
+            slot = slots[node] = len(code)
+            code.append([op, payload, args, row])
+            varies.append(row is not None or op == "var")
             return slot
 
-        self.outputs = tuple(visit(as_expr(r)) for r in roots)
+        self.outputs = tuple(slots[r] if r in slots else visit(r) for r in map(as_expr, roots))
         # walk back from the roots, which are read last: the first use met
         # is a value's last, so it takes a free row there, and its row is
         # free again above the instruction that writes it

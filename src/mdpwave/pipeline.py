@@ -33,7 +33,7 @@ from . import catalog
 from .errors import ConstraintViolation
 from .polyalg import (VARS, MultiPoly, bind, laurent, laurent_coeff, laurent_derivative,
                       laurent_support)
-from .riccati import BASE_CHECKS, BETA_CHECK, S_LABEL, is_degenerate, violations
+from .riccati import BASE_CHECKS, BETA_CHECK, S_LABEL, exact, is_degenerate, violations
 
 np = _gelsd = None  # numpy and its lstsq gufunc, bound by _load_numpy
 
@@ -230,7 +230,7 @@ def ansatz_tuple(fid, alpha, beta, gamma, b):
     case = next((c for c, fams in CASE_FAMILIES.items() if fid in fams), None)
     if case is None:
         raise ValueError(f"{fid!r} is not a phi-power family")
-    alpha, beta, gamma, b = (Fraction(v) for v in (alpha, beta, gamma, b))
+    alpha, beta, gamma, b = map(exact, (alpha, beta, gamma, b))
     p = {"alpha": alpha, "beta": beta, "gamma": gamma, "b": b}
     bad = violations(_CASE_CHECKS[case], p)
     if bad:

@@ -17,10 +17,12 @@ excluded values of b, a nonzero mu, a nonzero beta) and the wave-speed
 discriminant, beside the degeneracy test that the catalog and the
 pipeline use for the same purpose.  A check is a (label, fails(params))
 row on a dict of parameters, and `violations` is the one walker that
-turns a table of rows into the labels that fail.
+turns a table of rows into the labels that fail.  `exact` is how every
+entry point takes a caller's number as an exact rational.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,7 +33,7 @@ __all__ = [
     "RiccatiCoefficients", "classify", "phi_expr",
     "riccati_residual", "pole_guard", "is_degenerate",
     "BASE_CHECKS", "MU_CHECK", "BETA_CHECK", "S_LABEL", "violations",
-    "discriminant",
+    "discriminant", "exact",
 ]
 
 XI = ex.var("xi")
@@ -83,6 +85,12 @@ S_LABEL = "discriminant S >= 0"
 def violations(checks, p):
     """The labels of the (label, fails) rows that `p` fails, in table order."""
     return [label for label, fails in checks if fails(p)]
+
+
+def exact(v):
+    """`v` as a Fraction of Python ints: `Fraction` keeps a numpy integer's
+    own, whose arithmetic wraps at 64 bits."""
+    return Fraction(int(v)) if isinstance(v, numbers.Integral) else Fraction(v)
 
 
 def discriminant(b, k):
@@ -161,7 +169,7 @@ def _row(c):
 
 
 def _forms(c):
-    return _row(c)[2](Fraction(c.alpha), Fraction(c.beta), Fraction(c.gamma))
+    return _row(c)[2](exact(c.alpha), exact(c.beta), exact(c.gamma))
 
 
 def classify(c):
@@ -183,9 +191,9 @@ def phi_expr(c):
 
 def riccati_residual(phi, c):
     """phi' - (alpha + beta*phi + gamma*phi^2) as an expression in xi."""
-    rhs = ex.add(ex.as_expr(Fraction(c.alpha)),
-                 ex.mul(Fraction(c.beta), phi),
-                 ex.mul(Fraction(c.gamma), ex.pow_(phi, 2)))
+    rhs = ex.add(ex.as_expr(exact(c.alpha)),
+                 ex.mul(exact(c.beta), phi),
+                 ex.mul(exact(c.gamma), ex.pow_(phi, 2)))
     return ex.sub(ex.differentiate(phi, XI), rhs)
 
 

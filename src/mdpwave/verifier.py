@@ -29,10 +29,10 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 
 from . import expr as ex
 from .errors import AllPointsSkipped
+from .riccati import exact
 
 __all__ = [
     "GridSpec", "ResidualReport", "mdp_residual", "mdp_residual_terms",
@@ -125,7 +125,7 @@ def mdp_residual_terms(u, b):
 
     Order: u_t, -u_xxt, (b+1) u^2 u_x, -b u_x u_xx, -u u_xxx.
     """
-    b = Fraction(b)
+    b = exact(b)
     dx, dt = {}, {}  # one derivative memo per variable, for this build only
     u_x = ex.differentiate(u, X, dx)
     u_xx = ex.differentiate(u_x, X, dx)
@@ -151,8 +151,7 @@ def ode_residual_terms(U, b, lam):
 
     Order: (b+1) U' U^2, -U''' U, -lam U''', lam U', -b U' U''.
     """
-    b = Fraction(b)
-    lam = Fraction(lam)
+    b, lam = exact(b), exact(lam)
     dxi = {}  # one derivative memo across the three orders
     u1 = ex.differentiate(U, XI, dxi)
     u2 = ex.differentiate(u1, XI, dxi)

@@ -8,6 +8,7 @@ Covers:
     cases over the same sweep
   - rational_hyperbolic.family_violations and colehopf.branch_params
   - the `catalog list` report
+  - numpy integer parameters decided as the Python ints they equal
 
 Each sweep renders one text line per call; the sha256 of each text was
 recorded from the code before the admissibility checks moved into one
@@ -19,11 +20,14 @@ import io
 import itertools
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from mdpwave import catalog, colehopf
+from mdpwave import expr as ex
 from mdpwave import pipeline as pl
 from mdpwave import rational_hyperbolic as rh
+from mdpwave import riccati, verifier
 from mdpwave.cli import main
 from mdpwave.errors import ConstraintViolation
 
@@ -161,3 +165,25 @@ def test_catalog_list_golden():
     with contextlib.redirect_stdout(buf):
         assert main(["catalog", "list"]) == 0
     assert _digest([buf.getvalue()]) == _OTHER_DIGESTS["catalog list"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_numpy_integer_parameters_are_exact():
+    # Fraction(np.int64(v)) keeps the numpy int, whose products wrap at 64
+    # bits: S = 1 - 15*(256*(2^16*2^16)^2 - 1) < 0 read as admissible
+    a = np.int64(2 ** 16)
+    assert catalog.validate("u16", {"b": np.int64(3), "alpha": a, "gamma": a}) \
+        == catalog.validate("u16", {"b": 3, "alpha": 2 ** 16, "gamma": 2 ** 16}) \
+        == ["discriminant S >= 0"]
+    u = catalog.build("u6", {"b": np.int64(3)})
+    assert u == catalog.build("u6", {"b": 3})
+    assert verifier.mdp_residual_terms(u, np.int64(3)) == verifier.mdp_residual_terms(u, 3)
+    assert colehopf.cole_hopf_u(colehopf.ColeHopfParams(*map(np.int64, (2, 1, 3, -5)))) \
+        == colehopf.cole_hopf_u(colehopf.ColeHopfParams(2, 1, 3, -5))
+    assert pl.ansatz_tuple("u20", *map(np.int64, (0, 1, 1, 3))) \
+        == pl.ansatz_tuple("u20", 0, 1, 1, 3)
+    c = riccati.RiccatiCoefficients(2, 3, 1)
+    c_np = riccati.RiccatiCoefficients(*map(np.int64, (2, 3, 1)))
+    assert riccati.phi_expr(c_np) == riccati.phi_expr(c)
+    assert ex.to_prefix(riccati.riccati_residual(riccati.phi_expr(c), c_np)) \
+        == ex.to_prefix(riccati.riccati_residual(riccati.phi_expr(c), c))

@@ -2,7 +2,8 @@
 
 Covers:
   - constructor canonicalization of the trivial identities, and constant
-    folding in add/mul against a reference Fraction fold
+    folding in add/mul against a reference Fraction fold, on random
+    operands and on each integer fold path; equal rationals hash equal
   - evaluation values, inf/NaN at domain violations, unbound errors
   - exact structural differentiation (values, linearity, product rule,
     finite-difference agreement, closure over the function set)
@@ -18,7 +19,10 @@ Covers:
   - the structural key: exact prefix text for every node kind, float and
     Fraction exponents as one node, nodes differing in kind or order
     unequal, substitute keeping every subtree without the variable
+  - every catalog residual's and collocation root's prefix text and tape
+    instructions, pinned by sha256
 """
+import hashlib
 import math
 import random
 from fractions import Fraction as F
@@ -28,6 +32,7 @@ import pytest
 
 from mdpwave import catalog, verifier
 from mdpwave import expr as ex
+from mdpwave import rational_hyperbolic as rh
 from mdpwave.errors import UnboundSymbol
 
 X = ex.var("x")
@@ -135,6 +140,32 @@ def test_constant_folding_matches_reference_fold():
             got, want = build(*args), reference(*args)
             assert type(got) is type(want), (build, args)
             assert ex.to_prefix(got) == ex.to_prefix(want), (build, args)
+
+
+def test_integer_fold_paths_match_reference_fold():
+    # int arithmetic out of the shared -64..64 leaves and back, zero
+    # products, integers against Fractions (also integral ones), and bools
+    cases = [(64, 1), (-64, -1), (65, -1), (8, 8, X), (-9, 8, T), (10 ** 20, 10 ** 20),
+             (10 ** 20, -10 ** 20), (0, 10 ** 20, X), (X, 0), (0, F(1, 3)), (3, F(1, 3)),
+             (2, F(-1, 2), X), (F(4, 2), F(6, 3)), (F(4, 2), F(6, 3), X), (True, True),
+             (True, X, True), (False, X), (ex.Rational(F(4, 2)), 62), (ex.add(X, 64), 1),
+             (ex.mul(64, X), 2), (ex.Rational(F(0, 5)), X)]
+    for args in cases:
+        for build, reference in ((ex.add, _reference_add), (ex.mul, _reference_mul)):
+            got, want = build(*args), reference(*args)
+            assert type(got) is type(want) and got == want, (build, args)
+            assert ex.to_prefix(got) == ex.to_prefix(want), (build, args)
+    assert ex.mul(8, 8) is ex.as_expr(64) and ex.add(-60, -4) is ex.as_expr(-64)
+    assert ex.mul(8, 9) == ex.Rational(72) and ex.add(F(-1, 2), F(1, 2)) is ex.ZERO
+    assert ex.add(F(4, 2), F(6, 3)) == ex.as_expr(4)
+
+
+def test_equal_rationals_hash_equal():
+    for a, b in ((ex.Rational(F(6, 4)), ex.Rational(F(3, 2))), (ex.Rational(2), ex.as_expr(2)),
+                 (ex.Rational(F(-10 ** 20, 10 ** 20)), ex.as_expr(-1))):
+        assert a == b and hash(a) == hash(b)
+        assert ex.Tape([a, b]).outputs == (0, 0)
+    assert ex.as_expr(F(8, 4)) is ex.as_expr(2) and ex.as_expr(True) is ex.ONE
 
 
 def test_empty_and_unit_folds():
@@ -585,3 +616,35 @@ def _subtree_nodes(node):
     for child in _children(node):
         out += _subtree_nodes(child)
     return out
+
+
+def _pinned_root_sets(samples):
+    """Every residual tape's roots: `mdp_residual_terms` of each catalog
+    sample, then the collocation roots (the denominator and the five
+    traveling-wave terms times its 5th power) of u3..u10 at their samples."""
+    for fid, rows in samples.items():
+        for params in rows:
+            yield verifier.mdp_residual_terms(catalog.build(fid, params), params["b"])
+    for fid in rh.FAMILY_IDS:
+        for params in samples[fid]:
+            free = {k: v for k, v in params.items() if k != "b"}
+            p = rh.family_params(fid, params["b"], **free)
+            den = rh.rh_denominator(p)
+            den5 = ex.pow_(den, 5)
+            yield [den] + [ex.mul(t, den5) for t in
+                           verifier.ode_residual_terms(rh.rh_ansatz(p), params["b"], p.lam)]
+
+
+def test_residual_trees_and_tapes_are_pinned(catalog_samples):
+    # sha256 of every root's prefix text and of every tape's instructions:
+    # a change to the constructors or the compile must not move a byte
+    trees, tapes = hashlib.sha256(), hashlib.sha256()
+    count = 0
+    for roots in _pinned_root_sets(catalog_samples):
+        count += 1
+        for r in roots:
+            trees.update(ex.to_prefix(r).encode() + b"\n")
+        tapes.update(repr(ex.Tape(roots).code).encode() + b"\n")
+    assert count == 76 + 26
+    assert trees.hexdigest() == "593872190056ed5c9d2599c88b31a3d1702d6cdcf2f4b8055e0befdebad953df"
+    assert tapes.hexdigest() == "e2fe58627e5d85014ebef57c8619fdf3761bfa9fed271e8f22ec2275064bd79a"
