@@ -23,9 +23,10 @@ takes, and drops it when the build is done.  All values are immutable and
 all operations are pure, so trees are safe to share across workers.
 
 Evaluation compiles one or more roots into a single `Tape` that evaluates
-each structurally distinct subtree once.  The tape runs over numpy arrays
-in a workspace: rows of the points' shape, one per value that is live at
-once.  Each instruction that depends on a variable calls its ufuncs with
+each structurally distinct subtree once, csc(a) and cot(a) as 1 / sin(a)
+and cos(a) / sin(a) with one sin per argument.  The tape runs over numpy
+arrays in a workspace: rows of the points' shape, one per value that is live
+at once.  Each instruction that depends on a variable calls its ufuncs with
 `out=` its own row, and a row is reused once its value's last consumer has
 run, but never for an operand of the same instruction; constant subtrees
 stay scalars.  An n-ary sum or product is worked left to right in its row,
@@ -36,7 +37,8 @@ violations give inf/NaN values, which callers screen with their own
 guards.  A caller's arrays are never written.
 
 A tape's first run imports numpy and prepares its steps: each ufunc call
-resolved to the ufunc and its operand and output registers.  Constants are
+resolved to the ufunc (`np.square` for a power of 2, the same bits as
+`np.power`) and its operand and output registers.  Constants are
 evaluated then, once; every run loops over the other steps.  Building and
 differentiating trees, and compiling a tape, run without loading numpy.
 """
@@ -453,13 +455,14 @@ class Tape:
     node: nodes are keyed by their own `__hash__`/`__eq__`, and each
     instruction is the node's key with a "rat" or "pow" payload as a
     float, plus its workspace row.  A subtree shared between roots, or
-    repeated inside one, is therefore evaluated once.  A value that
+    repeated inside one, is therefore evaluated once.  A csc or cot is a
+    "div" of 1 or of a "cos" by a "sin", and a "sin" or "cos" instruction is
+    keyed by (op, argument slot), so each argument takes one.  A value that
     depends on a variable goes into a row of the workspace given to `run`
     (`rows` of them): a row is reused once its value's last consumer has
     run, never for an operand of the same instruction, and never a root's.
-    A `cot` also takes a scratch row, named by its payload.  The compile
-    looks each child's slot up in place and descends only into a node
-    that has none yet.
+    The compile looks each child's slot up in place and descends only into
+    a node that has none yet.
 
     The first `run` prepares the steps (`_bind`): a constant instruction
     is evaluated once, to the scalar every run reads, and `run` is one loop
@@ -488,6 +491,10 @@ class Tape:
                 args = tuple(args)
                 if op == "pow":
                     payload = float(payload)
+                elif op == "csc" or op == "cot":  # lowered: 1 / sin(a), cos(a) / sin(a)
+                    num = (lowered("cos", args[0], row) if op == "cot"
+                           else slots[ONE] if ONE in slots else visit(ONE))
+                    op, args = "div", (num, lowered("sin", args[0], row))
             else:
                 args = kids
                 if op == "rat":
@@ -495,6 +502,14 @@ class Tape:
             slot = slots[node] = len(code)
             code.append([op, payload, args, row])
             varies.append(row is not None or op == "var")
+            return slot
+
+        def lowered(op, a, row):  # the slot of sin(a) or cos(a), one per argument slot
+            slot = slots.get((op, a))
+            if slot is None:
+                slot = slots[op, a] = len(code)
+                code.append([op, None, (a,), row])
+                varies.append(row is not None)
             return slot
 
         self.outputs = tuple(slots[r] if r in slots else visit(r) for r in map(as_expr, roots))
@@ -507,9 +522,6 @@ class Tape:
                 if code[a][3] == -1:
                     code[a][3] = free.pop() if free else next(fresh)
             if ins[3] is not None:
-                if ins[0] == "cot":  # a scratch row, free again once it has run
-                    ins[1] = free.pop() if free else next(fresh)
-                    free.append(ins[1])
                 free.append(ins[3])
         self.code = code
         self.rows = next(fresh)
@@ -558,19 +570,13 @@ class Tape:
                 for a in args[1:]:
                     todo.append((f, x, at[a], out))
                     x = out
+            elif op == "pow" and payload == 2.0:  # np.square: np.power's bits, faster
+                todo.append((np.square, x, None, out))
             elif op == "pow":  # x ** payload
                 fixed.append(payload)
                 todo.append((f, x, -len(fixed), out))
-            elif op == "csc":  # 1 / sin(x), sin into its row
-                fixed.append(1.0)
-                todo += [(np.sin, x, None, out), (f, -len(fixed), out, out)]
-            elif op == "cot":  # cos(x) / sin(x), sin into its scratch row
-                if row is None:
-                    fixed.append(None)
-                sin = -len(fixed) if row is None else payload
-                todo += [(np.sin, x, None, sin), (np.cos, x, None, out), (f, out, sin, out)]
             else:  # a function, or a lone term's bitwise copy into its row
-                todo.append((f if op in FUNCTIONS else np.positive, x, None, out))
+                todo.append((np.positive if op == "add" or op == "mul" else f, x, None, out))
         fixed.reverse()  # the k-th register made is at -k
         for f, a, b, out in const_steps:  # each call makes the scalar its register keeps
             fixed[out] = f(fixed[a]) if b is None else f(fixed[a], fixed[b])
@@ -579,8 +585,8 @@ class Tape:
         self._steps = tuple(steps)
 
 
-# numpy's name for an op's ufunc where it is not the op's own; cot and csc divide by a sin
-_UFUNCS = {"mul": "multiply", "div": "divide", "pow": "power", "cot": "divide", "csc": "divide"}
+# numpy's name for an op's ufunc where it is not the op's own
+_UFUNCS = {"mul": "multiply", "div": "divide", "pow": "power"}
 
 
 def evaluate_many(e, params=None, point=None):

@@ -448,6 +448,7 @@ def test_tolerance_not_finite_positive_exit_2(argv, value):
     (["--x-min", "5", "--x-max", "-5"], "x_min must be < x_max"),
     (["--eps-den", "-1"], "eps_den must be positive"),
     (["--eps-den", "nan"], "eps_den must be positive"),
+    (["--eps-den", "inf"], "eps_den must be finite"),
 ])
 def test_plot_data_bad_grid_exit_2(flags, message):
     code, out = run(["plot-data", "--family", "u6", "--param", "b=3", "--t", "0"] + flags)
@@ -460,6 +461,13 @@ def test_verify_infinite_grid_bound_exit_2():
     assert code == 2
     assert json.loads(out) == {"error": "invalid-input",
                                "message": "x_min, x_max, t_min and t_max must be finite"}
+
+
+def test_verify_infinite_eps_den_exit_2():
+    # not "the singularity guard swallowed the whole grid"
+    code, out = run(["verify", "--family", "u6", "--param", "b=3", "--eps-den", "inf"])
+    assert code == 2
+    assert json.loads(out) == {"error": "invalid-input", "message": "eps_den must be finite"}
 
 
 @pytest.mark.parametrize("argv, flag, value, want_code", [

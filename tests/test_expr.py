@@ -392,6 +392,7 @@ def test_shared_tape_matches_per_term_evaluation(catalog_samples):
 
 
 def test_tape_has_one_slot_per_distinct_node(catalog_samples):
+    # plus one per lowered sin or cos argument, and the leaf 1 of a csc
     for _, terms in _residual_term_sets(catalog_samples):
         distinct = set()
         stack = list(terms)
@@ -400,8 +401,12 @@ def test_tape_has_one_slot_per_distinct_node(catalog_samples):
             if node not in distinct:
                 distinct.add(node)
                 stack.extend(_children(node))
+        lowered = set()
+        for node in distinct:
+            if isinstance(node, ex.Fun) and node.kind in ("csc", "cot"):
+                lowered |= {("sin", node.arg), ("cos", node.arg) if node.kind == "cot" else ex.ONE}
         tape = ex.Tape(terms)
-        assert len(tape.code) == len(distinct)
+        assert len(tape.code) == len(distinct | lowered)
         _assert_rows_hold_their_values(tape)
         # rows are reused: fewer rows than values that need one
         assert tape.rows < sum(ins[3] is not None for ins in tape.code)
@@ -422,9 +427,6 @@ def _assert_rows_hold_their_values(tape):
                                       for a in args)
             continue
         assert 0 <= row < tape.rows and row not in arg_rows
-        if op == "cot":  # its scratch row: neither its own nor an operand's
-            assert 0 <= payload < tape.rows and payload != row and payload not in arg_rows
-            holder.pop(payload, None)
         holder[row] = i
     for s in tape.outputs:
         if tape.code[s][3] is not None:
@@ -432,8 +434,8 @@ def _assert_rows_hold_their_values(tape):
 
 
 def test_tape_rows_around_roots_and_scratch():
-    # a root read by a later instruction keeps its row, a cot takes a
-    # scratch row, and repeated operands take one row
+    # a root read by a later instruction keeps its row, a cot's sin and
+    # cos take rows of their own, and repeated operands take one row
     inner = ex.cosh(X)
     roots = [inner, ex.cot(ex.mul(2, inner)), ex.Mul((inner, inner, T)), ex.sqrt(2), X]
     tape = ex.Tape(roots)
@@ -474,6 +476,83 @@ def test_tape_evaluates_a_constant_subtree_once_across_runs(monkeypatch):
                                    + [("sinh", 1)] * 4)
     want = (math.sqrt(3) + math.cosh(0.5) + math.cos(1 / 3) / math.sin(1 / 3)) * np.sinh(xs)
     assert np.allclose(got, want, rtol=1e-15, atol=0)
+
+
+def _spy_ufuncs(monkeypatch, names=("sin", "cos", "square", "power")):
+    """Replace numpy's `names` by wrappers that log (name, ndim of the
+    first operand) to the list returned, before a tape binds them."""
+    calls = []
+    for name in names:
+        def spy(*args, real=getattr(np, name), name=name):
+            calls.append((name, np.ndim(args[0])))
+            return real(*args)
+        monkeypatch.setattr(np, name, spy)
+    return calls
+
+
+def _bits(v):
+    return np.asarray(v, dtype=float).view(np.int64)
+
+
+# 0, ±0.0, ±inf, NaN, ±1e200, and points at and next to multiples of pi
+_NEAR_PI = [k * math.pi for k in (-3, -1, 1, 2, 50)]
+_SINE_POINTS = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 1e200, -1e200, 1 / 3]
+                        + _NEAR_PI + [math.nextafter(v, d) for v in _NEAR_PI for d in (-4e200, 4e200)])
+
+
+def test_tape_calls_one_sine_per_argument_and_squares(monkeypatch):
+    # csc(a) is 1 / sin(a) and cot(a) is cos(a) / sin(a) with one sin, and
+    # a ** 2 runs as np.square: the same bits as before, fewer calls
+    a = ex.mul(F(1, 2), X)
+    xs = _SINE_POINTS
+    half = 0.5 * xs
+    with np.errstate(all="ignore"):
+        want = [1.0 / np.sin(half), np.cos(half) / np.sin(half), np.power(half, 2.0)]
+    calls = _spy_ufuncs(monkeypatch)
+    tape = ex.Tape([ex.csc(a), ex.cot(a), ex.pow_(a, 2)])
+    work = [np.empty(xs.shape) for _ in range(tape.rows)]
+    for _ in range(3):
+        calls.clear()
+        with np.errstate(all="ignore"):
+            got = tape.run({"x": xs}, work)
+        for g, w in zip(got, want):
+            assert np.array_equal(_bits(g), _bits(w))
+        assert sorted(calls) == [("cos", 1), ("sin", 1), ("square", 1)]
+
+
+def test_tape_makes_constant_sines_once_with_the_same_bits(monkeypatch):
+    consts = [F(0), F(1, 3), F(1e200), F(-1e200)] + [F(v) for v in _SINE_POINTS[8:]]
+    roots = []
+    for c in consts:
+        arg = ex.Rational(c)
+        roots += [ex.csc(arg), ex.cot(arg), ex.pow_(ex.cot(arg), 2)]
+    with np.errstate(all="ignore"):
+        want = []
+        for c in map(float, consts):
+            cot = np.cos(c) / np.sin(c)
+            want += [1.0 / np.sin(c), cot, np.power(cot, 2.0)]
+    calls = _spy_ufuncs(monkeypatch)
+    tape = ex.Tape([ex.mul(r, X) for r in roots] + roots)
+    for _ in range(3):
+        with np.errstate(all="ignore"):
+            got = tape.run({"x": np.ones(2)}, [np.empty(2) for _ in range(tape.rows)])
+        for g, w in zip(got[len(roots):], want):
+            assert _bits(g) == _bits(w)
+    # one sin, cos and square per constant argument, made by the first run
+    assert sorted(calls) == sorted([("sin", 0), ("cos", 0), ("square", 0)] * len(consts))
+
+
+def test_u14_residual_tape_calls_one_sine_per_run(monkeypatch, catalog_samples):
+    params = catalog_samples["u14"][0]
+    tape = ex.Tape(verifier.mdp_residual_terms(catalog.build("u14", params), params["b"]))
+    xs, ts = verifier.GridSpec().points()
+    work = [np.empty(xs.shape) for _ in range(tape.rows)]
+    calls = _spy_ufuncs(monkeypatch)
+    for _ in range(2):
+        calls.clear()
+        with np.errstate(all="ignore"):
+            tape.run({"x": xs, "t": ts}, work)
+        assert [c for c in calls if c[0] in ("sin", "power")] == [("sin", 1)]
 
 
 def test_constant_root_broadcasts_to_grid_shape():
@@ -637,7 +716,9 @@ def _pinned_root_sets(samples):
 
 def test_residual_trees_and_tapes_are_pinned(catalog_samples):
     # sha256 of every root's prefix text and of every tape's instructions:
-    # a change to the constructors or the compile must not move a byte
+    # a change to the constructors or the compile must not move a byte.
+    # The tapes' digest was e2fe5862... before csc and cot were lowered to
+    # sin, cos and div instructions
     trees, tapes = hashlib.sha256(), hashlib.sha256()
     count = 0
     for roots in _pinned_root_sets(catalog_samples):
@@ -647,4 +728,4 @@ def test_residual_trees_and_tapes_are_pinned(catalog_samples):
         tapes.update(repr(ex.Tape(roots).code).encode() + b"\n")
     assert count == 76 + 26
     assert trees.hexdigest() == "593872190056ed5c9d2599c88b31a3d1702d6cdcf2f4b8055e0befdebad953df"
-    assert tapes.hexdigest() == "e2fe58627e5d85014ebef57c8619fdf3761bfa9fed271e8f22ec2275064bd79a"
+    assert tapes.hexdigest() == "d78e7e0904f601065afadb25e3bedd87ac33dc30f968385268065b78eea4437f"

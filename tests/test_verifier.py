@@ -183,6 +183,8 @@ def test_grid_spec_validation():
         GridSpec(t_min=1.0, t_max=0.0)
     with pytest.raises(ValueError):
         GridSpec(eps_den=0.0)
+    with pytest.raises(ValueError, match="eps_den must be finite"):
+        GridSpec(eps_den=math.inf)
     for bad in (2.5, 3.0, "5", None):
         with pytest.raises(ValueError):
             GridSpec(nx=bad)
