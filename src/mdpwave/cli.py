@@ -216,10 +216,8 @@ def _cmd_riccati(args):
     res = ric.riccati_residual(phi, c)
     guard = ric.pole_guard(c)
     xs = np.linspace(-3.0, 3.0, args.samples)
-    gv = ex.evaluate_many(guard, {}, {"xi": xs})
-    keep = np.abs(gv) > 1e-6
-    rv = ex.evaluate_many(res, {}, {"xi": xs[keep]})
-    rv = rv[np.isfinite(rv)]
+    rv, gv = ex.evaluate_many([res, guard], {}, {"xi": xs})  # the guard last (`expr.Tape`)
+    rv = rv[(np.abs(gv) > 1e-6) & np.isfinite(rv)]
     max_res = float(np.max(np.abs(rv))) if rv.size else 0.0
     doc = {
         "config": {"command": "riccati", "params": params,

@@ -462,7 +462,10 @@ class Tape:
     (`rows` of them): a row is reused once its value's last consumer has
     run, never for an operand of the same instruction, and never a root's.
     The compile looks each child's slot up in place and descends only into
-    a node that has none yet.
+    a node that has none yet.  A root built apart from the others (a
+    guard substituted on its own) goes last: its nodes are equal copies of
+    slotted ones, so its root is found by one comparison of trees, where
+    slotted first it makes each lookup of an equal node compare trees.
 
     The first `run` prepares the steps (`_bind`): a constant instruction
     is evaluated once, to the scalar every run reads, and `run` is one loop

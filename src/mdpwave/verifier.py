@@ -10,15 +10,15 @@ residual terms, so near-pole points with huge cancelling terms and far-field
 points with uniformly tiny terms are both judged fairly; the raw maximum is
 always reported alongside.
 
-The guard and then the kept points are walked in blocks of `BLOCK` points,
-one compiled tape each, and the blocks' maxima are combined; a point's
-value takes the same elementwise operations in any block, and a maximum is
-exact in any grouping, so the report bytes do not depend on the block
-size.  Each walk allocates one workspace that every block reuses: the tape
-writes each value into a row as wide as a tape run (`expr.Tape`: a row is
-reused once its value's last consumer has run, never for an operand of the
-same instruction), the rows after the tape's hold packed points, and rows
-a block wide hold the sums and the block's 7 x and 5 t shifts, made once.
+The grid is walked in blocks of `BLOCK` points by one tape whose last root
+is the guard, and the blocks' maxima, 0 at skipped points, are combined; a
+point's value takes the same elementwise operations in any block, and a
+maximum is exact in any grouping, so the report bytes do not depend on the
+block size.  Each walk allocates one workspace that every block reuses: the
+tape writes each value into a row as wide as a tape run (`expr.Tape`: a row
+is reused once its value's last consumer has run, never for an operand of
+the same instruction), the rows after the tape's hold packed points, and
+rows a block wide hold the sums, the guard and the 7 x and 5 t shifts.
 A tape run holds at most `BLOCK` values: the finite-difference path packs
 as many of its 27 shifted copies of a block into one run as fit (two runs
 on the default grid), or reads one offset's shifted rows as they are once
@@ -81,6 +81,8 @@ class GridSpec:
         bounds = (self.x_min, self.x_max, self.t_min, self.t_max)
         if not all(math.isfinite(v) for v in bounds):
             raise ValueError("x_min, x_max, t_min and t_max must be finite")
+        if not (math.isfinite(self.x_max - self.x_min) and math.isfinite(self.t_max - self.t_min)):
+            raise ValueError("x_max - x_min and t_max - t_min must be finite")
         try:
             operator.index(self.nx), operator.index(self.nt)
         except TypeError:
@@ -178,20 +180,20 @@ def _workspace(tape, n, symbolic):
     """(rows as wide as a tape run, rows as wide as a block) for blocks of
     up to `n` points: the tape's rows, and for the finite-difference path
     the packed points after them; then 3 rows for the residual and scale
-    sums, or the 8 stencil sums (whose first 3 are free again for them)
-    and the shifted points."""
+    sums, or the 8 stencil sums (whose first 3 are free again for them),
+    the guard and the shifted points."""
     import numpy as np
     m = min(BLOCK, n)
     if symbolic:
         return np.empty((tape.rows, m)), np.empty((3, m))
     return (np.empty((tape.rows + 2, min(BLOCK // m, len(_FD_OFFSETS)) * m)),
-            np.empty((8 + len(_FD_XS) + len(_FD_TS), m)))
+            np.empty((9 + len(_FD_XS) + len(_FD_TS), m)))
 
 
 def _fd_terms(tape, b, xs, ts, work, sums):
     """Residual terms with every derivative replaced by 4th-order central
-    differences of u itself (the one root of `tape`): an evaluation path
-    fully independent of the symbolic differentiator.
+    differences of u (the first of `tape`'s two roots), then the guard:
+    an evaluation path fully independent of the symbolic differentiator.
 
     The block's x shifted by each of `_FD_XS` and t by each of `_FD_TS`
     are made once, into rows of `sums`.  u is read at `_FD_OFFSETS`, as
@@ -200,15 +202,15 @@ def _fd_terms(tape, b, xs, ts, work, sums):
     and added into the stencil sums that read it, rows of `sums` (both
     from `_workspace`): zeroed rows plus w*u in each `_W*` dict's order,
     the operations of `0.0 + w0*u0 + w1*u1 + ...`, so no bit moves.  The
-    terms are rows of `sums`.
+    terms and the guard, copied from its (0, 0) run, are rows of `sums`.
     """
     import numpy as np
     b, h, n = float(b), FD_STEP, len(xs)
     xw, tw = work[tape.rows:]
-    sums, shifted = sums[:8, :n], sums[8:, :n]
+    sums, shifted = sums[:9, :n], sums[9:, :n]
     # u0, d2 and tmp first: they are free again once the terms are made
-    u0, d2, tmp, ux, uxx, uxxx, ut, uxxt = sums
-    sums[1] = sums[3:] = 0.0
+    u0, d2, tmp, ux, uxx, uxxx, ut, uxxt, guard = sums
+    sums[1] = sums[3:8] = 0.0
     x_at, t_at = shifted[:len(_FD_XS)], shifted[len(_FD_XS):]
     for row, i in zip(x_at, _FD_XS):
         np.add(xs, i * h, row)
@@ -228,12 +230,13 @@ def _fd_terms(tape, b, xs, ts, work, sums):
             np.take(x_at, [_FD_XS.index(i) for i, _ in group], 0, xw[:width].reshape(-1, n), "clip")
             np.take(t_at, [_FD_TS.index(j) for _, j in group], 0, tw[:width].reshape(-1, n), "clip")
             point = {"x": xw[:width], "t": tw[:width]}
-        [u] = tape.run(point, work[:tape.rows, :width])
+        u, g = tape.run(point, work[:tape.rows, :width])
         for k, (i, j) in enumerate(group):
             v = u if np.ndim(u) == 0 else u[k * n:(k + 1) * n]
             if j == 0:
                 if i == 0:
                     np.copyto(u0, v)
+                    np.copyto(guard, g if np.ndim(g) == 0 else g[k * n:(k + 1) * n])
                 for row, weights in ((ux, _W1), (uxx, _W2), (uxxx, _W3)):
                     if i in weights:
                         acc(row, weights[i], v)
@@ -252,23 +255,29 @@ def _fd_terms(tape, b, xs, ts, work, sums):
     np.multiply(np.multiply(-b, ux, tmp), uxx, uxx)
     np.multiply(np.multiply(np.multiply(b + 1, u0, tmp), u0, tmp), ux, ux)
     np.multiply(np.negative(u0, u0), uxxx, uxxx)
-    return ut, np.negative(uxxt, uxxt), ux, uxx, uxxx
+    return ut, np.negative(uxxt, uxxt), ux, uxx, uxxx, guard
 
 
-def _block_maxima(terms, res, scale, tmp):
-    """One block's (max |R|, max scaled |R|), R and the scale summed left to
-    right in place; a NaN or inf counts as inf, as in the report."""
+def _block_maxima(terms, guard, eps_den, sums, skip):
+    """One block's (points kept, max |R|, max scaled |R|): R and the scale
+    summed left to right in place into rows of `sums`, then zeroed at the
+    points skipped, where |guard| < eps_den or the guard is NaN (marked in
+    the bool row `skip`); a NaN or inf counts as inf, as in the report."""
     import numpy as np
+    res, scale, tmp = sums
+    kept = int(np.count_nonzero(np.greater_equal(np.abs(guard, tmp), eps_den, skip)))
     np.add(terms[0], terms[1], res)
     np.add(np.abs(terms[0], scale), np.abs(terms[1], tmp), scale)
     for t in terms[2:]:
         np.add(res, t, res)
         np.add(scale, np.abs(t, tmp), scale)
+    if kept < skip.size:
+        np.copyto(sums[:2], 0.0, where=np.logical_not(skip, skip))
     top = float(np.max(np.abs(res, res)))  # NaN when any R is NaN
     if not (math.isfinite(top) and math.isfinite(float(np.max(scale)))):
-        return (math.inf if math.isnan(top) else top), math.inf
+        return kept, (math.inf if math.isnan(top) else top), math.inf
     np.maximum(1.0, scale, out=scale)
-    return top, float(np.max(np.divide(res, scale, scale)))
+    return kept, top, float(np.max(np.divide(res, scale, scale)))
 
 
 def verify_on_grid(u, b, grid=None, tol=None, guard=None, method="symbolic"):
@@ -276,7 +285,8 @@ def verify_on_grid(u, b, grid=None, tol=None, guard=None, method="symbolic"):
 
     `guard` is the family's singular denominator in (x, t) (constant 1 for
     pole-free families); points with |guard| below `grid.eps_den`, or where
-    the guard is not finite, are skipped and counted.  `method` selects the
+    the guard is not finite, are skipped and counted; one tape computes the
+    guard after the residual's terms (or u).  `method` selects the
     symbolic-derivative path or the finite-difference cross-check path.
     `tol` (by default the method's) must be finite and > 0.
     """
@@ -292,36 +302,24 @@ def verify_on_grid(u, b, grid=None, tol=None, guard=None, method="symbolic"):
     symbolic = method == "symbolic"
 
     xs, ts = grid.points()
-    n_total = n_keep = xs.size
+    n_total, n_keep = xs.size, 0
     with np.errstate(all="ignore"):  # non-finite values are screened by the reductions
-        if type(guard) is ex.Rational:  # not evaluated
-            n_keep *= abs(float(guard.value)) >= grid.eps_den
-        else:
-            tape = ex.Tape((guard,))
-            work = np.empty((tape.rows + 1, min(BLOCK, n_total)))
-            keep = np.empty(n_total, dtype=bool)
-            for lo in range(0, n_total, BLOCK):
-                m = min(BLOCK, n_total - lo)
-                [g] = tape.run({"x": xs[lo:lo + m], "t": ts[lo:lo + m]}, work[:, :m])
-                # a NaN guard compares false: skipped
-                np.greater_equal(np.abs(g, work[-1, :m]), grid.eps_den, keep[lo:lo + m])
-            n_keep = int(np.count_nonzero(keep))
-            if n_keep < n_total:
-                xs, ts = xs[keep], ts[keep]
-        if n_keep == 0:
-            raise AllPointsSkipped(
-                "the singularity guard swallowed the whole grid; "
-                "widen the grid or revisit the parameters"
-            )
-        tape = ex.Tape(mdp_residual_terms(u, b) if symbolic else (u,))
-        work, sums = _workspace(tape, n_keep, symbolic)
+        # the guard last (`expr.Tape`): it is substituted apart from u
+        tape = ex.Tape((*mdp_residual_terms(u, b), guard) if symbolic else (u, guard))
+        work, sums = _workspace(tape, n_total, symbolic)
+        skip = np.empty(min(BLOCK, n_total), dtype=bool)
         max_abs = max_scaled = -math.inf
-        for lo in range(0, n_keep, BLOCK):
+        for lo in range(0, n_total, BLOCK):
             xb, tb = xs[lo:lo + BLOCK], ts[lo:lo + BLOCK]
-            terms = (tape.run({"x": xb, "t": tb}, work[:, :xb.size]) if symbolic
-                     else _fd_terms(tape, b, xb, tb, work, sums))
-            top, top_scaled = _block_maxima(terms, *sums[:3, :xb.size])
+            m = xb.size
+            *terms, g = (tape.run({"x": xb, "t": tb}, work[:, :m]) if symbolic
+                         else _fd_terms(tape, b, xb, tb, work, sums))
+            kept, top, top_scaled = _block_maxima(terms, g, grid.eps_den, sums[:3, :m], skip[:m])
+            n_keep += kept
             max_abs, max_scaled = max(max_abs, top), max(max_scaled, top_scaled)
+    if n_keep == 0:
+        raise AllPointsSkipped("the singularity guard swallowed the whole grid; "
+                               "widen the grid or revisit the parameters")
     return ResidualReport(
         max_abs=max_abs,
         max_scaled=max_scaled,

@@ -449,6 +449,7 @@ def test_tolerance_not_finite_positive_exit_2(argv, value):
     (["--eps-den", "-1"], "eps_den must be positive"),
     (["--eps-den", "nan"], "eps_den must be positive"),
     (["--eps-den", "inf"], "eps_den must be finite"),
+    (["--x-min", "-1e308", "--x-max", "1e308"], "x_max - x_min and t_max - t_min must be finite"),
 ])
 def test_plot_data_bad_grid_exit_2(flags, message):
     code, out = run(["plot-data", "--family", "u6", "--param", "b=3", "--t", "0"] + flags)
@@ -461,6 +462,21 @@ def test_verify_infinite_grid_bound_exit_2():
     assert code == 2
     assert json.loads(out) == {"error": "invalid-input",
                                "message": "x_min, x_max, t_min and t_max must be finite"}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["verify", "--family", "u6", "--param", "b=3", "--x-min", "-1e308", "--x-max", "1e308"],
+    ["cole-hopf", "--branch", "plus", "--param", "b=3", "--param", "mu=1",
+     "--t-min", "-1e308", "--t-max", "1e308"],
+], ids=["verify", "cole-hopf"])
+def test_grid_span_beyond_the_float_range_exit_2(argv):
+    # finite bounds whose difference overflows: np.linspace would warn and
+    # make NaN and inf grid points
+    code, out = run(argv)
+    assert code == 2
+    assert json.loads(out) == {"error": "invalid-input",
+                               "message": "x_max - x_min and t_max - t_min must be finite"}
 
 
 def test_verify_infinite_eps_den_exit_2():

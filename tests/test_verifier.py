@@ -11,8 +11,9 @@ Covers:
   - the block walk: golden multi-block reports (also on two shifted
     benchmark windows), agreement with one pass of the allocating
     arithmetic over every kept point at and around the block size, guard
-    skips across a block edge, what runs before and once per verification,
-    and a constant guard that is never evaluated
+    skips across a block edge, one tape per verification with the guard
+    as its last root, and guards that are constant, a point array, NaN on
+    part of the grid, or a root of the tape
   - finite-difference offset packing: bitwise agreement with one tape run
     per stencil offset, and the number and size of the packed runs
 """
@@ -148,8 +149,9 @@ def test_all_points_skipped_raises():
     u = catalog.build("u5", params)
     guard = catalog.build_guard_xt("u5", params)
     tiny = GridSpec(x_min=-0.01, x_max=0.01, nx=3, t_min=0.0, t_max=0.0, nt=2)
-    with pytest.raises(AllPointsSkipped):
-        verify_on_grid(u, 3, grid=tiny, guard=guard)
+    for method in ("symbolic", "finite-difference"):
+        with pytest.raises(AllPointsSkipped):
+            verify_on_grid(u, 3, grid=tiny, guard=guard, method=method)
 
 
 def test_finite_difference_mode_passes_u6():
@@ -185,6 +187,14 @@ def test_grid_spec_validation():
         GridSpec(eps_den=0.0)
     with pytest.raises(ValueError, match="eps_den must be finite"):
         GridSpec(eps_den=math.inf)
+    span = "x_max - x_min and t_max - t_min must be finite"
+    with pytest.raises(ValueError, match=span):
+        GridSpec(x_min=-1e308, x_max=1e308)
+    with pytest.raises(ValueError, match=span):
+        GridSpec(t_min=-1e308, t_max=1e308)
+    with np.errstate(all="raise"):  # a span of 1.6e308 is finite: no warning
+        xs, ts = GridSpec(x_min=-8e307, x_max=8e307, t_min=-8e307, t_max=8e307).points()
+    assert np.isfinite(xs).all() and np.isfinite(ts).all()
     for bad in (2.5, 3.0, "5", None):
         with pytest.raises(ValueError):
             GridSpec(nx=bad)
@@ -379,76 +389,69 @@ def test_guard_skips_across_a_block_edge_match_a_single_pass():
         assert got == _single_pass(u, 3, grid, guard, method), method
 
 
-def test_guard_runs_first_and_the_residual_is_built_once(monkeypatch):
+def _spy_tapes(monkeypatch):
+    """((tape, roots) of each compile, (tape, width) of each run), as they happen."""
+    compiled, runs = [], []
+    init, run = ex.Tape.__init__, ex.Tape.run
+
+    def spy_init(tape, roots):
+        compiled.append((tape, tuple(roots)))
+        init(tape, roots)
+
+    def spy_run(tape, point, work):
+        runs.append((tape, work.shape[1]))
+        return run(tape, point, work)
+
+    monkeypatch.setattr(ex.Tape, "__init__", spy_init)
+    monkeypatch.setattr(ex.Tape, "run", spy_run)
+    return compiled, runs
+
+
+@pytest.mark.parametrize("method, copies", [("symbolic", 1), ("finite-difference", 27)])
+def test_one_tape_per_verdict_with_the_guard_last(monkeypatch, method, copies):
     params = {"b": 3}
     u = catalog.build("u5", params)
     guard = catalog.build_guard_xt("u5", params)
     grid = GridSpec(nx=2001, nt=11)
-    calls = []
-    init, run, residual_terms = ex.Tape.__init__, ex.Tape.run, verifier.mdp_residual_terms
-
-    def spy_init(tape, roots):
-        calls.append(("compile", tuple(roots)))
-        init(tape, roots)
-
-    def spy_run(tape, point, work):
-        calls.append(("run", tape, point["x"].size))
-        return run(tape, point, work)
-
-    def spy_residual_terms(*args):
-        calls.append(("residual terms",))
-        return residual_terms(*args)
-
-    monkeypatch.setattr(ex.Tape, "__init__", spy_init)
-    monkeypatch.setattr(ex.Tape, "run", spy_run)
-    monkeypatch.setattr(verifier, "mdp_residual_terms", spy_residual_terms)
-    rep = verify_on_grid(u, 3, grid=grid, guard=guard)
-    blocks = -(-rep.points_evaluated // BLOCK)
-    guard_blocks = -(-grid.nx * grid.nt // BLOCK)
-    assert blocks == guard_blocks == 2
-    # the guard: one compile, then one run per block of grid points
-    assert calls[0] == ("compile", (guard,))
-    guard_runs = calls[1:1 + guard_blocks]
-    assert all(c[0] == "run" for c in guard_runs)
-    assert sum(c[2] for c in guard_runs) == grid.nx * grid.nt
-    # then the residual: built and compiled once, one run per block
-    assert calls[1 + guard_blocks] == ("residual terms",)
-    assert calls[2 + guard_blocks][0] == "compile"
-    runs = calls[3 + guard_blocks:]
-    assert len(runs) == blocks and all(c[0] == "run" for c in runs)
-    assert all(c[1] is runs[0][1] for c in runs)
-    assert sum(c[2] for c in runs) == rep.points_evaluated
+    compiled, runs = _spy_tapes(monkeypatch)
+    rep = verify_on_grid(u, 3, grid=grid, guard=guard, method=method)
+    assert rep.points_skipped > 0 and type(rep.points_evaluated) is int
+    [(tape, roots)] = compiled
+    assert roots[-1] is guard and len(roots) == (6 if method == "symbolic" else 2)
+    assert runs and all(t is tape for t, _ in runs)
+    assert sum(w for _, w in runs) == copies * grid.nx * grid.nt
 
 
-def test_a_constant_guard_is_not_evaluated(monkeypatch):
-    compiled = []
-    init = ex.Tape.__init__
-
-    def spy_init(tape, roots):
-        compiled.append(tuple(roots))
-        init(tape, roots)
-
-    monkeypatch.setattr(ex.Tape, "__init__", spy_init)
+@pytest.mark.parametrize("method", ["symbolic", "finite-difference"])
+def test_a_constant_guard_is_one_compile(monkeypatch, method):
+    compiled, _ = _spy_tapes(monkeypatch)
     u = catalog.build("u6", {"b": 3})
-    rep = verify_on_grid(u, 3, guard=ex.Rational(F(1, 2)))
-    assert rep.points_skipped == 0 and len(compiled) == 1
-    with pytest.raises(AllPointsSkipped):
-        verify_on_grid(u, 3, guard=ex.Rational(F(1, 10000)))
-    assert len(compiled) == 1
-
-
-def test_all_points_skipped_builds_no_residual(monkeypatch):
-    def no_residual(*args):
-        raise AssertionError("residual built before the guard pass was judged")
-
-    monkeypatch.setattr(verifier, "mdp_residual_terms", no_residual)
-    params = {"b": 3}
-    u = catalog.build("u5", params)
-    guard = catalog.build_guard_xt("u5", params)
-    tiny = GridSpec(x_min=-0.01, x_max=0.01, nx=3, t_min=0.0, t_max=0.0, nt=2)
-    for method in ("symbolic", "finite-difference"):
+    for c in (F(1, 2), F(-1, 1000), F(1, 1000)):  # |c| >= eps_den
+        rep = verify_on_grid(u, 3, guard=ex.Rational(c), method=method)
+        assert rep.points_skipped == 0
+    for c in (F(1, 10000), F(-999, 1000000), 0):  # |c| < eps_den
         with pytest.raises(AllPointsSkipped):
-            verify_on_grid(u, 3, grid=tiny, guard=guard, method=method)
+            verify_on_grid(u, 3, guard=ex.Rational(c), method=method)
+    assert len(compiled) == 6
+
+
+@pytest.mark.parametrize("method", ["symbolic", "finite-difference"])
+def test_guards_of_every_shape_match_a_single_pass(method):
+    u = catalog.build("u6", {"b": 3})
+    cases = (
+        # a bare variable: its root is the point array itself
+        (X, GridSpec(x_min=-1.0, x_max=1.0, nx=201, eps_den=0.05)),
+        # NaN on the left half of the grid: skipped there
+        (ex.sqrt(X), GridSpec()),
+        # u itself, on the finite-difference path one slot with the tape's
+        # other root: the far field is skipped
+        (u, GridSpec(x_min=-40.0, x_max=40.0, eps_den=1e-6)),
+    )
+    for guard, grid in cases:
+        rep = verify_on_grid(u, 3, grid=grid, guard=guard, method=method)
+        assert 0 < rep.points_skipped < grid.nx * grid.nt, guard
+        got = (rep.max_abs, rep.max_scaled, rep.points_evaluated)
+        assert got == _single_pass(u, 3, grid, guard, method), guard
 
 
 def _fd_terms_per_offset(tape, b, xs, ts):
@@ -484,10 +487,10 @@ def _fd_terms_per_offset(tape, b, xs, ts):
 
 
 def _assert_fd_terms_bitwise(u, b, xs, ts):
-    tape = ex.Tape((u,))
+    tape = ex.Tape((u, ex.ONE))
     with np.errstate(all="ignore"):
-        got = verifier._fd_terms(tape, b, xs, ts, *verifier._workspace(tape, xs.size, False))
-        want = _fd_terms_per_offset(tape, b, xs, ts)
+        got = verifier._fd_terms(tape, b, xs, ts, *verifier._workspace(tape, xs.size, False))[:5]
+        want = _fd_terms_per_offset(ex.Tape((u,)), b, xs, ts)
     assert len(got) == len(want) == 5
     for g, w in zip(got, want):
         assert g.shape == w.shape == xs.shape
@@ -533,7 +536,7 @@ def test_fd_terms_pack_offsets_into_block_sized_runs(monkeypatch, n, runs):
 
     monkeypatch.setattr(ex.Tape, "run", spy_run)
     xs, ts = np.linspace(-10.0, 10.0, n), np.linspace(0.0, 2.0, n)
-    tape = ex.Tape((catalog.build("u6", {"b": 3}),))
+    tape = ex.Tape((catalog.build("u6", {"b": 3}), ex.ONE))
     work, sums = verifier._workspace(tape, n, False)
     verifier._fd_terms(tape, 3, xs, ts, work, sums)
     assert len(sizes) == runs
