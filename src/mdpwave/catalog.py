@@ -13,7 +13,7 @@ rows are the one statement of the rational-hyperbolic rules
 (`rational_hyperbolic` checks through them).  Every table is walked by
 `riccati.violations`.
 Profiles are expressions in xi with all constants embedded exactly;
-`build` expands xi = x + lam*t.
+`build` builds the profile with xi = x + lam*t in place.
 Internally lam always satisfies xi = x + lam*t, so the familiar
 "x - c*t" phases correspond to c = -lam.
 
@@ -53,8 +53,8 @@ class _Family:
     optional: dict
     checks: tuple  # (label, fails(params)) pairs, in report order
     speed_doc: str
-    # radical rows: maker(params, sign*sqrt(S)) -> (profile, guard in xi);
-    # others: maker(params) -> (profile, lam, guard in xi)
+    # radical rows: maker(params, sign*sqrt(S), xi) -> (profile, guard);
+    # others: maker(params, frame) -> (profile, lam, guard), xi = frame(lam)
     maker: Callable
     radicand: tuple = None  # (k(params), "S = ..." text), S = discriminant(b, k)
     sign: int = None  # of sqrt(S) in lam = -(b + 1 - sign*sqrt(S))/2; None: branch
@@ -110,11 +110,11 @@ _TANH = BASE_CHECKS + (("Delta > 0", lambda p: _delta(p) <= 0),
 
 # --- kink-profile families (u1, u2, generic) -------------------------------
 
-def _kink_maker(p, root):
+def _kink_maker(p, root, xi):
     b, mu = p["b"], p["mu"]
     background = ex.div(ex.add(ex.as_expr(2 * mu * mu - 1 + b * (mu * mu - 1)), root),
                         2 * (b + 1))
-    phase = ex.add(ex.mul(mu, XI), ex.as_expr(p["delta"]))
+    phase = ex.add(ex.mul(mu, xi), ex.as_expr(p["delta"]))
     prof = ex.sub(background,
                   ex.div(ex.mul(6 * (b + 2), mu * mu),
                          ex.mul(2 * (b + 1), ex.add(1, ex.cosh(phase)))))
@@ -123,35 +123,36 @@ def _kink_maker(p, root):
 
 # --- phi-power families (u11..u23) -----------------------------------------
 
-def _u11_maker(p):
+def _u11_maker(p, frame):
     b, beta = p["b"], p["beta"]
-    guard = ex.pow_(ex.add(ex.mul(beta, XI), 2), 2)
+    lam = ex.as_expr(-b - 1)
+    guard = ex.pow_(ex.add(ex.mul(beta, frame(lam)), 2), 2)
     prof = ex.sub(ex.div(ex.mul(6 * (b + 2), beta * beta), ex.mul(b + 1, guard)), 1)
-    return prof, ex.as_expr(-b - 1), guard
+    return prof, lam, guard
 
 
-def _exp_pair_maker(p, root):
+def _exp_pair_maker(p, root, xi):
     b, beta, gamma = p["b"], p["beta"], p["gamma"]
     const_num = ex.as_expr((b + 2) * beta * beta - b - 1)
     const = ex.div(ex.add(const_num, root), 2 * (b + 1))
-    D = ex.sub(ex.mul(beta, ex.exp(ex.mul(-beta, XI))), ex.as_expr(gamma))
+    D = ex.sub(ex.mul(beta, ex.exp(ex.mul(-beta, xi))), ex.as_expr(gamma))
     tail = ex.mul(F(6) * (b + 2) * gamma * beta * beta / (b + 1),
                   ex.add(ex.div(1, D), ex.div(ex.as_expr(gamma), ex.pow_(D, 2))))
     return ex.add(const, tail), D
 
 
-def _csc_maker(p, root):
+def _csc_maker(p, root, xi):
     b, ag = p["b"], p["alpha"] * p["gamma"]
-    arg = ex.mul(2, ex.sym_sqrt(ag), XI)
+    arg = ex.mul(2, ex.sym_sqrt(ag), xi)
     num = ex.add(ex.as_expr(-(b + 1) - 16 * ag * (b + 2)),
                  root,
                  ex.mul(48 * ag * (b + 2), ex.pow_(ex.csc(arg), 2)))
     return ex.div(num, 2 * (b + 1)), ex.div(1, ex.csc(arg))
 
 
-def _tan_cot_maker(p, root, kind):
+def _tan_cot_maker(p, root, xi, kind):
     b, ag = p["b"], p["alpha"] * p["gamma"]
-    arg = ex.mul(ex.sym_sqrt(ag), XI)
+    arg = ex.mul(ex.sym_sqrt(ag), xi)
     trig = ex.cot(arg) if kind == "cot" else ex.tan(arg)
     num = ex.add(ex.as_expr(-(b + 1) + 8 * ag * (b + 2)),
                  root,
@@ -160,9 +161,9 @@ def _tan_cot_maker(p, root, kind):
     return ex.div(num, 2 * (b + 1)), guard
 
 
-def _tanh_sq_maker(p, root):
+def _tanh_sq_maker(p, root, xi):
     b, delta = p["b"], _delta(p)
-    tval = ex.tanh(ex.mul(HALF, ex.sym_sqrt(delta), XI))
+    tval = ex.tanh(ex.mul(HALF, ex.sym_sqrt(delta), xi))
     const = ex.div(ex.add(ex.as_expr(-(2 * delta * (b + 2) + b + 1)), root),
                    2 * (b + 1))
     prof = ex.add(const,
@@ -170,12 +171,12 @@ def _tanh_sq_maker(p, root):
     return prof, ex.ONE
 
 
-def _tanh_inv_maker(p, root):
+def _tanh_inv_maker(p, root, xi):
     b, alpha, beta, gamma = p["b"], p["alpha"], p["beta"], p["gamma"]
     ag = alpha * gamma
     delta = _delta(p)
     rtd = ex.sym_sqrt(delta)
-    tval = ex.tanh(ex.mul(HALF, rtd, XI))
+    tval = ex.tanh(ex.mul(HALF, rtd, xi))
     const = ex.div(ex.add(ex.as_expr((delta + 12 * ag) * (b + 2) - (b + 1)), root),
                    2 * (b + 1))
     pole = ex.add(ex.as_expr(beta), ex.mul(rtd, tval))
@@ -187,11 +188,12 @@ def _tanh_inv_maker(p, root):
 
 # --- rational-hyperbolic families (u3..u10) ---------------------------------
 
-def _rh_maker(p, fid):
+def _rh_maker(p, frame, fid):
     params = rh.coefficients(fid, p["b"], a2=p.get("a2"), c2=p.get("c2"))
-    prof = rh.rh_ansatz(params)
-    guard = ex.ONE if params.c2 > 0 else rh.rh_denominator(params)
-    return prof, ex.as_expr(params.lam), guard
+    lam = ex.as_expr(params.lam)
+    xi = frame(lam)
+    guard = ex.ONE if params.c2 > 0 else rh.rh_denominator(params, xi)
+    return rh.rh_ansatz(params, xi), lam, guard
 
 
 def _make_registry():
@@ -216,7 +218,7 @@ def _make_registry():
             parameters, checks = ("b", free), checks + (_FREE[free],)
         speed = "lambda = -b/2" + ("" if fid in rh.HALF_B_SPEED else " - 1")
         addf(fid, parameters, checks,
-             (lambda f: lambda p: _rh_maker(p, f))(fid), speed_doc=speed)
+             (lambda f: lambda p, frame: _rh_maker(p, frame, f))(fid), speed_doc=speed)
 
     addf("u11", ("b", "alpha", "beta", "gamma"), _U11, _u11_maker,
          speed_doc="lambda = -b - 1")
@@ -229,7 +231,7 @@ def _make_registry():
     for fid, sign, kind in (("u16", -1, "cot"), ("u17", -1, "tan"),
                             ("u18", +1, "cot"), ("u19", +1, "tan")):
         addf(fid, ("b", "alpha", "gamma"), _trig(_AG16),
-             (lambda k: lambda p, root: _tan_cot_maker(p, root, k))(kind),
+             (lambda k: lambda p, root, xi: _tan_cot_maker(p, root, xi, k))(kind),
              radicand=_AG16, sign=sign)
     for fid, sign, maker in (("u20", -1, _tanh_sq_maker), ("u21", +1, _tanh_sq_maker),
                              ("u22", +1, _tanh_inv_maker), ("u23", -1, _tanh_inv_maker)):
@@ -298,55 +300,59 @@ def radical(fid, p):
     return fam.sign or int(p["branch"]), discriminant(p["b"], fam.radicand[0](p))
 
 
-def _made(fid, params):
-    """(profile, lam, guard), expressions in xi, of admissible `params`."""
+def _made(fid, params, frame):
+    """(profile, lam, guard) of admissible `params`, built with xi =
+    frame(lam): `_xi` keeps the variable xi, `_xt` puts x + lam*t."""
     fam, p = _norm_params(fid, params)
     bad = violations(fam.checks, p)
     if bad:
         raise ConstraintViolation(bad)
     if fam.radicand is None:
-        return fam.maker(p)
+        return fam.maker(p, frame)
     sign, S = radical(fam.fid, p)
     root = ex.mul(sign, ex.sym_sqrt(S))
     lam = ex.mul(-HALF, ex.sub(p["b"] + 1, root))
-    prof, guard = fam.maker(p, root)
+    prof, guard = fam.maker(p, root, frame(lam))
     return prof, lam, guard
+
+
+def _xi(lam):
+    return XI
+
+
+def _xt(lam):
+    return ex.add(X, ex.mul(lam, T))
 
 
 def profile(fid, params):
     """The waveform as an expression in xi."""
-    return _made(fid, params)[0]
+    return _made(fid, params, _xi)[0]
 
 
 def wave_speed(fid, params):
     """lam such that the waveform depends on (x, t) only through x + lam*t."""
-    return float(ex.evaluate_many(_made(fid, params)[1], {}, {}))
+    return float(ex.evaluate_many(_made(fid, params, _xi)[1], {}, {}))
 
 
 def singular_denominator(fid, params):
     """Expression in xi whose zero set is the family's pole locus
     (the constant 1 for pole-free families/parameters)."""
-    return _made(fid, params)[2]
+    return _made(fid, params, _xi)[2]
 
 
 def build(fid, params):
-    """The waveform as an expression in (x, t), xi expanded to x + lam*t."""
-    prof, lam, _ = _made(fid, params)
-    return _in_xt(prof, lam)
+    """The waveform as an expression in (x, t), built with xi = x + lam*t."""
+    return _made(fid, params, _xt)[0]
 
 
 def build_guard_xt(fid, params):
     """The singular denominator in (x, t) coordinates, matching `build`."""
-    _, lam, guard = _made(fid, params)
-    return _in_xt(guard, lam)
+    return _made(fid, params, _xt)[2]
 
 
 def build_wave(fid, params):
     """(`build`, `build_guard_xt`, `wave_speed`) from one check of `params`
-    and one call of the family's maker."""
-    prof, lam, guard = _made(fid, params)
-    return _in_xt(prof, lam), _in_xt(guard, lam), float(ex.evaluate_many(lam, {}, {}))
-
-
-def _in_xt(e, lam):
-    return ex.substitute(e, XI, ex.add(X, ex.mul(lam, T)))
+    and one call of the family's maker, which builds u and the guard at one
+    x + lam*t node."""
+    prof, lam, guard = _made(fid, params, _xt)
+    return prof, guard, float(ex.evaluate_many(lam, {}, {}))

@@ -316,6 +316,8 @@ def _cmd_pipeline_check(args):
 
 def _cmd_pipeline_solve(args):
     params = _params(args.param, "pipeline solve", pipeline.PARAMETERS)
+    if args.rng_seed < 0:
+        raise ValueError("--rng-seed must be >= 0")
     system = pipeline.generate_system()
     roots = pipeline.newton_solve(system, params, seeds=args.seeds,
                                   rng_seed=args.rng_seed)
@@ -369,6 +371,8 @@ def _cmd_equiv(args):
     right_params = _params(args.right_param, flag="--right-param")
     if args.points < 1:
         raise ValueError("--points must be >= 1")
+    if args.seed < 0:
+        raise ValueError("--seed must be >= 0")
     _check_tol(args.tol)
     (lu, lg), (ru, rg) = (_equiv_side(args.left, left_params),
                           _equiv_side(args.right, right_params))

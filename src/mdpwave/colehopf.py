@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from . import catalog
 from . import expr as ex
 from .errors import ConstraintViolation
-from .riccati import MU_CHECK, discriminant, exact, violations
+from .riccati import MU_CHECK, discriminant, exact, plain, violations
 
 __all__ = ["ColeHopfParams", "cole_hopf_u", "system_residuals", "branch_params"]
 
@@ -34,6 +34,10 @@ class ColeHopfParams:
     mu: float
     lam: float
     delta: float = 0.0
+
+    def __post_init__(self):
+        for name in ("A", "B", "mu", "lam", "delta"):
+            object.__setattr__(self, name, plain(getattr(self, name)))
 
 
 # (label, fails) rows on the fields of a ColeHopfParams
@@ -82,6 +86,7 @@ def branch_params(branch, b, mu):
                                          "branch": 1 if branch == "plus" else -1})
     if bad:
         raise ConstraintViolation(bad)
+    b, mu = plain(b), plain(mu)
     # S >= 0 held exactly, so a float S below 0 is rounding
     root = math.sqrt(max(discriminant(b, mu**4), 0))
     A = -6 * (b + 2) / (b + 1)

@@ -10,9 +10,9 @@ it, two integers fold with int arithmetic and any other pair with
 Fraction arithmetic; the integers -64..64 share one leaf each.
 
 Every node carries one structural key, (op, payload, children), set at
-construction.  Equality and hashing, the tape compile, `substitute` and
-`to_prefix` each read that key, so they are written once for all node
-kinds; only `differentiate` keeps a rule per kind.
+construction.  Equality and hashing, the tape compile and `to_prefix`
+each read that key, so they are written once for all node kinds; only
+`differentiate` keeps a rule per kind.
 
 Constants stay exact rationals inside trees; floats only appear when a
 tree is evaluated.  Differentiation is structural and closed over the
@@ -54,7 +54,7 @@ __all__ = [
     "Expr", "Rational", "Var", "Add", "Mul", "Div", "Pow", "Fun",
     "FUNCTIONS", "as_expr", "add", "mul", "sub", "div", "pow_", "fun",
     "exp", "sinh", "cosh", "tanh", "tan", "cot", "csc", "sqrt",
-    "var", "sym_sqrt", "differentiate", "substitute",
+    "var", "sym_sqrt", "differentiate",
     "Tape", "evaluate_many", "to_prefix", "ZERO", "ONE",
 ]
 
@@ -407,47 +407,6 @@ def differentiate(e, v, memo=None):
     return d(as_expr(e))
 
 
-def substitute(e, v, replacement):
-    """Replace every occurrence of variable `v` by `replacement`.
-
-    Structural and capture-free (there are no binders).  Returns `e`
-    unchanged (same object) when `v` does not occur, and likewise every
-    subtree in which it does not occur.
-    """
-    name = v.name if isinstance(v, Var) else v
-    replacement = as_expr(replacement)
-    memo = {}
-
-    def walk(node):
-        key = id(node)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        op, payload, kids = node._key
-        if op == "var":
-            out = replacement if payload == name else node
-        else:
-            new = [walk(k) for k in kids]
-            out = node if all(a is b for a, b in zip(new, kids)) else _rebuild(op, payload, new)
-        memo[key] = out
-        return out
-
-    return walk(as_expr(e))
-
-
-def _rebuild(op, payload, kids):
-    """The node `op` over new children, through the folding constructors."""
-    if op == "add":
-        return add(*kids)
-    if op == "mul":
-        return mul(*kids)
-    if op == "div":
-        return div(*kids)
-    if op == "pow":
-        return pow_(kids[0], payload)
-    return fun(op, kids[0])
-
-
 class Tape:
     """Root expressions compiled into one topologically ordered tape.
 
@@ -462,10 +421,12 @@ class Tape:
     (`rows` of them): a row is reused once its value's last consumer has
     run, never for an operand of the same instruction, and never a root's.
     The compile looks each child's slot up in place and descends only into
-    a node that has none yet.  A root built apart from the others (a
-    guard substituted on its own) goes last: its nodes are equal copies of
-    slotted ones, so its root is found by one comparison of trees, where
-    slotted first it makes each lookup of an equal node compare trees.
+    a node that has none yet.  A root built apart from the others goes
+    last: a caller may build u and its guard in separate calls (perfbench
+    calls `catalog.build`, then `catalog.build_guard_xt`), and then the
+    guard's nodes are equal copies of slotted ones, so its root is found by
+    one comparison of trees, where slotted first it makes each lookup of an
+    equal node compare trees.
 
     The first `run` prepares the steps (`_bind`): a constant instruction
     is evaluated once, to the scalar every run reads, and `run` is one loop

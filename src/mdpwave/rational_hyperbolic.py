@@ -23,6 +23,7 @@ from fractions import Fraction
 
 from . import expr as ex
 from .errors import ConstraintViolation, SampleAtPole
+from .riccati import exact, plain
 from .verifier import ode_residual_terms
 
 __all__ = [
@@ -53,18 +54,18 @@ class RHAnsatzParams:
     c2: float
 
 
-def rh_ansatz(p):
-    """The trial form as an expression in xi, constants embedded exactly."""
-    num = ex.add(ex.as_expr(Fraction(p.a0)),
-                 ex.mul(Fraction(p.a1), ex.sinh(XI)),
-                 ex.mul(Fraction(p.a2), ex.cosh(XI)))
-    return ex.div(num, rh_denominator(p))
+def rh_ansatz(p, xi=XI):
+    """The trial form at `xi` (the variable by default), constants exact."""
+    num = ex.add(ex.as_expr(exact(p.a0)),
+                 ex.mul(exact(p.a1), ex.sinh(xi)),
+                 ex.mul(exact(p.a2), ex.cosh(xi)))
+    return ex.div(num, rh_denominator(p, xi))
 
 
-def rh_denominator(p):
+def rh_denominator(p, xi=XI):
     return ex.add(ex.ONE,
-                  ex.mul(Fraction(p.c1), ex.sinh(XI)),
-                  ex.mul(Fraction(p.c2), ex.cosh(XI)))
+                  ex.mul(exact(p.c1), ex.sinh(xi)),
+                  ex.mul(exact(p.c2), ex.cosh(xi)))
 
 
 FREE_PARAMETER = {"u7": "a2", "u8": "a2", "u9": "c2", "u10": "c2"}
@@ -101,6 +102,7 @@ def family_params(fid, b, a2=None, c2=None):
 
 def coefficients(fid, b, a2=None, c2=None):
     """`family_params` for parameters already found admissible."""
+    b, a2, c2 = plain(b), plain(a2), plain(c2)
     half_b = Fraction(b) / 2 if isinstance(b, (int, Fraction)) else b / 2
     lam = -half_b if fid in HALF_B_SPEED else -half_b - 1
     if fid in ("u3", "u4"):

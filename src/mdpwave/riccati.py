@@ -17,8 +17,9 @@ excluded values of b, a nonzero mu, a nonzero beta) and the wave-speed
 discriminant, beside the degeneracy test that the catalog and the
 pipeline use for the same purpose.  A check is a (label, fails(params))
 row on a dict of parameters, and `violations` is the one walker that
-turns a table of rows into the labels that fail.  `exact` is how every
-entry point takes a caller's number as an exact rational.
+turns a table of rows into the labels that fail.  `plain` is how every
+entry point takes a caller's number, and `exact` how it takes one as an
+exact rational: a numpy integer's arithmetic wraps at 64 bits.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ __all__ = [
     "RiccatiCoefficients", "classify", "phi_expr",
     "riccati_residual", "pole_guard", "is_degenerate",
     "BASE_CHECKS", "MU_CHECK", "BETA_CHECK", "S_LABEL", "violations",
-    "discriminant", "exact",
+    "discriminant", "plain", "exact",
 ]
 
 XI = ex.var("xi")
@@ -55,6 +56,8 @@ class RiccatiCoefficients:
         return self.beta * self.beta - 4 * self.alpha * self.gamma
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "gamma"):
+            object.__setattr__(self, name, plain(getattr(self, name)))
         if self.alpha == 0 and self.beta == 0 and self.gamma == 0:
             raise ValueError("coefficient triple must not be identically zero")
 
@@ -63,6 +66,7 @@ def is_degenerate(alpha, beta, gamma):
     """beta^2 == 4*alpha*gamma: exactly when all three are exact rationals
     (int or Fraction), otherwise up to a relative guard for round-trip
     noise."""
+    alpha, beta, gamma = plain(alpha), plain(beta), plain(gamma)
     b2 = beta * beta
     fourac = 4 * alpha * gamma
     if all(isinstance(v, (int, Fraction)) for v in (alpha, beta, gamma)):
@@ -87,10 +91,14 @@ def violations(checks, p):
     return [label for label, fails in checks if fails(p)]
 
 
+def plain(v):
+    """`v` with an integer of any type as a Python int, anything else as is."""
+    return int(v) if isinstance(v, numbers.Integral) else v
+
+
 def exact(v):
-    """`v` as a Fraction of Python ints: `Fraction` keeps a numpy integer's
-    own, whose arithmetic wraps at 64 bits."""
-    return Fraction(int(v)) if isinstance(v, numbers.Integral) else Fraction(v)
+    """`v` as a Fraction of Python ints, where `Fraction` keeps a numpy int."""
+    return Fraction(plain(v))
 
 
 def discriminant(b, k):

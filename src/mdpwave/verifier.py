@@ -304,7 +304,7 @@ def verify_on_grid(u, b, grid=None, tol=None, guard=None, method="symbolic"):
     xs, ts = grid.points()
     n_total, n_keep = xs.size, 0
     with np.errstate(all="ignore"):  # non-finite values are screened by the reductions
-        # the guard last (`expr.Tape`): it is substituted apart from u
+        # the guard last (`expr.Tape`): it may be built apart from u
         tape = ex.Tape((*mdp_residual_terms(u, b), guard) if symbolic else (u, guard))
         work, sums = _workspace(tape, n_total, symbolic)
         skip = np.empty(min(BLOCK, n_total), dtype=bool)

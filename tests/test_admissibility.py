@@ -8,7 +8,8 @@ Covers:
     cases over the same sweep
   - rational_hyperbolic.family_violations and colehopf.branch_params
   - the `catalog list` report
-  - numpy integer parameters decided as the Python ints they equal
+  - numpy integer parameters decided and computed as the Python ints they
+    equal
 
 Each sweep renders one text line per call; the sha256 of each text was
 recorded from the code before the admissibility checks moved into one
@@ -187,3 +188,32 @@ def test_numpy_integer_parameters_are_exact():
     assert riccati.phi_expr(c_np) == riccati.phi_expr(c)
     assert ex.to_prefix(riccati.riccati_residual(riccati.phi_expr(c), c_np)) \
         == ex.to_prefix(riccati.riccati_residual(riccati.phi_expr(c), c))
+
+
+def _rh_leaf_squared(i):
+    # a0's leaf of the ansatz (a1 = a2 = 0), squared by the integer fold
+    a0 = rh.rh_ansatz(rh.RHAnsatzParams(lam=0, a0=i(2 ** 40), a1=0, a2=0, c1=0, c2=1)).num
+    return ex.to_prefix(ex.mul(a0, a0))
+
+
+def _riccati_delta_case(i):
+    c = riccati.RiccatiCoefficients(i(2 ** 40), i(0), i(2 ** 40))
+    return c.delta, riccati.classify(c)
+
+
+# each call takes its integers through `i`, a numpy or a Python int type;
+# a numpy integer computes as the Python int it equals, not wrapped at 64 bits
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", [
+    lambda i: rh.family_params("u7", 3, a2=i(2 ** 40)),
+    lambda i: rh.family_params("u9", 3, c2=i(2 ** 33)),
+    lambda i: rh.coefficients("u3", i(3)),
+    lambda i: colehopf.branch_params("plus", F(-1, 2), i(2 ** 16)),
+    lambda i: colehopf.system_residuals(colehopf.ColeHopfParams(*map(i, (1, 1, 2 ** 13, 1))), 3),
+    _riccati_delta_case,
+    lambda i: riccati.is_degenerate(i(1), i(2 * 10 ** 7), i(10 ** 14 + 1)),
+    _rh_leaf_squared,
+], ids=["u7-a2", "u9-c2", "u3-b", "branch-mu", "system-residuals", "riccati-delta",
+        "degenerate", "rh-ansatz"])
+def test_numpy_integers_compute_as_python_ints(call):
+    assert repr(call(np.int64)) == repr(call(int))

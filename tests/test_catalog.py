@@ -114,6 +114,22 @@ def test_build_wave_is_build_guard_and_speed_at_once(catalog_samples):
             assert u == catalog.build(fid, p), fid
             assert guard == catalog.build_guard_xt(fid, p), fid
             assert lam == catalog.wave_speed(fid, p), fid
+            # one maker call builds the guard from u's own x + lam*t node,
+            # and these families' guards are subtrees of u
+            if fid in ("u11", "u12", "u13", "u22", "u23"):
+                assert id(guard) in _node_ids(u), fid
+
+
+def _node_ids(root):
+    """The ids of every node of `root`, read through the public node fields."""
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        seen.add(id(node))
+        for field in ("terms", "factors", "num", "den", "base", "arg"):
+            child = getattr(node, field, None)
+            stack.extend(child if isinstance(child, tuple) else () if child is None else (child,))
+    return seen
 
 
 def test_validation_verdicts():
@@ -250,12 +266,19 @@ def test_equivalence_u20_u21_vs_kink_branches():
         assert d20 < 1e-10 and d21 < 1e-10, (delta_v, d20, d21)
 
 
-def test_profile_and_build_agree_through_frame_shift():
-    params = {"b": 3, "beta": 1, "gamma": -1}
-    prof = catalog.profile("u12", params)
-    lam = catalog.wave_speed("u12", params)
-    u = catalog.build("u12", params)
-    for x, t in ((0.3, 0.2), (-2.0, 1.5), (4.0, 0.9)):
-        a = ex.evaluate_many(u, {}, {"x": x, "t": t})
-        b = ex.evaluate_many(prof, {}, {"xi": x + lam * t})
-        assert abs(a - b) < 1e-12
+def test_profile_and_build_agree_through_frame_shift(catalog_samples):
+    # the (x, t) wave and guard are the xi ones at xi = x + lam*t
+    # (+ 0 * x spreads a constant's scalar value over the points)
+    x = np.array([0.3, -2.0, 4.0, 1.1, -0.7])
+    t = np.array([0.2, 1.5, 0.9, 0.0, 2.0])
+    xt = {"x": x, "t": t}
+    for fid, samples in catalog_samples.items():
+        for p in samples:
+            xi = {"xi": x + catalog.wave_speed(fid, p) * t}
+            g = ex.evaluate_many(catalog.singular_denominator(fid, p), {}, xi) + 0 * x
+            keep = np.isfinite(g) & (np.abs(g) > 1e-2)
+            for a, b in ((catalog.build(fid, p), catalog.profile(fid, p)),
+                         (catalog.build_guard_xt(fid, p), catalog.singular_denominator(fid, p))):
+                va = (ex.evaluate_many(a, {}, xt) + 0 * x)[keep]
+                vb = (ex.evaluate_many(b, {}, xi) + 0 * x)[keep]
+                assert np.all(np.abs(va - vb) <= 1e-12 * np.maximum(1.0, np.abs(vb))), fid

@@ -423,6 +423,19 @@ def test_count_below_one_exit_2(argv, flag):
                                "message": f"{flag} must be >= 1"}
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["equiv", "--left", "u3", "--left-param", "b=3", "--right", "u6",
+      "--right-param", "b=3", "--seed", "-1"], "--seed"),
+    (["pipeline", "solve", "--param", "b=3", "--param", "alpha=0", "--param", "beta=1",
+      "--param", "gamma=-1", "--seeds", "4", "--rng-seed", "-5"], "--rng-seed"),
+])
+def test_negative_seed_exit_2(argv, flag):
+    code, out = run(argv)
+    assert code == 2
+    assert json.loads(out) == {"error": "invalid-input",
+                               "message": f"{flag} must be >= 0"}
+
+
 _VERIFY_KINK = ["verify", "--family", "u1", "--param", "b=3", "--param", "mu=1",
                 "--param", "delta=1"]
 _EQUIV_U3_U1 = ["equiv", "--left", "u3", "--left-param", "b=3", "--right", "u1",

@@ -7,7 +7,7 @@ Covers:
   - evaluation values, inf/NaN at domain violations, unbound errors
   - exact structural differentiation (values, linearity, product rule,
     finite-difference agreement, closure over the function set)
-  - iterated derivatives, substitution, evaluate/substitute commutation
+  - iterated derivatives
   - vectorized evaluation matching a plain `math` walk of the tree
   - the compiled tape: one slot per structurally distinct node, shared
     roots equal to per-root evaluation, workspace rows reused but never
@@ -18,7 +18,7 @@ Covers:
     larger shape, scalar points, no RuntimeWarning on non-finite values
   - the structural key: exact prefix text for every node kind, float and
     Fraction exponents as one node, nodes differing in kind or order
-    unequal, substitute keeping every subtree without the variable
+    unequal
   - every catalog residual's and collocation root's prefix text and tape
     instructions, pinned by sha256
 """
@@ -251,20 +251,6 @@ def test_third_derivative_matches_finite_differences():
     assert abs(sym - fd) / abs(fd) < 1e-6
 
 
-def test_substitute_traveling_frame():
-    e = ex.substitute(ex.cosh(XI), XI, ex.add(X, ex.mul(F(-5, 2), T)))
-    assert ex.evaluate_many(e, {}, {"x": 5, "t": 2}) == 1.0
-
-
-def test_substitute_absent_variable_is_identity():
-    e = ex.mul(X, ex.cosh(X))
-    assert ex.substitute(e, XI, ex.ZERO) is e
-
-
-def test_substitute_zero_collapses():
-    assert ex.substitute(ex.mul(X, ex.cosh(X)), X, 0) == ex.ZERO
-
-
 def _random_tree(rng, depth=3):
     leaves = [X, T, ex.Rational(F(rng.randint(-3, 3))),
               ex.Rational(F(rng.randint(1, 5), 2))]
@@ -314,18 +300,6 @@ def test_product_rule_property():
             lv = ex.evaluate_many(lhs, {}, p)
             rv = ex.evaluate_many(rhs, {}, p)
             assert abs(lv - rv) <= 1e-10 * max(1.0, abs(lv), abs(rv))
-
-
-def test_evaluate_substitute_commute():
-    rng = random.Random(44)
-    for _ in range(25):
-        e = _random_tree(rng)
-        r = _random_tree(rng, depth=2)
-        p = {"x": rng.uniform(-2, 2), "t": rng.uniform(0, 2)}
-        subbed = ex.substitute(e, X, r)
-        lhs = ex.evaluate_many(subbed, {}, p)
-        rhs = ex.evaluate_many(e, {}, {**p, "x": ex.evaluate_many(r, {}, p)})
-        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), abs(rhs))
 
 
 def _children(node):
@@ -677,24 +651,6 @@ def test_nodes_differing_only_in_kind_or_order_are_unequal():
     for a, b in pairs:
         assert a != b and b != a
         assert len(ex.Tape([a, b]).code) == len(ex.Tape([a]).code) + 1
-
-
-def test_substitute_keeps_every_subtree_without_the_variable():
-    e = ex.add(ex.mul(2, X, ex.cosh(T)), ex.div(ex.sinh(T), ex.add(1, X)),
-               ex.pow_(ex.exp(T), F(1, 2)), ex.pow_(T, 2.5), ex.tan(ex.csc(T)))
-    r = ex.mul(3, T)
-    for node in _subtree_nodes(e):
-        has_x = X in _subtree_nodes(node)
-        assert (ex.substitute(node, X, r) is node) is not has_x
-    kept = {id(t) for t in ex.substitute(e, X, r).terms}
-    assert all(id(t) in kept for t in e.terms if X not in _subtree_nodes(t))
-
-
-def _subtree_nodes(node):
-    out = [node]
-    for child in _children(node):
-        out += _subtree_nodes(child)
-    return out
 
 
 def _pinned_root_sets(samples):

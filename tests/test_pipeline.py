@@ -503,15 +503,19 @@ def test_round_trip_root_to_waveform(system):
     target = (0.0, -7.5, 7.5, 0.0, 0.0, -2.5)
     root = min(roots, key=lambda r: max(abs(a - b) for a, b in zip(r, target)))
     a0, a1, a2, c1, c2, lam = root
-    phi = phi_expr(RiccatiCoefficients(0.0, 1.0, -1.0))
-    U = ex.add(ex.as_expr(a0), ex.mul(a1, phi), ex.mul(a2, ex.pow_(phi, 2)),
-               ex.div(ex.as_expr(c1), phi), ex.div(ex.as_expr(c2), ex.pow_(phi, 2)))
+
+    def waveform(xi):  # the root composed with phi = 1/(1 + e^-xi) at xi
+        phi = ex.div(1, ex.add(1, ex.exp(ex.mul(-1, xi))))
+        return phi, ex.add(ex.as_expr(a0), ex.mul(a1, phi), ex.mul(a2, ex.pow_(phi, 2)),
+                           ex.div(ex.as_expr(c1), phi), ex.div(ex.as_expr(c2), ex.pow_(phi, 2)))
+
+    phi, U = waveform(ex.var("xi"))
+    assert phi == phi_expr(RiccatiCoefficients(0.0, 1.0, -1.0))
     res = ode_residual(U, 3, F(lam))
     xs = np.linspace(-3, 3, 41)
     vals = ex.evaluate_many(res, {}, {"xi": xs})
     assert np.max(np.abs(vals)) < 1e-6
-    xi = ex.var("xi")
-    u_xt = ex.substitute(U, xi, ex.add(ex.var("x"), ex.mul(lam, ex.var("t"))))
+    _, u_xt = waveform(ex.add(ex.var("x"), ex.mul(lam, ex.var("t"))))
     # keep |xi| small: the root's float-noise c1/c2 entries are amplified
     # by 1/phi^2 ~ e^|xi| as xi -> -inf, which is root imprecision, not a
     # defect of the waveform
