@@ -7,7 +7,10 @@ rational-constant arithmetic) and nothing else; correctness downstream
 rests on numeric agreement, not on normal forms.  `add` and `mul` keep a
 lone constant as the leaf it came in as.  When a second constant meets
 it, two integers fold with int arithmetic and any other pair with
-Fraction arithmetic; the integers -64..64 share one leaf each.
+Fraction arithmetic.  `Rational` interns one leaf per value in a table
+that a clear empties when full, but for the integers -64..64 (ZERO and ONE
+among them); equality stays structural, so a leaf made after a clear
+equals its older twin.  numpy numbers become the Python numbers they hold.
 
 Every node carries one structural key, (op, payload, children), set at
 construction.  Equality and hashing, the tape compile and `to_prefix`
@@ -46,6 +49,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
+import operator
 from fractions import Fraction
 
 from .errors import UnboundSymbol
@@ -77,6 +82,9 @@ class Expr:
 
     __slots__ = ("_key", "_hash")
 
+    def __reduce__(self):  # rebuilt by its constructor: a leaf interned, a hash made anew
+        return type(self), tuple(getattr(self, s) for s in self.__slots__)
+
     def __eq__(self, other):
         return self is other or (
             type(other) is type(self) and self._hash == other._hash and self._key == other._key
@@ -92,10 +100,20 @@ class Expr:
 class Rational(Expr):
     __slots__ = ("value",)
 
-    def __init__(self, value):
-        self.value = value = value if isinstance(value, Fraction) else Fraction(value)
-        self._key = ("rat", value, ())
-        self._hash = hash(("rat", value.numerator, value.denominator))
+    def __new__(cls, value):
+        global _LEAVES
+        if type(value) is not int and type(value) is not Fraction:
+            value = Fraction(_plain(value))
+        key = (value, 1) if type(value) is int else (  # Fraction(np.int64(2)) keeps numpy's ints
+            operator.index(value.numerator), operator.index(value.denominator))
+        leaf = _LEAVES.get(key)
+        if leaf is None:
+            if len(_LEAVES) >= _LEAF_BOUND:
+                _LEAVES = dict(_PINNED)
+            leaf = _LEAVES[key] = object.__new__(cls)
+            leaf.value = value = Fraction(*key)
+            leaf._key, leaf._hash = ("rat", value, ()), hash(("rat", *key))
+        return leaf
 
 
 class Var(Expr):
@@ -157,26 +175,32 @@ class Fun(Expr):
         self._hash = hash(key)
 
 
-def as_expr(v):
-    """Coerce a number to an exact rational leaf; pass expressions through."""
-    if isinstance(v, Expr):
-        return v
-    if isinstance(v, int):
-        return _SMALL.get(v) or Rational(v)
+def _plain(v):
+    """`v`, a number of any type (numpy's too), as a Python int, float or
+    Fraction; TypeError for anything else, ValueError for inf and NaN."""
+    if isinstance(v, numbers.Integral):
+        return operator.index(v)
     if isinstance(v, Fraction):
-        return (v.denominator == 1 and _SMALL.get(v.numerator)) or Rational(v)
-    if isinstance(v, float):
-        if not math.isfinite(v):
-            raise ValueError(f"non-finite constant {v!r}")
-        return Rational(Fraction(v))
-    raise TypeError(f"cannot coerce {type(v).__name__} to Expr")
+        return v
+    if not isinstance(v, numbers.Real):
+        raise TypeError(f"cannot coerce {type(v).__name__} to Expr")
+    if not math.isfinite(v := float(v)):
+        raise ValueError(f"non-finite constant {v!r}")
+    return v
 
 
-# shared leaves for the small integers the constructors and derivative
-# rules ask for most, mul(-1, ...) above all
-_SMALL = {i: Rational(Fraction(i)) for i in range(-64, 65)}
-ZERO = _SMALL[0]
-ONE = _SMALL[1]
+def as_expr(v):
+    """Coerce a number to its rational leaf; pass expressions through."""
+    return v if isinstance(v, Expr) else Rational(v)
+
+
+# the leaves by (numerator, denominator), at most 4,096 (perfbench's sweep
+# makes 744); a clear keeps the integers that the constructors and
+# derivative rules ask for most and compare by identity
+_LEAF_BOUND = 4096
+_LEAVES = {}
+_PINNED = {(i, 1): Rational(i) for i in range(-64, 65)}
+ZERO, ONE = _PINNED[0, 1], _PINNED[1, 1]
 
 
 def _gather(items, kind, product):
@@ -205,14 +229,13 @@ def _fold(a, b, product):
     """The leaf of two constant leaves' product or sum."""
     a, b = a.value, b.value
     if a.denominator == 1 == b.denominator:
-        v = a.numerator * b.numerator if product else a.numerator + b.numerator
-        return _SMALL.get(v) or Rational(v)
+        return Rational(a.numerator * b.numerator if product else a.numerator + b.numerator)
     return Rational(a * b if product else a + b)
 
 
 def add(*terms):
     const, out = _gather(terms, Add, False)
-    if const is not None and const.value:
+    if const is not None and const is not ZERO:
         out.insert(0, const)
     if not out:
         return ZERO
@@ -226,11 +249,11 @@ def mul(*factors):
     if const is None:
         if not out:
             return ONE
-    elif not const.value:
+    elif const is ZERO:
         return ZERO
     elif not out:
         return const
-    elif const.value != 1:
+    elif const is not ONE:
         out.insert(0, const)
     if len(out) == 1:
         return out[0]
@@ -245,13 +268,13 @@ def div(num, den):
     num = as_expr(num)
     den = as_expr(den)
     if isinstance(den, Rational):
-        if den.value == 0:
+        if den is ZERO:
             raise ZeroDivisionError("division by exact zero at construction")
         if isinstance(num, Rational):
             return Rational(num.value / den.value)
-        if den.value == 1:
+        if den is ONE:
             return num
-    if isinstance(num, Rational) and num.value == 0:
+    if num is ZERO:
         return ZERO
     return Div(num, den)
 
@@ -260,26 +283,20 @@ def pow_(base, exponent):
     """Constant power.  Integral float exponents become Fractions, so
     `pow_(e, 2.0) == pow_(e, 2)` and a rational base folds exactly."""
     base = as_expr(base)
-    if isinstance(exponent, Rational):
-        exponent = exponent.value
-    if isinstance(exponent, float):
-        if not math.isfinite(exponent):
-            raise ValueError("non-finite exponent")
-        if not exponent.is_integer():
-            return Pow(base, exponent)
-        exponent = Fraction(exponent)
-    if isinstance(exponent, (int, Fraction)):
-        e = Fraction(exponent)
-        if e == 1:
-            return base
-        if e == 0:
-            return ONE
-        if isinstance(base, Rational) and e.denominator == 1:
-            if base.value == 0 and e < 0:
-                raise ZeroDivisionError("zero base with negative exponent")
-            return Rational(base.value ** e)
+    e = exponent.value if isinstance(exponent, Rational) else _plain(exponent)
+    if isinstance(e, float) and not e.is_integer():
         return Pow(base, e)
-    raise TypeError("exponent must be a constant number")
+    if type(e) is not Fraction:
+        e = Fraction(e)
+    if e == 1:
+        return base
+    if e == 0:
+        return ONE
+    if isinstance(base, Rational) and e.denominator == 1:
+        if base.value == 0 and e < 0:
+            raise ZeroDivisionError("zero base with negative exponent")
+        return Rational(base.value ** e)
+    return Pow(base, e)
 
 
 def fun(kind, arg):
@@ -461,8 +478,8 @@ class Tape:
                     op, args = "div", (num, lowered("sin", args[0], row))
             else:
                 args = kids
-                if op == "rat":
-                    payload = float(payload)
+                if op == "rat":  # float(payload)'s bits, without its int() calls
+                    payload = payload.numerator / payload.denominator
             slot = slots[node] = len(code)
             code.append([op, payload, args, row])
             varies.append(row is not None or op == "var")

@@ -63,6 +63,7 @@ _W3 = {-3: 1.0, -2: -8.0, -1: 13.0, 1: -13.0, 2: 8.0, 3: -1.0}  # / 8h^3
 _FD_OFFSETS = tuple(sorted({(i, 0) for i in (*_W1, *_W2, *_W3)}
                            | {(i, j) for j in _W1 for i in _W2}, key=lambda o: (o[1], o[0])))
 _FD_XS, _FD_TS = (tuple(sorted(set(c))) for c in zip(*_FD_OFFSETS))  # the distinct ones
+_POINTS = {}  # `GridSpec.points` of up to 16 small grids, by their bounds' bits
 
 
 @dataclass(frozen=True)
@@ -99,11 +100,23 @@ class GridSpec:
             raise ValueError("eps_den must be finite")
 
     def points(self):
-        import numpy as np
-        xs = np.linspace(self.x_min, self.x_max, self.nx)
-        ts = np.linspace(self.t_min, self.t_max, self.nt)
-        xx, tt = np.meshgrid(xs, ts, indexing="ij")
-        return xx.ravel(), tt.ravel()
+        """(x, t) at every grid point, x-major, as read-only arrays, shared
+        between grids of at most `BLOCK` points whose bounds have the same
+        bits (-0.0 is not 0.0 there, though the grids are equal)."""
+        bounds = [float(v) for v in (self.x_min, self.x_max, self.t_min, self.t_max)]
+        key = (*map(float.hex, bounds), self.nx, self.nt)
+        pts = _POINTS.get(key)
+        if pts is None:
+            import numpy as np
+            xx, tt = np.meshgrid(np.linspace(*bounds[:2], self.nx),
+                                 np.linspace(*bounds[2:], self.nt), indexing="ij")
+            xx.flags.writeable = tt.flags.writeable = False  # and so their raveled views
+            pts = xx.ravel(), tt.ravel()
+            if xx.size <= BLOCK:
+                if len(_POINTS) >= 16:
+                    _POINTS.clear()
+                _POINTS[key] = pts
+        return pts
 
     def to_dict(self):
         return asdict(self)

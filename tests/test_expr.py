@@ -21,16 +21,25 @@ Covers:
     unequal
   - every catalog residual's and collocation root's prefix text and tape
     instructions, pinned by sha256
+  - interned constants: numpy scalars build what Python numbers build,
+    trees survive pickle (also from another process) and deepcopy, and a
+    clear of the leaf table moves no report byte and no tape slot
 """
+import copy
 import hashlib
 import math
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from mdpwave import catalog, verifier
+from mdpwave import catalog, report, verifier
 from mdpwave import expr as ex
 from mdpwave import rational_hyperbolic as rh
 from mdpwave.errors import UnboundSymbol
@@ -685,3 +694,76 @@ def test_residual_trees_and_tapes_are_pinned(catalog_samples):
     assert count == 76 + 26
     assert trees.hexdigest() == "593872190056ed5c9d2599c88b31a3d1702d6cdcf2f4b8055e0befdebad953df"
     assert tapes.hexdigest() == "d78e7e0904f601065afadb25e3bedd87ac33dc30f968385268065b78eea4437f"
+
+
+# each call takes its integers through `i` and its floats through `f`: numpy
+# scalars build the trees that the Python numbers they hold build, with no
+# 64-bit wrap and no warning
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", [
+    lambda i, f: ex.mul(ex.Rational(i(2 ** 40)), ex.Rational(i(2 ** 40)), X),
+    lambda i, f: ex.add(ex.Rational(i(2 ** 62)), ex.Rational(i(2 ** 62)), X),
+    lambda i, f: ex.mul(ex.Rational(F(i(2 ** 40), 3)), ex.Rational(F(i(2 ** 40))), X),
+    lambda i, f: ex.mul(i(3), X),
+    lambda i, f: ex.pow_(X, i(3)),
+    lambda i, f: ex.pow_(X, f(2.5)),
+    lambda i, f: ex.add(f(0.5), X, ex.as_expr(i(-5))),
+], ids=["rational-square", "rational-sum", "fraction-product", "mul", "pow-int", "pow-float", "as-expr"])
+@pytest.mark.parametrize("floats", [np.float64, np.float32])
+def test_numpy_scalars_build_as_python_numbers(call, floats):
+    assert ex.to_prefix(call(np.int64, floats)) == ex.to_prefix(call(int, float))
+
+
+def test_trees_survive_pickle_and_deepcopy(catalog_samples):
+    for fid, rows in catalog_samples.items():
+        for params in rows:
+            u, guard, _ = catalog.build_wave(fid, params)
+            code = ex.Tape([u, guard]).code
+            for u2, guard2 in (pickle.loads(pickle.dumps((u, guard))), copy.deepcopy((u, guard))):
+                assert u2 == u and guard2 == guard, fid
+                assert ex.to_prefix(u2) == ex.to_prefix(u) and ex.to_prefix(guard2) == ex.to_prefix(guard)
+                assert ex.Tape([u2, guard2]).code == code, fid
+    # a constant comes back as its interned leaf
+    third = ex.Rational(F(1, 3))
+    assert pickle.loads(pickle.dumps(third)) is third and copy.deepcopy(ex.ONE) is ex.ONE
+
+
+def test_tree_pickled_by_another_process_equals_the_tree_built_here():
+    # the other process hashes strings with another seed, so a node's hash
+    # must be made where it is unpickled
+    env = dict(os.environ, PYTHONHASHSEED="1",
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = ("import pickle, sys; from fractions import Fraction; from mdpwave import expr as ex; "
+            "sys.stdout.buffer.write(pickle.dumps(ex.mul(Fraction(1, 3), ex.cosh(ex.var('x')))))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True).stdout
+    here = ex.mul(F(1, 3), ex.cosh(X))
+    assert pickle.loads(out) == here and hash(pickle.loads(out)) == hash(here)
+
+
+def test_leaf_table_clear_moves_no_byte_or_slot(monkeypatch, catalog_samples):
+    def reports():
+        out = []
+        for fid, rows in catalog_samples.items():
+            for params in rows:
+                u, guard, _ = catalog.build_wave(fid, params)
+                rep = verifier.verify_on_grid(u, params["b"], guard=guard)
+                out.append(report.dumps(rep.to_dict()))
+        return out
+
+    want = reports()
+    # a fresh table with room for one leaf beside the pinned ones: nearly
+    # every new constant clears it
+    monkeypatch.setattr(ex, "_LEAVES", dict(ex._PINNED))
+    monkeypatch.setattr(ex, "_LEAF_BOUND", len(ex._PINNED) + 1)
+    old = ex.Rational(F(-355, 113))
+    table = ex._LEAVES
+    u22 = catalog.build("u22", catalog_samples["u22"][0])
+    verifier.mdp_residual_terms(u22, 3)
+    assert ex._LEAVES is not table  # cleared during the residual build
+    assert reports() == want
+    assert len(ex._LEAVES) <= len(ex._PINNED) + 1
+    assert all(ex.Rational(i) is leaf for (i, _), leaf in ex._PINNED.items())
+    new = ex.Rational(F(-355, 113))
+    assert new is not old and new == old and hash(new) == hash(old)
+    tape = ex.Tape([old, new])
+    assert tape.outputs == (0, 0) and len(tape.code) == 1

@@ -16,9 +16,14 @@ Covers:
     part of the grid, or a root of the tape
   - finite-difference offset packing: bitwise agreement with one tape run
     per stencil offset, and the number and size of the packed runs
+  - grid points: read-only, equal to a fresh meshgrid bit for bit, shared
+    only between grids whose bounds have the same bits, the float grid from
+    bounds of any number type, and a GridSpec unchanged by computing them
 """
+import dataclasses
 import hashlib
 import math
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -545,3 +550,45 @@ def test_fd_terms_pack_offsets_into_block_sized_runs(monkeypatch, n, runs):
     # packed runs read the points gathered into the workspace; runs of one
     # offset read the 7 x-shifted and 5 t-shifted rows each block makes once
     assert (len(read["x"]), len(read["t"])) == ((1, 1) if runs < 27 else (7, 5))
+
+
+def test_grid_points_are_read_only_shared_and_exact():
+    grid = GridSpec()
+    xs, ts = grid.points()
+    xx, tt = np.meshgrid(np.linspace(-10.0, 10.0, 101), np.linspace(0.0, 2.0, 11), indexing="ij")
+    assert xs.tobytes() == xx.ravel().tobytes() and ts.tobytes() == tt.ravel().tobytes()
+    for a in (xs, ts, *BIG_GRID.points()):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    again = GridSpec().points()
+    assert again[0] is xs and again[1] is ts
+    # -0.0 == 0.0, so each pair of grids is equal, yet they share no arrays,
+    # and the sign that linspace gives a bound of -0.0 is kept
+    for bounds in ({"x_min": -0.0}, {"x_min": -1.0, "x_max": -0.0}):
+        neg, pos = GridSpec(**bounds), GridSpec(**{k: v + 0.0 for k, v in bounds.items()})
+        assert neg == pos and neg.points()[0] is not pos.points()[0]
+    assert np.signbit(GridSpec(x_min=-1.0, x_max=-0.0).points()[0][-1])
+    assert not np.signbit(GridSpec(x_min=-1.0, x_max=0.0).points()[0][-1])
+    assert BIG_GRID.points()[0] is not BIG_GRID.points()[0]  # over BLOCK points: not kept
+
+
+def test_grid_points_from_bounds_of_any_number_type(monkeypatch):
+    # before, a float32 bound made float32 points and a Fraction bound object
+    # arrays, on which verification raised
+    monkeypatch.setattr(verifier, "_POINTS", {})  # nothing cached: these points are built
+    odd = GridSpec(x_min=np.float32(-10.0), x_max=F(10), t_max=np.int64(2))
+    xs, ts = odd.points()
+    u, guard, _ = catalog.build_wave("u6", {"b": 3})
+    rep = verify_on_grid(u, 3, grid=odd, guard=guard)
+    monkeypatch.setattr(verifier, "_POINTS", {})
+    assert [a.tobytes() for a in GridSpec().points()] == [xs.tobytes(), ts.tobytes()]
+    assert rep == verify_on_grid(u, 3, guard=guard)
+
+
+def test_grid_spec_unchanged_by_points():
+    for grid in (GridSpec(), GridSpec(x_min=-0.0, nx=7), BIG_GRID):
+        before = dataclasses.asdict(grid), hash(grid), pickle.dumps(grid)
+        grid.points()
+        assert (dataclasses.asdict(grid), hash(grid), pickle.dumps(grid)) == before
+        assert grid == pickle.loads(before[2])
