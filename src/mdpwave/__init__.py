@@ -9,18 +9,24 @@ numeric residual evaluation (with an independent finite-difference path),
 and re-derived from scratch through exact-rational coefficient algebra
 with a multistart numeric root finder.
 """
-from . import catalog, colehopf, pipeline, polyalg, rational_hyperbolic, riccati, verifier
-from . import expr
-from .errors import (AllPointsSkipped, ConstraintViolation, MdpWaveError,
-                     SampleAtPole, UnboundSymbol, UnclassifiableCoefficients)
+import importlib
 
 __version__ = "0.1.0"
+_MODULES = ("expr", "riccati", "catalog", "colehopf", "rational_hyperbolic",
+            "polyalg", "pipeline", "verifier")
+_ERRORS = ("MdpWaveError", "UnboundSymbol", "ConstraintViolation",
+           "UnclassifiableCoefficients", "SampleAtPole", "AllPointsSkipped")
+__all__ = [*_MODULES, *_ERRORS, "__version__"]
 
-__all__ = [
-    "expr", "riccati", "catalog", "colehopf", "rational_hyperbolic",
-    "polyalg", "pipeline", "verifier",
-    "MdpWaveError", "UnboundSymbol", "ConstraintViolation",
-    "UnclassifiableCoefficients", "SampleAtPole",
-    "AllPointsSkipped",
-    "__version__",
-]
+
+def __getattr__(name):
+    """Loads each module and error class at its first use (PEP 562)."""
+    if name in _MODULES or name == "errors":
+        return importlib.import_module("." + name, __name__)
+    if name in _ERRORS:
+        return getattr(importlib.import_module(".errors", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -3,11 +3,12 @@ inspection, the re-derivation pipeline, pointwise equivalence checks, and
 plot-data export.
 
 Each subcommand's parser carries its handler (`run`), so `main` has one
-path into every command and one out of it.  `--param NAME=VALUE` values
-are exact rationals: decimals (`0.25`, `1e-3`) or `n/d` fractions, never
-infinities or NaN.  Catalog families check parameter names against their
-signature; every other command rejects a name it does not take.  A name
-is bound at most once.
+path into every command and one out of it; it gets only the arguments,
+and imports only the modules, of the command it runs.  `--param
+NAME=VALUE` values are exact rationals: decimals (`0.25`, `1e-3`) or
+`n/d` fractions, never infinities or NaN.  Catalog families check
+parameter names against their signature; every other command rejects a
+name it does not take.  A name is bound at most once.
 
 Exit codes: 0 pass, 1 fail, 2 invalid input (bad flags, unknown ids or
 parameter names, non-exact values, constraint violations, values beyond
@@ -18,16 +19,10 @@ seeds) produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 from fractions import Fraction
 
-from . import catalog, colehopf, pipeline, report
-from . import expr as ex
-from . import rational_hyperbolic as rh
-from . import riccati as ric
-from . import verifier
 from .errors import ConstraintViolation, MdpWaveError
 
 __all__ = ["main"]
@@ -82,18 +77,20 @@ def _write(text, out_path):
 
 
 def _emit(doc, out_path):
+    from . import report
     _write(report.dumps(doc), out_path)
 
 
-_GRID_FIELDS = dataclasses.fields(verifier.GridSpec)
-
-
 def _grid_from_args(args):
-    return verifier.GridSpec(*(getattr(args, f.name) for f in _GRID_FIELDS))
+    import dataclasses
+    from .verifier import GridSpec
+    return GridSpec(*(getattr(args, f.name) for f in dataclasses.fields(GridSpec)))
 
 
 def _add_grid_args(p):
-    for f in _GRID_FIELDS:
+    import dataclasses
+    from .verifier import GridSpec
+    for f in dataclasses.fields(GridSpec):
         p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
                        default=f.default)
 
@@ -103,78 +100,84 @@ def _add_param_arg(p):
                    help="repeatable parameter binding")
 
 
-def _build_parser():
+def _build_parser(argv):
+    """Every command's name and help, but the arguments of only the one `argv` names."""
     parser = argparse.ArgumentParser(
         prog="mdpwave",
         description="traveling-wave solution catalog and verification toolkit "
                     "for the modified generalized Degasperis-Procesi equation",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    words = [w for w in argv if not w.startswith("-")]  # options before a command take no value
 
     def command(group, name, run, help):
         p = group.add_parser(name, help=help)
         p.set_defaults(run=run)
         p.add_argument("--out")
-        return p
+        path = p.prog.split()[1:]  # ["pipeline", "check"] for "mdpwave pipeline check"
+        return p if words[:len(path)] == path else None
 
     p_cat = subs.add_parser("catalog", help="catalog metadata")
     cat_subs = p_cat.add_subparsers(dest="action", required=True)
     command(cat_subs, "list", _cmd_catalog_list, "emit the family catalog as JSON")
 
-    p = command(subs, "verify", _cmd_verify, "grid-verify one family")
-    p.add_argument("--family", required=True)
-    _add_param_arg(p)
-    _add_grid_args(p)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--method", choices=["symbolic", "finite-difference"],
-                   default="symbolic")
+    if p := command(subs, "verify", _cmd_verify, "grid-verify one family"):
+        p.add_argument("--family", required=True)
+        _add_param_arg(p)
+        _add_grid_args(p)
+        p.add_argument("--tol", type=float, default=None)
+        p.add_argument("--method", choices=["symbolic", "finite-difference"],
+                       default="symbolic")
 
-    p = command(subs, "riccati", _cmd_riccati, "classify a coefficient triple")
-    _add_param_arg(p)
-    p.add_argument("--samples", type=int, default=200)
+    if p := command(subs, "riccati", _cmd_riccati, "classify a coefficient triple"):
+        _add_param_arg(p)
+        p.add_argument("--samples", type=int, default=200)
 
-    p = command(subs, "cole-hopf", _cmd_cole_hopf, "solved branch + six-equation check")
-    p.add_argument("--branch", choices=["plus", "minus"], required=True)
-    _add_param_arg(p)
-    _add_grid_args(p)
+    if p := command(subs, "cole-hopf", _cmd_cole_hopf, "solved branch + six-equation check"):
+        p.add_argument("--branch", choices=["plus", "minus"], required=True)
+        _add_param_arg(p)
+        _add_grid_args(p)
 
-    p = command(subs, "rh", _cmd_rh, "rational-hyperbolic family + collocation")
-    p.add_argument("--family", required=True, choices=list(rh.FAMILY_IDS))
-    _add_param_arg(p)
+    if p := command(subs, "rh", _cmd_rh, "rational-hyperbolic family + collocation"):
+        from .rational_hyperbolic import FAMILY_IDS
+        p.add_argument("--family", required=True, choices=list(FAMILY_IDS))
+        _add_param_arg(p)
 
     p_pipe = subs.add_parser("pipeline", help="phi-power re-derivation pipeline")
     pipe_subs = p_pipe.add_subparsers(dest="action", required=True)
     command(pipe_subs, "generate", _cmd_pipeline_generate, "emit the coefficient system")
-    p = command(pipe_subs, "check", _cmd_pipeline_check, "check the solved tuples of a case")
-    p.add_argument("--case", required=True, choices=sorted(pipeline.CASE_FAMILIES))
-    _add_param_arg(p)
-    p = command(pipe_subs, "solve", _cmd_pipeline_solve, "multistart numeric root search")
-    _add_param_arg(p)
-    p.add_argument("--seeds", type=int, default=400)
-    p.add_argument("--rng-seed", type=int, default=0)
+    if p := command(pipe_subs, "check", _cmd_pipeline_check, "check the solved tuples of a case"):
+        from .pipeline import CASE_FAMILIES
+        p.add_argument("--case", required=True, choices=sorted(CASE_FAMILIES))
+        _add_param_arg(p)
+    if p := command(pipe_subs, "solve", _cmd_pipeline_solve, "multistart numeric root search"):
+        _add_param_arg(p)
+        p.add_argument("--seeds", type=int, default=400)
+        p.add_argument("--rng-seed", type=int, default=0)
 
-    p = command(subs, "equiv", _cmd_equiv, "pointwise comparison of two families")
-    p.add_argument("--left", required=True)
-    p.add_argument("--left-param", action="append", default=[], metavar="NAME=VALUE")
-    p.add_argument("--right", required=True)
-    p.add_argument("--right-param", action="append", default=[], metavar="NAME=VALUE")
-    p.add_argument("--points", type=int, default=100)
-    p.add_argument("--tol", type=float, default=EQUIV_DEFAULT_TOL)
-    p.add_argument("--seed", type=int, default=0)
+    if p := command(subs, "equiv", _cmd_equiv, "pointwise comparison of two families"):
+        p.add_argument("--left", required=True)
+        p.add_argument("--left-param", action="append", default=[], metavar="NAME=VALUE")
+        p.add_argument("--right", required=True)
+        p.add_argument("--right-param", action="append", default=[], metavar="NAME=VALUE")
+        p.add_argument("--points", type=int, default=100)
+        p.add_argument("--tol", type=float, default=EQUIV_DEFAULT_TOL)
+        p.add_argument("--seed", type=int, default=0)
 
-    p = command(subs, "plot-data", _cmd_plot_data, "CSV profile at fixed t")
-    p.add_argument("--family", required=True)
-    _add_param_arg(p)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--x-min", type=float, default=-10.0)
-    p.add_argument("--x-max", type=float, default=10.0)
-    p.add_argument("--nx", type=int, default=101)
-    p.add_argument("--eps-den", type=float, default=1e-3)
+    if p := command(subs, "plot-data", _cmd_plot_data, "CSV profile at fixed t"):
+        p.add_argument("--family", required=True)
+        _add_param_arg(p)
+        p.add_argument("--t", type=float, required=True)
+        p.add_argument("--x-min", type=float, default=-10.0)
+        p.add_argument("--x-max", type=float, default=10.0)
+        p.add_argument("--nx", type=int, default=101)
+        p.add_argument("--eps-den", type=float, default=1e-3)
 
     return parser
 
 
 def _cmd_catalog_list(args):
+    from . import catalog
     doc = {
         "config": {"command": "catalog list"},
         "count": len(catalog.family_ids()),
@@ -185,6 +188,7 @@ def _cmd_catalog_list(args):
 
 
 def _cmd_verify(args):
+    from . import catalog, verifier
     params = _params(args.param)
     grid = _grid_from_args(args)
     _check_tol(args.tol)
@@ -207,6 +211,7 @@ def _cmd_verify(args):
 
 def _cmd_riccati(args):
     import numpy as np
+    from . import expr as ex, riccati as ric
     params = _params(args.param, "riccati", ("alpha", "beta", "gamma"))
     if args.samples < 1:
         raise ValueError("--samples must be >= 1")
@@ -233,6 +238,7 @@ def _cmd_riccati(args):
 
 
 def _cmd_cole_hopf(args):
+    from . import colehopf, verifier
     params = _params(args.param, "cole-hopf", ("b", "mu"), ("delta",))
     b, mu = params["b"], params["mu"]
     delta = params.get("delta", 0)
@@ -257,6 +263,8 @@ def _cmd_cole_hopf(args):
 
 
 def _cmd_rh(args):
+    import dataclasses
+    from . import rational_hyperbolic as rh
     free = rh.FREE_PARAMETER.get(args.family)
     params = _params(args.param, "rh", ("b", free) if free else ("b",))
     fam_params = rh.family_params(args.family, params["b"],
@@ -276,6 +284,7 @@ def _cmd_rh(args):
 
 
 def _cmd_pipeline_generate(args):
+    from . import pipeline
     system = pipeline.generate_system()
     doc = {
         "config": {"command": "pipeline generate"},
@@ -286,6 +295,7 @@ def _cmd_pipeline_generate(args):
 
 
 def _cmd_pipeline_check(args):
+    from . import pipeline
     params = _params(args.param, "pipeline check", pipeline.PARAMETERS)
     system = pipeline.generate_system()
     entries = []
@@ -315,6 +325,7 @@ def _cmd_pipeline_check(args):
 
 
 def _cmd_pipeline_solve(args):
+    from . import pipeline
     params = _params(args.param, "pipeline solve", pipeline.PARAMETERS)
     if args.rng_seed < 0:
         raise ValueError("--rng-seed must be >= 0")
@@ -334,6 +345,7 @@ def _cmd_pipeline_solve(args):
 
 def _equiv_side(fid, params):
     """(u, guard) of one side of `equiv`; violations are prefixed by its id."""
+    from . import catalog
     try:
         return catalog.build_wave(fid, params)[:2]
     except ConstraintViolation as err:
@@ -343,6 +355,7 @@ def _equiv_side(fid, params):
 def _sample_points(us, guards, n, seed):
     """Deterministic (x, t) samples where every side is regular."""
     import numpy as np
+    from . import expr as ex
     rng = np.random.default_rng(seed)
     tape = ex.Tape(guards + us)
     xs_out, ts_out = [], []
@@ -367,6 +380,7 @@ def _sample_points(us, guards, n, seed):
 
 def _cmd_equiv(args):
     import numpy as np
+    from . import expr as ex
     left_params = _params(args.left_param, flag="--left-param")
     right_params = _params(args.right_param, flag="--right-param")
     if args.points < 1:
@@ -396,6 +410,7 @@ def _cmd_equiv(args):
 
 def _cmd_plot_data(args):
     import numpy as np
+    from . import catalog, expr as ex, verifier
     params = _params(args.param)
     # GridSpec checks the x axis, eps_den and t: a profile is the grid at t_min = t_max = t
     grid = verifier.GridSpec(x_min=args.x_min, x_max=args.x_max, nx=args.nx,
@@ -436,8 +451,14 @@ def _join_negative_values(argv):
 
 
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    args = _build_parser().parse_args(_join_negative_values(argv))
+    argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
+    args = _build_parser(argv).parse_args(argv)
+    if args.out:  # every report below goes to --out, so it must open first
+        try:
+            open(args.out, "a").close()
+        except OSError as err:
+            _emit({"error": "invalid-input", "message": f"--out {args.out}: {err.strerror}"}, None)
+            return 2
     try:
         return args.run(args)
     except ConstraintViolation as err:

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import catalog
 from .errors import ConstraintViolation
 from .polyalg import (VARS, MultiPoly, bind, laurent, laurent_coeff, laurent_derivative,
                       laurent_support)
@@ -239,6 +238,7 @@ def ansatz_tuple(fid, alpha, beta, gamma, b):
     if fid == "u11":
         a0, lam = Fraction(3, 2) * p2 * beta * beta / p1 - 1, -p1
     else:
+        from . import catalog  # loads only for a tuple, not for generate or solve
         sign, S = catalog.radical(fid, p)
         root = sign * _sqrt_exact_or_float(S)
         a0 = (p2 * (beta * beta + 8 * alpha * gamma) - p1 + root) / (2 * p1)

@@ -15,7 +15,8 @@ Covers:
     command does not take, counts below 1, tolerances that are not finite
     and positive, plot-data and verify grids that GridSpec rejects,
     negative exponent-form flag values, values beyond the float range,
-    a parameter name given twice
+    a parameter name given twice, an `--out` path that cannot be opened
+    (on stdout, before the command runs)
   - the README commands' stdout, byte for byte
   - numpy stays unloaded by the imports and the exact or metadata-only
     commands, and loads on the first array evaluation
@@ -330,6 +331,18 @@ def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as err:
         run(["verify", "--family", "u6", "--param", "b=3", "--frobnicate"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_out_path_that_cannot_be_opened_exit_2(tmp_path, where):
+    out = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+    code, text = run(["catalog", "list", "--out", str(out)])
+    assert code == 2
+    assert json.loads(text) == {
+        "error": "invalid-input",
+        "message": f"--out {out}: " + ("No such file or directory" if where == "missing-directory"
+                                       else "Is a directory")}
+    assert not (tmp_path / "missing").exists()
 
 
 def test_malformed_param_exit_2():
