@@ -3,15 +3,15 @@ u1..u23 plus the generic kink-profile form ("cole_hopf").
 
 Each family is one row: its parameter signature, its table of (label,
 predicate) admissibility checks, and a maker of its profile, singularity
-locus and (unless radical) wave speed.  A radical row also holds the sign
-in lam = -(b + 1 - sign*sqrt(S))/2 and its radicand k, S = discriminant(b,
-k), once as a (k(params), "S = ..." text) pair read by the S >= 0 check,
-by the listed wave-speed text and, through `radical`, by lam and by
-`pipeline.ansatz_tuple`.  The `cole_hopf` row is the one statement of the
-kink admissibility rules (`colehopf` checks through it), and the u3..u10
-rows are the one statement of the rational-hyperbolic rules
-(`rational_hyperbolic` checks through them).  Every table is walked by
-`riccati.violations`.
+locus and (unless radical) wave speed.  A radical family's sign in lam =
+-(b + 1 - sign*sqrt(S))/2 and radicand k, S = discriminant(b, k), are its
+`riccati.RADICALS` entry, read here by the S >= 0 check, lam and the
+wave-speed text, and by `pipeline` and `colehopf` without the makers; u7..u10
+check `rational_hyperbolic.FREE_RADICANDS`.  The `cole_hopf` row is the
+one statement of the kink admissibility rules (`colehopf` checks through
+it), and the u3..u10 rows are the one statement of the rational-hyperbolic
+rules (`rational_hyperbolic` checks through them).  Every table is walked
+by `riccati.violations`.
 Profiles are expressions in xi with all constants embedded exactly;
 `build` builds the profile with xi = x + lam*t in place.
 Internally lam always satisfies xi = x + lam*t, so the familiar
@@ -30,11 +30,12 @@ from typing import Callable
 from . import expr as ex
 from . import rational_hyperbolic as rh
 from .errors import ConstraintViolation
-from .riccati import (BASE_CHECKS, BETA_CHECK, MU_CHECK, S_LABEL,
-                      discriminant, exact, is_degenerate, violations)
+from .riccati import (AG16, AG256, BASE_CHECKS, BETA4, BETA_CHECK, DELTA2, MU4,
+                      MU_CHECK, RADICALS, S_LABEL, delta_of, discriminant, exact,
+                      is_degenerate, radical, violations)
 
 __all__ = [
-    "family_ids", "list_families", "validate", "radical", "build", "build_wave",
+    "family_ids", "list_families", "validate", "build", "build_wave",
     "profile", "wave_speed", "singular_denominator",
 ]
 
@@ -56,47 +57,27 @@ class _Family:
     # radical rows: maker(params, sign*sqrt(S), xi) -> (profile, guard);
     # others: maker(params, frame) -> (profile, lam, guard), xi = frame(lam)
     maker: Callable
-    radicand: tuple = None  # (k(params), "S = ..." text), S = discriminant(b, k)
-    sign: int = None  # of sqrt(S) in lam = -(b + 1 - sign*sqrt(S))/2; None: branch
 
 
-# --- radicands and admissibility checks --------------------------------------
-
-def _delta(p):
-    return p["beta"] ** 2 - 4 * p["alpha"] * p["gamma"]
-
-
-_MU4 = (lambda p: p["mu"] ** 4, "S = 1 - b(b+2)(mu^4 - 1)")
-_BETA4 = (lambda p: p["beta"] ** 4, "S = 1 - b(b+2)(beta^4 - 1)")
-_AG256 = (lambda p: 256 * (p["alpha"] * p["gamma"]) ** 2,
-          "S = b(b+2)(1 - 256(alpha*gamma)^2) + 1")
-_AG16 = (lambda p: 16 * (p["alpha"] * p["gamma"]) ** 2,
-         "S = b(b+2)(1 - 16(alpha*gamma)^2) + 1")
-_DELTA2 = (lambda p: _delta(p) ** 2, "S = 1 - b(b+2)(Delta^2 - 1)")
-
-
-# the radicand condition on the free parameter of u7..u10, by its name
-_FREE = {"a2": ("(b+1)^2*a2^2 >= 1", lambda p: (p["b"] + 1) ** 2 * p["a2"] ** 2 < 1),
-         "c2": ("c2^2 >= 1", lambda p: p["c2"] ** 2 < 1)}
-
+# --- admissibility checks ----------------------------------------------------
 
 def _s_check(radicand, when=lambda p: True):
     """S >= 0 for the radicand's S, tested only where `when` holds."""
     return (S_LABEL, lambda p: when(p) and discriminant(p["b"], radicand[0](p)) < 0)
 
 
-_KINK = BASE_CHECKS + (MU_CHECK, _s_check(_MU4))
+_KINK = BASE_CHECKS + (MU_CHECK, _s_check(MU4))
 # The frequency mu*lam must not vanish where every other row holds (b != -1,
 # -2, mu != 0, branch = +-1, S >= 0).  There lam = 0 means branch*sqrt(S) =
 # b + 1, and S = (b+1)^2 reduces to b(b+2)mu^4 = 0, so b = 0 and, as b + 1 >
 # 0, branch = +1.  At b = 0, S = 1, so the row fails exactly at b = 0,
 # branch = +1, mu != 0, with every other row holding.
 _COLE_HOPF = BASE_CHECKS + (
-    MU_CHECK, ("branch in {+1, -1}", lambda p: p["branch"] ** 2 != 1), _s_check(_MU4),
+    MU_CHECK, ("branch in {+1, -1}", lambda p: p["branch"] ** 2 != 1), _s_check(MU4),
     ("lambda != 0", lambda p: p["b"] == 0 and p["branch"] == 1 and p["mu"] != 0))
 _U11 = BASE_CHECKS + (BETA_CHECK, ("beta^2 = 4*alpha*gamma", lambda p: p["beta"] != 0
                       and not is_degenerate(p["alpha"], p["beta"], p["gamma"])))
-_EXP_PAIR = BASE_CHECKS + (BETA_CHECK, _s_check(_BETA4))
+_EXP_PAIR = BASE_CHECKS + (BETA_CHECK, _s_check(BETA4))
 
 
 def _trig(radicand):
@@ -104,8 +85,8 @@ def _trig(radicand):
                           _s_check(radicand))
 
 
-_TANH = BASE_CHECKS + (("Delta > 0", lambda p: _delta(p) <= 0),
-                       _s_check(_DELTA2, when=lambda p: _delta(p) > 0))
+_TANH = BASE_CHECKS + (("Delta > 0", lambda p: delta_of(p) <= 0),
+                       _s_check(DELTA2, when=lambda p: delta_of(p) > 0))
 
 
 # --- kink-profile families (u1, u2, generic) -------------------------------
@@ -162,7 +143,7 @@ def _tan_cot_maker(p, root, xi, kind):
 
 
 def _tanh_sq_maker(p, root, xi):
-    b, delta = p["b"], _delta(p)
+    b, delta = p["b"], delta_of(p)
     tval = ex.tanh(ex.mul(HALF, ex.sym_sqrt(delta), xi))
     const = ex.div(ex.add(ex.as_expr(-(2 * delta * (b + 2) + b + 1)), root),
                    2 * (b + 1))
@@ -174,7 +155,7 @@ def _tanh_sq_maker(p, root, xi):
 def _tanh_inv_maker(p, root, xi):
     b, alpha, beta, gamma = p["b"], p["alpha"], p["beta"], p["gamma"]
     ag = alpha * gamma
-    delta = _delta(p)
+    delta = delta_of(p)
     rtd = ex.sym_sqrt(delta)
     tval = ex.tanh(ex.mul(HALF, rtd, xi))
     const = ex.div(ex.add(ex.as_expr((delta + 12 * ag) * (b + 2) - (b + 1)), root),
@@ -199,45 +180,41 @@ def _rh_maker(p, frame, fid):
 def _make_registry():
     fams = []
 
-    def addf(fid, parameters, checks, maker, speed_doc=None, radicand=None,
-             sign=None, optional=()):
-        if radicand is not None:
+    def addf(fid, parameters, checks, maker, speed_doc=None, optional=()):
+        if fid in RADICALS:
+            (_, text), sign = RADICALS[fid]
             root = {1: "- sqrt(S)", -1: "+ sqrt(S)", None: "- branch*sqrt(S)"}[sign]
-            speed_doc = f"lambda = -(b + 1 {root})/2, {radicand[1]}"
+            speed_doc = f"lambda = -(b + 1 {root})/2, {text}"
         fams.append(_Family(fid, tuple(parameters), dict(optional), tuple(checks),
-                            speed_doc, maker, radicand, sign))
+                            speed_doc, maker))
 
-    kink = {"optional": {"delta": F(0)}, "radicand": _MU4}
-    addf("u1", ("b", "mu"), _KINK, _kink_maker, sign=+1, **kink)
-    addf("u2", ("b", "mu"), _KINK, _kink_maker, sign=-1, **kink)
+    phase = {"delta": F(0)}
+    for fid in ("u1", "u2"):
+        addf(fid, ("b", "mu"), _KINK, _kink_maker, optional=phase)
 
     for fid in rh.FAMILY_IDS:
         parameters, checks = ("b",), BASE_CHECKS
         free = rh.FREE_PARAMETER.get(fid)
         if free:
-            parameters, checks = ("b", free), checks + (_FREE[free],)
+            k, label = rh.FREE_RADICANDS[free]
+            parameters, checks = ("b", free), checks + ((label, lambda p, k=k: k(p) < 0),)
         speed = "lambda = -b/2" + ("" if fid in rh.HALF_B_SPEED else " - 1")
         addf(fid, parameters, checks,
              (lambda f: lambda p, frame: _rh_maker(p, frame, f))(fid), speed_doc=speed)
 
     addf("u11", ("b", "alpha", "beta", "gamma"), _U11, _u11_maker,
          speed_doc="lambda = -b - 1")
-    for fid, sign in (("u12", -1), ("u13", +1)):
-        addf(fid, ("b", "beta", "gamma"), _EXP_PAIR, _exp_pair_maker,
-             radicand=_BETA4, sign=sign)
-    for fid, sign in (("u14", -1), ("u15", +1)):
-        addf(fid, ("b", "alpha", "gamma"), _trig(_AG256), _csc_maker,
-             radicand=_AG256, sign=sign)
-    for fid, sign, kind in (("u16", -1, "cot"), ("u17", -1, "tan"),
-                            ("u18", +1, "cot"), ("u19", +1, "tan")):
-        addf(fid, ("b", "alpha", "gamma"), _trig(_AG16),
-             (lambda k: lambda p, root, xi: _tan_cot_maker(p, root, xi, k))(kind),
-             radicand=_AG16, sign=sign)
-    for fid, sign, maker in (("u20", -1, _tanh_sq_maker), ("u21", +1, _tanh_sq_maker),
-                             ("u22", +1, _tanh_inv_maker), ("u23", -1, _tanh_inv_maker)):
-        addf(fid, ("b", "alpha", "beta", "gamma"), _TANH, maker,
-             radicand=_DELTA2, sign=sign)
-    addf("cole_hopf", ("b", "mu", "branch"), _COLE_HOPF, _kink_maker, **kink)
+    for fid in ("u12", "u13"):
+        addf(fid, ("b", "beta", "gamma"), _EXP_PAIR, _exp_pair_maker)
+    for fid in ("u14", "u15"):
+        addf(fid, ("b", "alpha", "gamma"), _trig(AG256), _csc_maker)
+    for fid, kind in (("u16", "cot"), ("u17", "tan"), ("u18", "cot"), ("u19", "tan")):
+        addf(fid, ("b", "alpha", "gamma"), _trig(AG16),
+             (lambda k: lambda p, root, xi: _tan_cot_maker(p, root, xi, k))(kind))
+    for fid, maker in (("u20", _tanh_sq_maker), ("u21", _tanh_sq_maker),
+                       ("u22", _tanh_inv_maker), ("u23", _tanh_inv_maker)):
+        addf(fid, ("b", "alpha", "beta", "gamma"), _TANH, maker)
+    addf("cole_hopf", ("b", "mu", "branch"), _COLE_HOPF, _kink_maker, optional=phase)
 
     return {f.fid: f for f in fams}
 
@@ -292,14 +269,6 @@ def validate(fid, params):
     return violations(fam.checks, p)
 
 
-def radical(fid, p):
-    """(sign, S) of a radical row at `p`, an unchecked dict of exact values:
-    S = discriminant(b, k(p)) for the row's radicand k, and the sign of
-    sqrt(S) in lam = -(b + 1 - sign*sqrt(S))/2 (p["branch"] for cole_hopf)."""
-    fam = _REGISTRY[fid]
-    return fam.sign or int(p["branch"]), discriminant(p["b"], fam.radicand[0](p))
-
-
 def _made(fid, params, frame):
     """(profile, lam, guard) of admissible `params`, built with xi =
     frame(lam): `_xi` keeps the variable xi, `_xt` puts x + lam*t."""
@@ -307,7 +276,7 @@ def _made(fid, params, frame):
     bad = violations(fam.checks, p)
     if bad:
         raise ConstraintViolation(bad)
-    if fam.radicand is None:
+    if fam.fid not in RADICALS:
         return fam.maker(p, frame)
     sign, S = radical(fam.fid, p)
     root = ex.mul(sign, ex.sym_sqrt(S))

@@ -295,18 +295,22 @@ def _cmd_pipeline_generate(args):
 
 
 def _cmd_pipeline_check(args):
-    from . import pipeline
+    from . import pipeline, riccati
     params = _params(args.param, "pipeline check", pipeline.PARAMETERS)
     system = pipeline.generate_system()
-    entries = []
-    all_ok = True
+    entries, failed = [], []
     for fid in pipeline.CASE_FAMILIES[args.case]:
-        vals = pipeline.ansatz_tuple(fid, *(params[k] for k in pipeline.PARAMETERS))
+        try:
+            vals = pipeline.ansatz_tuple(fid, *(params[k] for k in pipeline.PARAMETERS))
+        except ConstraintViolation as err:
+            if err.violations != [riccati.S_LABEL]:  # a case condition: every family fails it
+                raise
+            failed.append(f"{fid}: {riccati.S_LABEL}")
+            continue
         residuals = pipeline.check_assignment(system, {**vals, **params})
         exact = all(isinstance(r, Fraction) for r in residuals)
         ok = (all(r == 0 for r in residuals) if exact
               else all(abs(float(r)) < SIX_SYSTEM_TOL for r in residuals))
-        all_ok &= ok
         entries.append({
             "family": fid,
             "tuple": {k: vals[k] for k in pipeline.UNKNOWNS},
@@ -314,6 +318,8 @@ def _cmd_pipeline_check(args):
             "residuals": residuals,
             "pass": ok,
         })
+    if failed:
+        raise ConstraintViolation(failed)
     doc = {
         "config": {"command": "pipeline check", "case": args.case,
                    "params": params},
@@ -321,7 +327,7 @@ def _cmd_pipeline_check(args):
         "tuples": entries,
     }
     _emit(doc, args.out)
-    return 0 if all_ok else 1
+    return 0 if all(e["pass"] for e in entries) else 1
 
 
 def _cmd_pipeline_solve(args):

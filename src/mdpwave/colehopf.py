@@ -7,7 +7,8 @@ Substituting the waveform into the evolution equation and clearing the
 degree-6 polynomial whose coefficients pair up with opposite signs
 (zeta^6/zeta^1, zeta^5/zeta^2, zeta^4/zeta^3).  `system_residuals`
 evaluates all six in that paired layout.  `branch_params` decides
-admissibility by the catalog's `cole_hopf` row, the one table of the rules.
+admissibility by the catalog's `cole_hopf` row, the one table of the rules,
+and takes the sign and S of sqrt(S) from `riccati.radical`.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from . import catalog
 from . import expr as ex
 from .errors import ConstraintViolation
-from .riccati import MU_CHECK, discriminant, exact, plain, violations
+from .riccati import MU_CHECK, exact, plain, radical, violations
 
 __all__ = ["ColeHopfParams", "cole_hopf_u", "system_residuals", "branch_params"]
 
@@ -75,25 +76,22 @@ def system_residuals(p, b):
 def branch_params(branch, b, mu):
     """The closed-form (A, B, lambda) for the plus or minus branch.
 
-    plus carries +sqrt(S) in B with lam = -mu*(b+1-sqrt(S))/2; minus
-    carries -sqrt(S) with lam = -mu*(b+1+sqrt(S))/2, where
-    S = discriminant(b, mu^4).  Raises ConstraintViolation with the
+    With root = +sqrt(S) for plus and -sqrt(S) for minus, S =
+    discriminant(b, mu^4): B = (2mu^2 - 1 + b(mu^2 - 1) + root)/(2(b+1))
+    and lam = -mu(b + 1 - root)/2.  Raises ConstraintViolation with the
     catalog's `cole_hopf` labels, and ValueError on a non-finite b or mu.
     """
     if branch not in ("plus", "minus"):
         raise ValueError(f"branch must be 'plus' or 'minus', not {branch!r}")
-    bad = catalog.validate("cole_hopf", {"b": b, "mu": mu,
-                                         "branch": 1 if branch == "plus" else -1})
+    b, mu = plain(b), plain(mu)
+    p = {"b": b, "mu": mu, "branch": 1 if branch == "plus" else -1}
+    bad = catalog.validate("cole_hopf", p)
     if bad:
         raise ConstraintViolation(bad)
-    b, mu = plain(b), plain(mu)
+    sign, S = radical("cole_hopf", p)
     # S >= 0 held exactly, so a float S below 0 is rounding
-    root = math.sqrt(max(discriminant(b, mu**4), 0))
+    root = sign * math.sqrt(max(S, 0))
     A = -6 * (b + 2) / (b + 1)
-    if branch == "plus":
-        B = (2 * mu**2 - 1 + b * (mu**2 - 1) + root) / (2 * (b + 1))
-        lam = -0.5 * mu * (b + 1 - root)
-    else:
-        B = (b * mu**2 + 2 * mu**2 - 1 - b - root) / (2 * (b + 1))
-        lam = -0.5 * mu * (b + 1 + root)
+    B = (2 * mu**2 - 1 + b * (mu**2 - 1) + root) / (2 * (b + 1))
+    lam = -0.5 * mu * (b + 1 - root)
     return A, B, lam

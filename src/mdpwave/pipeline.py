@@ -15,12 +15,12 @@ Gauss-Newton iteration.
 `ansatz_tuple` admits a triple by its case's rows in `_CASE_CHECKS`,
 conditions on the Riccati triple kept apart from the catalog's family rows
 on purpose, and reads its tuple off one table.  With root = sign*sqrt(S),
-the sign and radicand S read from the family's catalog row
-(`catalog.radical`; u11 has no radical, root = -(b+1)), and K = beta^2 +
-8*alpha*gamma (which the case conditions make beta^2, 8*alpha*gamma or
-12*alpha*gamma + Delta), a0 = ((b+2)K - (b+1) + root)/(2(b+1)) and lam =
-(-(b+1) + root)/2; `_TAILS` names the tails among a1, a2, c1, c2, each
-6(b+2)/(b+1) times the product `_TAIL_FACTORS` names, and the others are 0.
+the sign and S from `riccati.radical` (u11 has no radical, root =
+-(b+1)), and K = beta^2 + 8*alpha*gamma (which the case conditions make
+beta^2, 8*alpha*gamma or 12*alpha*gamma + Delta), a0 = ((b+2)K - (b+1) +
+root)/(2(b+1)) and lam = (-(b+1) + root)/2; `_TAILS` names the tails among
+a1, a2, c1, c2, each 6(b+2)/(b+1) times the product `_TAIL_FACTORS` names,
+and the others are 0.
 """
 from __future__ import annotations
 
@@ -32,7 +32,8 @@ from typing import NamedTuple
 from .errors import ConstraintViolation
 from .polyalg import (VARS, MultiPoly, bind, laurent, laurent_coeff, laurent_derivative,
                       laurent_support)
-from .riccati import BASE_CHECKS, BETA_CHECK, S_LABEL, exact, is_degenerate, violations
+from .riccati import (BASE_CHECKS, BETA_CHECK, S_LABEL, delta_of, exact, is_degenerate,
+                      radical, violations)
 
 np = _gelsd = None  # numpy and its lstsq gufunc, bound by _load_numpy
 
@@ -207,8 +208,7 @@ _CASE_CHECKS = {
     "second": BASE_CHECKS + (("alpha = 0", lambda p: p["alpha"] != 0), BETA_CHECK),
     "third": BASE_CHECKS + (("beta = 0", lambda p: p["beta"] != 0),
                             ("alpha*gamma != 0", lambda p: p["alpha"] * p["gamma"] == 0)),
-    "fourth": BASE_CHECKS + (("Delta != 0", lambda p: p["beta"] * p["beta"]
-                              - 4 * p["alpha"] * p["gamma"] == 0),),
+    "fourth": BASE_CHECKS + (("Delta != 0", lambda p: delta_of(p) == 0),),
 }
 
 
@@ -238,8 +238,7 @@ def ansatz_tuple(fid, alpha, beta, gamma, b):
     if fid == "u11":
         a0, lam = Fraction(3, 2) * p2 * beta * beta / p1 - 1, -p1
     else:
-        from . import catalog  # loads only for a tuple, not for generate or solve
-        sign, S = catalog.radical(fid, p)
+        sign, S = radical(fid, p)
         root = sign * _sqrt_exact_or_float(S)
         a0 = (p2 * (beta * beta + 8 * alpha * gamma) - p1 + root) / (2 * p1)
         lam = (-p1 + root) / 2

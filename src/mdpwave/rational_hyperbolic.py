@@ -6,8 +6,8 @@ with the eight solved parameter families u3..u10, certified by a
 collocation identity test.  HALF_B_SPEED names the families that travel
 at lam = -b/2 (the rest at -b/2 - 1), for `coefficients` and the catalog.
 The admissibility of the eight families is the catalog's u3..u10 rows:
-`family_violations` checks through `catalog.validate`, and
-FREE_PARAMETER names the one coefficient that u7..u10 keep free.
+`family_violations` checks through `catalog.validate`.  FREE_PARAMETER
+names the coefficient u7..u10 keep free, and FREE_RADICANDS its radicand.
 
 The certificate exploits the exponential substitution zeta = exp(xi):
 the traveling-wave residual times the 5th power of the ansatz denominator
@@ -28,7 +28,7 @@ from .verifier import ode_residual_terms
 
 __all__ = [
     "RHAnsatzParams", "FAMILY_IDS", "HALF_B_SPEED", "rh_ansatz", "rh_denominator",
-    "FREE_PARAMETER", "family_violations", "family_params", "coefficients",
+    "FREE_PARAMETER", "FREE_RADICANDS", "family_violations", "family_params", "coefficients",
     "CollocationReport", "collocation_identity_check", "DEGREE_BOUND",
 ]
 
@@ -69,6 +69,9 @@ def rh_denominator(p, xi=XI):
 
 
 FREE_PARAMETER = {"u7": "a2", "u8": "a2", "u9": "c2", "u10": "c2"}
+# by free parameter: (radicand(params) under c1's sqrt, label of its >= 0 row)
+FREE_RADICANDS = {"a2": (lambda p: (p["b"] + 1) ** 2 * p["a2"] ** 2 - 1, "(b+1)^2*a2^2 >= 1"),
+                  "c2": (lambda p: p["c2"] ** 2 - 1, "c2^2 >= 1")}
 
 
 def family_violations(fid, b, a2=None, c2=None):
@@ -113,15 +116,15 @@ def coefficients(fid, b, a2=None, c2=None):
         sign = -1 if fid == "u5" else 1
         return RHAnsatzParams(lam=lam, a0=-3 * (b + 2) / (b + 1), a1=0,
                               a2=0, c1=0, c2=sign)
+    # the radicand >= 0 held exactly, so a float one below 0 is rounding
+    radicand = FREE_RADICANDS[FREE_PARAMETER[fid]][0]
+    root = math.sqrt(max(radicand({"b": b, "a2": a2, "c2": c2}), 0))
     if fid in ("u7", "u8"):
         sign = -1 if fid == "u7" else 1
-        # the radicand >= 0 held exactly, so a float one below 0 is rounding
-        root = math.sqrt(max((b + 1) ** 2 * a2 ** 2 - 1, 0))
         return RHAnsatzParams(lam=lam, a0=-(3 * b + 5) / (b + 1),
                               a1=sign * root / (b + 1), a2=a2,
                               c1=sign * root, c2=a2 * (b + 1))
     sign = 1 if fid == "u9" else -1
-    root = math.sqrt(max(c2 ** 2 - 1, 0))
     return RHAnsatzParams(lam=lam, a0=-3 * (b + 2) / (b + 1), a1=0,
                           a2=0, c1=sign * root, c2=c2)
 

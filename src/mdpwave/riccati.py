@@ -13,13 +13,13 @@ conventions here are the ones that satisfy that identity (see
 docs/riccati_cases.md for the per-case forms).
 
 The module also holds the admissibility rows every family shares (the
-excluded values of b, a nonzero mu, a nonzero beta) and the wave-speed
-discriminant, beside the degeneracy test that the catalog and the
-pipeline use for the same purpose.  A check is a (label, fails(params))
-row on a dict of parameters, and `violations` is the one walker that
-turns a table of rows into the labels that fail.  `plain` is how every
-entry point takes a caller's number, and `exact` how it takes one as an
-exact rational: a numpy integer's arithmetic wraps at 64 bits.
+excluded values of b, a nonzero mu, a nonzero beta), the wave-speed
+discriminant with its one radicand table, and the degeneracy test the
+catalog and the pipeline use.  A check is a (label, fails(params)) row on
+a dict of parameters, and `violations` is the one walker that turns a
+table of rows into the labels that fail.  `plain` is how every entry
+point takes a caller's number, and `exact` how it takes one as an exact
+rational: a numpy integer's arithmetic wraps at 64 bits.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ __all__ = [
     "RiccatiCoefficients", "classify", "phi_expr",
     "riccati_residual", "pole_guard", "is_degenerate",
     "BASE_CHECKS", "MU_CHECK", "BETA_CHECK", "S_LABEL", "violations",
-    "discriminant", "plain", "exact",
+    "discriminant", "delta_of", "RADICALS", "radical", "plain", "exact",
 ]
 
 XI = ex.var("xi")
@@ -75,10 +75,7 @@ def is_degenerate(alpha, beta, gamma):
 
 
 # Admissibility facts shared by every family of the equation: b is never -1
-# or -2, and the wave speed lam = -(b + 1 -/+ sqrt(S))/2 needs S >= 0, with
-# S = discriminant(b, k) and k = mu^4 (kinks), beta^4 (u12, u13),
-# 256*(alpha*gamma)^2 (u14, u15), 16*(alpha*gamma)^2 (u16..u19) or
-# Delta^2 (u20..u23).
+# or -2, and a radical wave speed needs S >= 0 (see `RADICALS`).
 BASE_CHECKS = (("b != -1", lambda p: p["b"] == -1),
                ("b != -2", lambda p: p["b"] == -2))
 MU_CHECK = ("mu != 0", lambda p: p["mu"] == 0)
@@ -104,6 +101,33 @@ def exact(v):
 def discriminant(b, k):
     """S = 1 - b*(b+2)*(k - 1), the radicand of every family's wave speed."""
     return 1 - b * (b + 2) * (k - 1)
+
+
+def delta_of(p):
+    """Delta = beta^2 - 4*alpha*gamma of a dict of parameters."""
+    return p["beta"] ** 2 - 4 * p["alpha"] * p["gamma"]
+
+
+# A radical family's wave speed is lam = -(b + 1 - sign*sqrt(S))/2 with S =
+# discriminant(b, k): each radicand k once, as a (k(params), "S = ..." text)
+# pair, then each family's (radicand, sign); sign None means params["branch"]
+MU4 = (lambda p: p["mu"] ** 4, "S = 1 - b(b+2)(mu^4 - 1)")
+BETA4 = (lambda p: p["beta"] ** 4, "S = 1 - b(b+2)(beta^4 - 1)")
+AG256 = (lambda p: 256 * (p["alpha"] * p["gamma"]) ** 2,
+         "S = b(b+2)(1 - 256(alpha*gamma)^2) + 1")
+AG16 = (lambda p: 16 * (p["alpha"] * p["gamma"]) ** 2,
+        "S = b(b+2)(1 - 16(alpha*gamma)^2) + 1")
+DELTA2 = (lambda p: delta_of(p) ** 2, "S = 1 - b(b+2)(Delta^2 - 1)")
+RADICALS = {"u1": (MU4, 1), "u2": (MU4, -1), "cole_hopf": (MU4, None),
+            "u12": (BETA4, -1), "u13": (BETA4, 1), "u14": (AG256, -1), "u15": (AG256, 1),
+            "u16": (AG16, -1), "u17": (AG16, -1), "u18": (AG16, 1), "u19": (AG16, 1),
+            "u20": (DELTA2, -1), "u21": (DELTA2, 1), "u22": (DELTA2, 1), "u23": (DELTA2, -1)}
+
+
+def radical(fid, p):
+    """(sign, S) of a `RADICALS` family at `p`, an unchecked dict of values."""
+    (k, _), sign = RADICALS[fid]
+    return sign or int(p["branch"]), discriminant(p["b"], k(p))
 
 
 def _form1(a, b, g):

@@ -7,8 +7,9 @@ Covers:
     and per `plot-data`)
   - riccati / cole-hopf / rh subcommands, `rh` byte for byte for all eight
     families and `riccati` for every case and both case-4 branches
-  - pipeline generate (bit-exact round trip), check (exact rationals, and
-    float residuals of an irrational tuple rounded once),
+  - pipeline generate (bit-exact round trip), check (exact rationals,
+    float residuals of an irrational tuple rounded once, and each family
+    whose radicand fails named by its id),
     solve (root list, determinism under a fixed RNG seed)
   - equiv and plot-data (header, pole cells, exact values)
   - exit-code contract for bad input: non-exact values, parameter names a
@@ -563,6 +564,20 @@ def test_pipeline_check_irrational_third_case():
         assert e["exact"] is False and e["pass"] is True
         assert e["residuals"] and all(type(r) in (int, float) and abs(r) < 1e-9
                                       for r in e["residuals"])
+
+
+def test_pipeline_check_names_each_family_whose_radicand_fails():
+    # S = -44 for u14 and u15, 49/4 for u16-u19
+    code, out = run(["pipeline", "check", "--case", "third", "--param", "b=3",
+                     "--param", "alpha=1/8", "--param", "beta=0", "--param", "gamma=1"])
+    assert code == 2
+    assert json.loads(out) == {"error": "constraint-violation", "violations": [
+        "u14: discriminant S >= 0", "u15: discriminant S >= 0"]}
+    # a failed case condition is the same for every family, and comes first
+    code, out = run(["pipeline", "check", "--case", "third", "--param", "b=3",
+                     "--param", "alpha=1/8", "--param", "beta=1", "--param", "gamma=1"])
+    assert code == 2
+    assert json.loads(out)["violations"] == ["beta = 0"]
 
 
 # (exit code, sha256 of stdout) of each README command, with stdout in

@@ -6,6 +6,8 @@ Covers:
     degenerate B=0, lambda=0 layout, and a non-solution counterexample
   - branch closed forms and their constraint failures
   - pointwise agreement of the minus branch at mu=1 with catalog u6
+  - both branches against the catalog's `cole_hopf` row at every kink
+    sample: the same wave, and lambda = mu * wave speed
 """
 import math
 import random
@@ -134,3 +136,19 @@ def test_minus_branch_at_unit_mu_equals_u6():
         for _ in range(25):
             pt = {"x": rng.uniform(-5, 5), "t": rng.uniform(0, 2)}
             assert abs(ex.evaluate_many(u, {}, pt) - ex.evaluate_many(u6, {}, pt)) < 1e-12
+
+
+def test_branches_match_the_catalog_row(catalog_samples):
+    rng = np.random.default_rng(7)
+    pts = {"x": rng.uniform(-5, 5, 40), "t": rng.uniform(0, 2, 40)}
+    for fid in ("u1", "u2", "cole_hopf"):
+        for sample in catalog_samples[fid]:
+            b, mu, delta = sample["b"], sample["mu"], sample.get("delta", F(0))
+            for branch, sign in (("plus", 1), ("minus", -1)):
+                A, B, lam = branch_params(branch, b, mu)
+                u = cole_hopf_u(ColeHopfParams(A, B, mu, lam, delta))
+                want, _, speed = catalog.build_wave(
+                    "cole_hopf", {"b": b, "mu": mu, "delta": delta, "branch": sign})
+                assert lam == pytest.approx(mu * speed, rel=1e-12, abs=0), (fid, sample, branch)
+                np.testing.assert_allclose(ex.evaluate_many(u, {}, pts),
+                                           ex.evaluate_many(want, {}, pts), rtol=1e-12)

@@ -5,7 +5,8 @@ Covers:
     `dir(mdpwave)` and `from mdpwave import *` still give every public
     name; an unknown attribute raises AttributeError
   - `import mdpwave.cli` loads only `mdpwave.cli` and `mdpwave.errors`
-  - each README command loads exactly the modules `_README_MODULES` lists
+  - each README command loads exactly the modules `_README_MODULES` lists,
+    and `pipeline check` loads no wave maker in any case
   - `--help` of the program and of every subcommand, and the usage errors,
     byte for byte (sha256 pinned)
 
@@ -86,7 +87,7 @@ def test_import_cli_loads_only_errors():
 # The mdpwave modules each README command loads besides `cli` and `errors`,
 # its exit code, and its arguments (stdout in place of --out).  `catalog`
 # brings `expr`, `rational_hyperbolic`, `riccati` and `verifier` with it;
-# `pipeline check --case first` builds only u11, which needs no catalog row.
+# `pipeline check` reads its radicands from `riccati`, never from `catalog`.
 _WAVES = ["catalog", "expr", "rational_hyperbolic", "riccati", "verifier"]
 _PIPELINE = ["expr", "pipeline", "polyalg", "riccati"]
 _README_MODULES = [
@@ -137,6 +138,24 @@ def test_readme_command_loads_only_its_modules(readme_runs, i):
     code, loaded = readme_runs[i]
     assert code == want_code
     assert loaded == sorted(modules + ["cli", "errors"])
+
+
+# the cases whose families carry sqrt(S), which the README does not run
+_RADICAL_CASES = [
+    ["second", "alpha=0", "beta=1", "gamma=-1"],
+    ["third", "alpha=1/4", "beta=0", "gamma=1/4"],
+    ["fourth", "alpha=2", "beta=3", "gamma=1"],
+]
+
+
+@pytest.mark.parametrize("case", _RADICAL_CASES, ids=[c[0] for c in _RADICAL_CASES])
+def test_pipeline_check_loads_no_wave_maker(case):
+    argv = ["pipeline", "check", "--case", case[0], "--param", "b=3"]
+    for binding in case[1:]:
+        argv += ["--param", binding]
+    code, loaded = _fresh(_COMMAND_PROBE, json.dumps(argv))
+    assert code == 0
+    assert loaded == sorted(_PIPELINE + ["cli", "errors", "report"])
 
 
 # (exit code, sha256 of stdout, sha256 of stderr) of the program's help and
