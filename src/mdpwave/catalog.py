@@ -2,12 +2,12 @@
 u1..u23 plus the generic kink-profile form ("cole_hopf").
 
 Each family is one row: its parameter signature, its table of (label,
-predicate) admissibility checks, and a maker of its profile, singularity
-locus and (unless radical) wave speed.  A radical family's sign in lam =
--(b + 1 - sign*sqrt(S))/2 and radicand k, S = discriminant(b, k), are its
-`riccati.RADICALS` entry, read here by the S >= 0 check, lam and the
-wave-speed text, and by `pipeline` and `colehopf` without the makers; u7..u10
-check `rational_hyperbolic.FREE_RADICANDS`.  The `cole_hopf` row is the
+predicate) admissibility checks, and a maker(params, root, xi) of its
+profile and singularity locus, root = sign*sqrt(S).  Every family's sign in
+lam = -(b + 1 - sign*sqrt(S))/2 and radicand k, S = discriminant(b, k), are
+its `riccati.RADICALS` entry, read here by the S >= 0 checks, root, lam and
+the wave-speed text, and by `pipeline`, `colehopf` and `rational_hyperbolic`
+without the makers; u7..u10 check `rational_hyperbolic.FREE_RADICANDS`.  The `cole_hopf` row is the
 one statement of the kink admissibility rules (`colehopf` checks through
 it), and the u3..u10 rows are the one statement of the rational-hyperbolic
 rules (`rational_hyperbolic` checks through them).  Every table is walked
@@ -24,6 +24,7 @@ re-derivation pipeline's round trip checks the two routes agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 from typing import Callable
 
@@ -54,9 +55,7 @@ class _Family:
     optional: dict
     checks: tuple  # (label, fails(params)) pairs, in report order
     speed_doc: str
-    # radical rows: maker(params, sign*sqrt(S), xi) -> (profile, guard);
-    # others: maker(params, frame) -> (profile, lam, guard), xi = frame(lam)
-    maker: Callable
+    maker: Callable  # maker(params, sign*sqrt(S), xi) -> (profile, guard)
 
 
 # --- admissibility checks ----------------------------------------------------
@@ -104,12 +103,11 @@ def _kink_maker(p, root, xi):
 
 # --- phi-power families (u11..u23) -----------------------------------------
 
-def _u11_maker(p, frame):
+def _u11_maker(p, root, xi):
     b, beta = p["b"], p["beta"]
-    lam = ex.as_expr(-b - 1)
-    guard = ex.pow_(ex.add(ex.mul(beta, frame(lam)), 2), 2)
+    guard = ex.pow_(ex.add(ex.mul(beta, xi), 2), 2)
     prof = ex.sub(ex.div(ex.mul(6 * (b + 2), beta * beta), ex.mul(b + 1, guard)), 1)
-    return prof, lam, guard
+    return prof, guard
 
 
 def _exp_pair_maker(p, root, xi):
@@ -131,7 +129,7 @@ def _csc_maker(p, root, xi):
     return ex.div(num, 2 * (b + 1)), ex.div(1, ex.csc(arg))
 
 
-def _tan_cot_maker(p, root, xi, kind):
+def _tan_cot_maker(kind, p, root, xi):
     b, ag = p["b"], p["alpha"] * p["gamma"]
     arg = ex.mul(ex.sym_sqrt(ag), xi)
     trig = ex.cot(arg) if kind == "cot" else ex.tan(arg)
@@ -169,21 +167,19 @@ def _tanh_inv_maker(p, root, xi):
 
 # --- rational-hyperbolic families (u3..u10) ---------------------------------
 
-def _rh_maker(p, frame, fid):
+def _rh_maker(fid, p, root, xi):
     params = rh.coefficients(fid, p["b"], a2=p.get("a2"), c2=p.get("c2"))
-    lam = ex.as_expr(params.lam)
-    xi = frame(lam)
     guard = ex.ONE if params.c2 > 0 else rh.rh_denominator(params, xi)
-    return rh.rh_ansatz(params, xi), lam, guard
+    return rh.rh_ansatz(params, xi), guard
 
 
 def _make_registry():
     fams = []
 
     def addf(fid, parameters, checks, maker, speed_doc=None, optional=()):
-        if fid in RADICALS:
+        if speed_doc is None:
             (_, text), sign = RADICALS[fid]
-            root = {1: "- sqrt(S)", -1: "+ sqrt(S)", None: "- branch*sqrt(S)"}[sign]
+            root = {1: "- sqrt(S)", -1: "+ sqrt(S)"}.get(sign, "- branch*sqrt(S)")
             speed_doc = f"lambda = -(b + 1 {root})/2, {text}"
         fams.append(_Family(fid, tuple(parameters), dict(optional), tuple(checks),
                             speed_doc, maker))
@@ -198,9 +194,8 @@ def _make_registry():
         if free:
             k, label = rh.FREE_RADICANDS[free]
             parameters, checks = ("b", free), checks + ((label, lambda p, k=k: k(p) < 0),)
-        speed = "lambda = -b/2" + ("" if fid in rh.HALF_B_SPEED else " - 1")
-        addf(fid, parameters, checks,
-             (lambda f: lambda p, frame: _rh_maker(p, frame, f))(fid), speed_doc=speed)
+        speed = "lambda = -b/2" + ("" if RADICALS[fid][1] == 1 else " - 1")
+        addf(fid, parameters, checks, partial(_rh_maker, fid), speed_doc=speed)
 
     addf("u11", ("b", "alpha", "beta", "gamma"), _U11, _u11_maker,
          speed_doc="lambda = -b - 1")
@@ -209,8 +204,7 @@ def _make_registry():
     for fid in ("u14", "u15"):
         addf(fid, ("b", "alpha", "gamma"), _trig(AG256), _csc_maker)
     for fid, kind in (("u16", "cot"), ("u17", "tan"), ("u18", "cot"), ("u19", "tan")):
-        addf(fid, ("b", "alpha", "gamma"), _trig(AG16),
-             (lambda k: lambda p, root, xi: _tan_cot_maker(p, root, xi, k))(kind))
+        addf(fid, ("b", "alpha", "gamma"), _trig(AG16), partial(_tan_cot_maker, kind))
     for fid, maker in (("u20", _tanh_sq_maker), ("u21", _tanh_sq_maker),
                        ("u22", _tanh_inv_maker), ("u23", _tanh_inv_maker)):
         addf(fid, ("b", "alpha", "beta", "gamma"), _TANH, maker)
@@ -269,59 +263,49 @@ def validate(fid, params):
     return violations(fam.checks, p)
 
 
-def _made(fid, params, frame):
-    """(profile, lam, guard) of admissible `params`, built with xi =
-    frame(lam): `_xi` keeps the variable xi, `_xt` puts x + lam*t."""
+def _made(fid, params, xt):
+    """(profile, lam, guard) of admissible `params`, built with xi = x +
+    lam*t in place when `xt`, else in the variable xi."""
     fam, p = _norm_params(fid, params)
     bad = violations(fam.checks, p)
     if bad:
         raise ConstraintViolation(bad)
-    if fam.fid not in RADICALS:
-        return fam.maker(p, frame)
     sign, S = radical(fam.fid, p)
     root = ex.mul(sign, ex.sym_sqrt(S))
     lam = ex.mul(-HALF, ex.sub(p["b"] + 1, root))
-    prof, guard = fam.maker(p, root, frame(lam))
+    prof, guard = fam.maker(p, root, ex.add(X, ex.mul(lam, T)) if xt else XI)
     return prof, lam, guard
-
-
-def _xi(lam):
-    return XI
-
-
-def _xt(lam):
-    return ex.add(X, ex.mul(lam, T))
 
 
 def profile(fid, params):
     """The waveform as an expression in xi."""
-    return _made(fid, params, _xi)[0]
+    return _made(fid, params, False)[0]
 
 
 def wave_speed(fid, params):
     """lam such that the waveform depends on (x, t) only through x + lam*t."""
-    return float(ex.evaluate_many(_made(fid, params, _xi)[1], {}, {}))
+    return float(ex.evaluate_many(_made(fid, params, False)[1], {}, {}))
 
 
 def singular_denominator(fid, params):
     """Expression in xi whose zero set is the family's pole locus
     (the constant 1 for pole-free families/parameters)."""
-    return _made(fid, params, _xi)[2]
+    return _made(fid, params, False)[2]
 
 
 def build(fid, params):
     """The waveform as an expression in (x, t), built with xi = x + lam*t."""
-    return _made(fid, params, _xt)[0]
+    return _made(fid, params, True)[0]
 
 
 def build_guard_xt(fid, params):
     """The singular denominator in (x, t) coordinates, matching `build`."""
-    return _made(fid, params, _xt)[2]
+    return _made(fid, params, True)[2]
 
 
 def build_wave(fid, params):
     """(`build`, `build_guard_xt`, `wave_speed`) from one check of `params`
     and one call of the family's maker, which builds u and the guard at one
     x + lam*t node."""
-    prof, lam, guard = _made(fid, params, _xt)
+    prof, lam, guard = _made(fid, params, True)
     return prof, guard, float(ex.evaluate_many(lam, {}, {}))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from . import catalog
 from . import expr as ex
 from .errors import ConstraintViolation
-from .riccati import MU_CHECK, exact, plain, radical, violations
+from .riccati import MU_CHECK, exact, plain, radical, speed, violations
 
 __all__ = ["ColeHopfParams", "cole_hopf_u", "system_residuals", "branch_params"]
 
@@ -93,5 +93,5 @@ def branch_params(branch, b, mu):
     root = sign * math.sqrt(max(S, 0))
     A = -6 * (b + 2) / (b + 1)
     B = (2 * mu**2 - 1 + b * (mu**2 - 1) + root) / (2 * (b + 1))
-    lam = -0.5 * mu * (b + 1 - root)
+    lam = mu * speed(b, root)
     return A, B, lam

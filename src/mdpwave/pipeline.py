@@ -15,10 +15,10 @@ Gauss-Newton iteration.
 `ansatz_tuple` admits a triple by its case's rows in `_CASE_CHECKS`,
 conditions on the Riccati triple kept apart from the catalog's family rows
 on purpose, and reads its tuple off one table.  With root = sign*sqrt(S),
-the sign and S from `riccati.radical` (u11 has no radical, root =
--(b+1)), and K = beta^2 + 8*alpha*gamma (which the case conditions make
-beta^2, 8*alpha*gamma or 12*alpha*gamma + Delta), a0 = ((b+2)K - (b+1) +
-root)/(2(b+1)) and lam = (-(b+1) + root)/2; `_TAILS` names the tails among
+the sign and S from `riccati.radical`, and K = beta^2 + 8*alpha*gamma
+(which the case conditions make 3*beta^2, beta^2, 8*alpha*gamma or
+12*alpha*gamma + Delta), a0 = ((b+2)K - (b+1) + root)/(2(b+1)) and lam =
+`riccati.speed(b, root)` = (root - (b+1))/2; `_TAILS` names the tails among
 a1, a2, c1, c2, each 6(b+2)/(b+1) times the product `_TAIL_FACTORS` names,
 and the others are 0.
 """
@@ -29,11 +29,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
+from . import expr as ex
 from .errors import ConstraintViolation
 from .polyalg import (VARS, MultiPoly, bind, laurent, laurent_coeff, laurent_derivative,
                       laurent_support)
 from .riccati import (BASE_CHECKS, BETA_CHECK, S_LABEL, delta_of, exact, is_degenerate,
-                      radical, violations)
+                      radical, speed, violations)
 
 np = _gelsd = None  # numpy and its lstsq gufunc, bound by _load_numpy
 
@@ -189,13 +190,10 @@ def check_assignment(system, values):
 
 def _sqrt_exact_or_float(value):
     """sqrt of a nonnegative rational: exact when a perfect square."""
-    q = Fraction(value)
-    if q < 0:
+    if value < 0:
         raise ConstraintViolation([S_LABEL])
-    rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return math.sqrt(q)
+    root = ex.sym_sqrt(value)
+    return root.value if isinstance(root, ex.Rational) else math.sqrt(value)
 
 
 # Each case's conditions on the Riccati triple, as (label, fails) rows.
@@ -235,16 +233,12 @@ def ansatz_tuple(fid, alpha, beta, gamma, b):
     if bad:
         raise ConstraintViolation(bad)
     p1, p2 = b + 1, b + 2
-    if fid == "u11":
-        a0, lam = Fraction(3, 2) * p2 * beta * beta / p1 - 1, -p1
-    else:
-        sign, S = radical(fid, p)
-        root = sign * _sqrt_exact_or_float(S)
-        a0 = (p2 * (beta * beta + 8 * alpha * gamma) - p1 + root) / (2 * p1)
-        lam = (-p1 + root) / 2
+    sign, S = radical(fid, p)
+    root = sign * _sqrt_exact_or_float(S)
+    a0 = (p2 * (beta * beta + 8 * alpha * gamma) - p1 + root) / (2 * p1)
     weight, tails = 6 * p2 / p1, _TAILS[fid]
     return {"a0": a0, **{name: weight * p[x] * p[y] if name in tails else _ZERO
-                         for name, (x, y) in _TAIL_FACTORS.items()}, "lam": lam}
+                         for name, (x, y) in _TAIL_FACTORS.items()}, "lam": speed(b, root)}
 
 
 class _Stack(NamedTuple):

@@ -3,11 +3,12 @@
     u(xi) = (a0 + a1*sinh(xi) + a2*cosh(xi)) / (1 + c1*sinh(xi) + c2*cosh(xi))
 
 with the eight solved parameter families u3..u10, certified by a
-collocation identity test.  HALF_B_SPEED names the families that travel
-at lam = -b/2 (the rest at -b/2 - 1), for `coefficients` and the catalog.
-The admissibility of the eight families is the catalog's u3..u10 rows:
-`family_violations` checks through `catalog.validate`.  FREE_PARAMETER
-names the coefficient u7..u10 keep free, and FREE_RADICANDS its radicand.
+collocation identity test.  Each family's wave speed is its
+`riccati.RADICALS` row, k = 1 and so S = 1: sign +1 gives lam = -b/2
+(u3, u4, u7, u8) and sign -1 gives lam = -b/2 - 1.  The admissibility
+of the eight families is the catalog's u3..u10 rows: `family_violations`
+checks through `catalog.validate`.  FREE_PARAMETER names the coefficient
+u7..u10 keep free, and FREE_RADICANDS its radicand.
 
 The certificate exploits the exponential substitution zeta = exp(xi):
 the traveling-wave residual times the 5th power of the ansatz denominator
@@ -23,11 +24,11 @@ from fractions import Fraction
 
 from . import expr as ex
 from .errors import ConstraintViolation, SampleAtPole
-from .riccati import exact, plain
+from .riccati import RADICALS, exact, plain
 from .verifier import ode_residual_terms
 
 __all__ = [
-    "RHAnsatzParams", "FAMILY_IDS", "HALF_B_SPEED", "rh_ansatz", "rh_denominator",
+    "RHAnsatzParams", "FAMILY_IDS", "rh_ansatz", "rh_denominator",
     "FREE_PARAMETER", "FREE_RADICANDS", "family_violations", "family_params", "coefficients",
     "CollocationReport", "collocation_identity_check", "DEGREE_BOUND",
 ]
@@ -35,7 +36,6 @@ __all__ = [
 XI = ex.var("xi")
 
 FAMILY_IDS = ("u3", "u4", "u5", "u6", "u7", "u8", "u9", "u10")
-HALF_B_SPEED = ("u3", "u4", "u7", "u8")
 
 DEGREE_BOUND = 16
 COLLOCATION_RTOL = 1e-8
@@ -107,7 +107,7 @@ def coefficients(fid, b, a2=None, c2=None):
     """`family_params` for parameters already found admissible."""
     b, a2, c2 = plain(b), plain(a2), plain(c2)
     half_b = Fraction(b) / 2 if isinstance(b, (int, Fraction)) else b / 2
-    lam = -half_b if fid in HALF_B_SPEED else -half_b - 1
+    lam = -half_b if RADICALS[fid][1] == 1 else -half_b - 1
     if fid in ("u3", "u4"):
         sign = 1 if fid == "u3" else -1
         return RHAnsatzParams(lam=lam, a0=-(3 * b + 5) / (b + 1), a1=0,

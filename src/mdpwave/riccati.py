@@ -13,9 +13,11 @@ conventions here are the ones that satisfy that identity (see
 docs/riccati_cases.md for the per-case forms).
 
 The module also holds the admissibility rows every family shares (the
-excluded values of b, a nonzero mu, a nonzero beta), the wave-speed
-discriminant with its one radicand table, and the degeneracy test the
-catalog and the pipeline use.  A check is a (label, fails(params)) row on
+excluded values of b, a nonzero mu, a nonzero beta), the degeneracy test
+the catalog and the pipeline use, and the one wave-speed law of all 24
+families: lam solves lam^2 + (b+1)lam + b(b+2)k/4 = 0, so lam = -(b + 1 -
+sign*sqrt(S))/2 with S = `discriminant(b, k)`, and `RADICALS` gives each
+family's radicand k and sign (k = 1 for u3..u10, k = 0 for u11).  A check is a (label, fails(params)) row on
 a dict of parameters, and `violations` is the one walker that turns a
 table of rows into the labels that fail.  `plain` is how every entry
 point takes a caller's number, and `exact` how it takes one as an exact
@@ -34,7 +36,7 @@ __all__ = [
     "RiccatiCoefficients", "classify", "phi_expr",
     "riccati_residual", "pole_guard", "is_degenerate",
     "BASE_CHECKS", "MU_CHECK", "BETA_CHECK", "S_LABEL", "violations",
-    "discriminant", "delta_of", "RADICALS", "radical", "plain", "exact",
+    "discriminant", "delta_of", "RADICALS", "radical", "speed", "plain", "exact",
 ]
 
 XI = ex.var("xi")
@@ -108,9 +110,10 @@ def delta_of(p):
     return p["beta"] ** 2 - 4 * p["alpha"] * p["gamma"]
 
 
-# A radical family's wave speed is lam = -(b + 1 - sign*sqrt(S))/2 with S =
-# discriminant(b, k): each radicand k once, as a (k(params), "S = ..." text)
-# pair, then each family's (radicand, sign); sign None means params["branch"]
+# Every family's wave speed solves lam^2 + (b+1)lam + b(b+2)k/4 = 0, that is
+# lam = -(b + 1 - sign*sqrt(S))/2 with S = discriminant(b, k) (see `speed`):
+# each radicand k once, as a (k(params), "S = ..." text) pair, then each
+# family's (radicand, sign), a sign being +-1 or a function of the params
 MU4 = (lambda p: p["mu"] ** 4, "S = 1 - b(b+2)(mu^4 - 1)")
 BETA4 = (lambda p: p["beta"] ** 4, "S = 1 - b(b+2)(beta^4 - 1)")
 AG256 = (lambda p: 256 * (p["alpha"] * p["gamma"]) ** 2,
@@ -118,16 +121,28 @@ AG256 = (lambda p: 256 * (p["alpha"] * p["gamma"]) ** 2,
 AG16 = (lambda p: 16 * (p["alpha"] * p["gamma"]) ** 2,
         "S = b(b+2)(1 - 16(alpha*gamma)^2) + 1")
 DELTA2 = (lambda p: delta_of(p) ** 2, "S = 1 - b(b+2)(Delta^2 - 1)")
-RADICALS = {"u1": (MU4, 1), "u2": (MU4, -1), "cole_hopf": (MU4, None),
+K1 = (lambda p: 1, "S = 1")
+K0 = (lambda p: 0, "S = (b+1)^2")
+RADICALS = {"u1": (MU4, 1), "u2": (MU4, -1),
+            "cole_hopf": (MU4, lambda p: int(p["branch"])),
+            "u3": (K1, 1), "u4": (K1, 1), "u5": (K1, -1), "u6": (K1, -1),
+            "u7": (K1, 1), "u8": (K1, 1), "u9": (K1, -1), "u10": (K1, -1),
+            # root = -(b+1) on both sides of b = -1, so lam = -(b+1)
+            "u11": (K0, lambda p: 1 if p["b"] < -1 else -1),
             "u12": (BETA4, -1), "u13": (BETA4, 1), "u14": (AG256, -1), "u15": (AG256, 1),
             "u16": (AG16, -1), "u17": (AG16, -1), "u18": (AG16, 1), "u19": (AG16, 1),
             "u20": (DELTA2, -1), "u21": (DELTA2, 1), "u22": (DELTA2, 1), "u23": (DELTA2, -1)}
 
 
 def radical(fid, p):
-    """(sign, S) of a `RADICALS` family at `p`, an unchecked dict of values."""
+    """(sign, S) of a family at `p`, an unchecked dict of values."""
     (k, _), sign = RADICALS[fid]
-    return sign or int(p["branch"]), discriminant(p["b"], k(p))
+    return sign if type(sign) is int else sign(p), discriminant(p["b"], k(p))
+
+
+def speed(b, root):
+    """lam = (root - (b + 1))/2 of root = sign*sqrt(S), for numbers."""
+    return (root - (b + 1)) / 2
 
 
 def _form1(a, b, g):
