@@ -104,10 +104,12 @@ def family_params(fid, b, a2=None, c2=None):
 
 
 def coefficients(fid, b, a2=None, c2=None):
-    """`family_params` for parameters already found admissible."""
+    """`family_params` for parameters already found admissible; an integer
+    b of any type gives the exact tuple that the Fraction b gives."""
     b, a2, c2 = plain(b), plain(a2), plain(c2)
-    half_b = Fraction(b) / 2 if isinstance(b, (int, Fraction)) else b / 2
-    lam = -half_b if RADICALS[fid][1] == 1 else -half_b - 1
+    if isinstance(b, int):
+        b = Fraction(b)
+    lam = -b / 2 if RADICALS[fid][1] == 1 else -b / 2 - 1
     if fid in ("u3", "u4"):
         sign = 1 if fid == "u3" else -1
         return RHAnsatzParams(lam=lam, a0=-(3 * b + 5) / (b + 1), a1=0,

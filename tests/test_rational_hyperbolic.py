@@ -2,7 +2,8 @@
 
 Covers:
   - ansatz values (constant, solved-family, half-profile cases)
-  - the eight solved coefficient tuples, radicand checks, sign pairing
+  - the eight solved coefficient tuples, radicand checks, sign pairing,
+    and the same exact tuple for an integer b of any type as for a Fraction
   - admissibility through the catalog's rows: exact for float inputs near
     the radicand boundary, ValueError on non-finite inputs, and one walk
     of the rows per catalog build
@@ -10,10 +11,12 @@ Covers:
     the zero solution passes, pole samples get resampled
   - agreement between the collocation verdict and grid verification
 """
+import dataclasses
 import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from mdpwave import catalog
@@ -54,6 +57,16 @@ def test_family_u7_with_free_a2():
     assert p.c2 == 4
     assert abs(p.c1 + root) < 1e-15
     assert abs(p.a1 + root / 4) < 1e-15
+
+
+@pytest.mark.parametrize("fid", FAMILY_IDS)
+def test_integer_b_gives_the_exact_tuple(fid):
+    # at b = 5, a0 = -10/3 or -7/2: a float division would round the first
+    free = {"u7": {"a2": 1}, "u8": {"a2": 1}, "u9": {"c2": 2}, "u10": {"c2": 2}}.get(fid, {})
+    want = [(type(v), v) for v in dataclasses.astuple(family_params(fid, F(5), **free))]
+    for b in (5, np.int64(5)):
+        got = [(type(v), v) for v in dataclasses.astuple(family_params(fid, b, **free))]
+        assert got == want, b
 
 
 def test_family_radicand_violations():
