@@ -3,7 +3,8 @@
 Covers:
   - listing: 24 entries with the right parameter signatures
   - build values at hand-derived points, wave speeds (pinned bit for bit
-    by a digest, and equal to the formula `catalog list` prints),
+    by a digest, equal to the formula `catalog list` prints, and at b < -1
+    equal to `rational_hyperbolic`'s for u3..u10 and to -(b+1) for u11),
     `build_wave` against `build`, `build_guard_xt` and `wave_speed`,
     validation verdicts
   - u11 degeneracy decided exactly, and alike, by catalog and pipeline
@@ -22,6 +23,7 @@ import numpy as np
 import pytest
 
 from mdpwave import catalog, report
+from mdpwave import rational_hyperbolic as rh
 from mdpwave import expr as ex
 from mdpwave import pipeline as pl
 from mdpwave.errors import ConstraintViolation
@@ -61,6 +63,19 @@ def test_wave_speeds():
     assert catalog.wave_speed("u3", {"b": 3}) == -1.5
     for b in (1, 3, 5):
         assert catalog.wave_speed("u11", {"b": b, "alpha": 1, "beta": 2, "gamma": 1}) == -b - 1
+
+
+@pytest.mark.parametrize("b", [F(-3), F(-3, 2)])
+def test_wave_speeds_below_b_minus_one(b):
+    # b + 1 < 0 flips u11's sign in riccati.RADICALS, so its root -(b+1) > 0
+    free = {"u7": {"a2": 3}, "u8": {"a2": 3}, "u9": {"c2": 2}, "u10": {"c2": 2}}
+    for fid in rh.FAMILY_IDS:
+        params = {"b": b, **free.get(fid, {})}
+        want = float(rh.coefficients(fid, b, **free.get(fid, {})).lam)
+        assert catalog.wave_speed(fid, params) == want, fid
+    u11 = {"alpha": 1, "beta": 2, "gamma": 1}
+    assert catalog.wave_speed("u11", {"b": b, **u11}) == -(b + 1)
+    assert pl.ansatz_tuple("u11", b=b, **u11)["lam"] == -(b + 1)
 
 
 # sha256 of the "<family> <report.format_float(wave speed)>" lines of every

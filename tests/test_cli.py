@@ -18,7 +18,8 @@ Covers:
     negative exponent-form flag values, values beyond the float range,
     a parameter name given twice, an `--out` path that cannot be opened
     (on stdout, before the command runs)
-  - the README commands' stdout, byte for byte
+  - the README commands' stdout, byte for byte, and 20 commands at b < -1
+    (verify, pipeline check, cole-hopf, rh), where u11's root changes sign
   - numpy stays unloaded by the imports and the exact or metadata-only
     commands, and loads on the first array evaluation
 """
@@ -27,6 +28,7 @@ import io
 import json
 import contextlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -621,6 +623,61 @@ def test_readme_commands_byte_identical():
         code, out = run(argv)
         assert code == want_code, argv
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+# (command, exit code, sha256 of stdout) at b < -1, where u11's sign in
+# riccati.RADICALS flips so that its root -(b+1) stays its speed; recorded
+# from the code before u3..u11 joined that table
+_BELOW_B_MINUS_ONE = [
+    ("verify --family u11 --param b=-3/2 --param alpha=1 --param beta=2 --param gamma=1",
+     0, "5eb91751a00e799edc70897388a3b991e5b5d0ccb5746342fae3656026d5a87d"),
+    ("verify --family u11 --param b=-3 --param alpha=1 --param beta=2 --param gamma=1",
+     0, "57537d85cae9295d90d44df53c09a78e7cfe9fd4be6f16b6bfcd04d0bc1617b2"),
+    ("verify --family u3 --param b=-3/2",
+     0, "97b8c203ab9d792d10a149b1d2b116cf182432c72d11f43f93a57431532276e7"),
+    ("verify --family u4 --param b=-3",
+     0, "30e089f6995e54f0bea4556b0f300a423de000cd4b86fbdc2a83f05e0a91428c"),
+    ("verify --family u5 --param b=-3/2",
+     0, "94a6b492361aecea1858cc5622deca10eb2f95f5bb56e3e221fe7eddc0f94797"),
+    ("verify --family u6 --param b=-3",
+     0, "58203f46b351f94a0b7c02df6d71e57d92bf67d08f81e95ac62f5f2b96d761cd"),
+    ("verify --family u7 --param b=-3 --param a2=1",
+     0, "19b8e8e6d3f3c78a25cd877fc55aeab6a49ac09b885c6285e918600025ad39e9"),
+    ("verify --family u8 --param b=-3/2 --param a2=3",
+     0, "5c44ff78f87f5d140138c568d6485370745a7531aef18ac95425cbebe460a80d"),
+    ("verify --family u9 --param b=-3/2 --param c2=2",
+     0, "67bad351546b67e9b9f32f4302eff7380784c1db294b327780fa4ba8e83efa4b"),
+    ("verify --family u10 --param b=-3 --param c2=2",
+     0, "938f735125568f2005289e3001d20584ab2fdc222c150a7678898a2a1df0abe3"),
+    ("verify --family u1 --param b=-3/2 --param mu=1",
+     0, "107c5897ae315b4681681d16a33a64a278e61d4deb5a046166f90eb2ee738564"),
+    ("verify --family cole_hopf --param b=-3 --param mu=1/2 --param branch=-1",
+     0, "287197888d9a180c8d343f9e25e583d83681271ef36b9efe31789c11b6d65209"),
+    ("verify --family u20 --param b=-3/2 --param alpha=0 --param beta=1 --param gamma=1",
+     0, "766fd411d35ba5cc166eab11e61eecc65bcd0f8cda904405105402d6c7f4de5e"),
+    ("verify --family u13 --param b=-3 --param beta=1 --param gamma=1",
+     0, "7cf630efbbf45fb24dd7ece76a796f94e0538183e4520fff09dbc9edca998a5b"),
+    ("pipeline check --case first --param b=-3/2 --param alpha=1 --param beta=2 --param gamma=1",
+     0, "0772e6b33008f844f64a86a6e812c9be34da4bbc582d3afa66cbca0de8e52649"),
+    ("pipeline check --case first --param b=-3 --param alpha=1 --param beta=2 --param gamma=1",
+     0, "432b357e3216c7f410ba45240ceec9996d6b20dc7a4bc4a9d10cf5fd9cc56168"),
+    ("pipeline check --case second --param b=-3 --param alpha=0 --param beta=1 --param gamma=-1",
+     0, "8dc8127d79b83d1e66ec3aea4e8f7e0f8988ce516a51ac6cf3f81d65be972224"),
+    ("pipeline check --case fourth --param b=-3/2 --param alpha=2 --param beta=3 --param gamma=1",
+     0, "47e461b8611d2195bcab1ceedb039e48fc239fba744532f9d6144020a6e9c1b8"),
+    ("cole-hopf --branch plus --param b=-3/2 --param mu=1",
+     0, "7cbcfc386aa2091d6ec8daffa8bbb85fe42620aebd4d53f425c5060747a524ac"),
+    ("rh --family u7 --param b=-3 --param a2=1",
+     0, "a765d204d84f9332e39644b05a3a47d77d01a822f9660d2ad313268951161ede"),
+]
+
+
+@pytest.mark.parametrize("command, want_code, digest", _BELOW_B_MINUS_ONE,
+                         ids=[re.sub(r"--\w+ ", "", c) for c, _, _ in _BELOW_B_MINUS_ONE])
+def test_commands_below_b_minus_one_byte_identical(command, want_code, digest):
+    code, out = run(command.split())
+    assert code == want_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # Runs in a fresh interpreter: imports mdpwave and mdpwave.cli, then runs
