@@ -8,7 +8,8 @@ degree-6 polynomial whose coefficients pair up with opposite signs
 (zeta^6/zeta^1, zeta^5/zeta^2, zeta^4/zeta^3).  `system_residuals`
 evaluates all six in that paired layout.  `branch_params` decides
 admissibility by the catalog's `cole_hopf` row, the one table of the rules,
-and takes the sign and S of sqrt(S) from `riccati.radical`.
+and takes the sign and S of sqrt(S) from `riccati.radical` and the wave
+speed from `riccati.speed`.
 """
 from __future__ import annotations
 
@@ -78,7 +79,7 @@ def branch_params(branch, b, mu):
 
     With root = +sqrt(S) for plus and -sqrt(S) for minus, S =
     discriminant(b, mu^4): B = (2mu^2 - 1 + b(mu^2 - 1) + root)/(2(b+1))
-    and lam = -mu(b + 1 - root)/2.  Raises ConstraintViolation with the
+    and lam = mu*speed(b, root) = -mu(b + 1 - root)/2.  Raises ConstraintViolation with the
     catalog's `cole_hopf` labels, and ValueError on a non-finite b or mu.
     """
     if branch not in ("plus", "minus"):
