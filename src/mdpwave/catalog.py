@@ -7,11 +7,11 @@ profile and singularity locus, root = sign*sqrt(S).  Every family's sign in
 lam = -(b + 1 - sign*sqrt(S))/2 and radicand k, S = discriminant(b, k), are
 its `riccati.RADICALS` entry, read here by the S >= 0 checks, root, lam and
 the wave-speed text, and by `pipeline`, `colehopf` and `rational_hyperbolic`
-without the makers; u7..u10 check `rational_hyperbolic.FREE_RADICANDS`.  The `cole_hopf` row is the
-one statement of the kink admissibility rules (`colehopf` checks through
-it), and the u3..u10 rows are the one statement of the rational-hyperbolic
-rules (`rational_hyperbolic` checks through them).  Every table is walked
-by `riccati.violations`.
+without the makers; u7..u10 check `rational_hyperbolic.FREE_RADICANDS`.
+The `cole_hopf` row is the one statement of the kink admissibility rules
+(`colehopf` checks through it), and the u3..u10 rows are the one statement
+of the rational-hyperbolic rules (`rational_hyperbolic` checks through
+them).  Every table is walked by `riccati.violations`.
 Profiles are expressions in xi with all constants embedded exactly;
 `build` builds the profile with xi = x + lam*t in place.
 Internally lam always satisfies xi = x + lam*t, so the familiar
@@ -24,8 +24,8 @@ re-derivation pipeline's round trip checks the two routes agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 from . import expr as ex

@@ -79,8 +79,9 @@ def branch_params(branch, b, mu):
 
     With root = +sqrt(S) for plus and -sqrt(S) for minus, S =
     discriminant(b, mu^4): B = (2mu^2 - 1 + b(mu^2 - 1) + root)/(2(b+1))
-    and lam = mu*speed(b, root) = -mu(b + 1 - root)/2.  Raises ConstraintViolation with the
-    catalog's `cole_hopf` labels, and ValueError on a non-finite b or mu.
+    and lam = mu*speed(b, root) = -mu(b + 1 - root)/2.  Raises
+    ConstraintViolation with the catalog's `cole_hopf` labels, and
+    ValueError on a non-finite b or mu.
     """
     if branch not in ("plus", "minus"):
         raise ValueError(f"branch must be 'plus' or 'minus', not {branch!r}")

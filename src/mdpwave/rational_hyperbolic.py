@@ -107,8 +107,7 @@ def coefficients(fid, b, a2=None, c2=None):
     """`family_params` for parameters already found admissible; an integer
     b of any type gives the exact tuple that the Fraction b gives."""
     b, a2, c2 = plain(b), plain(a2), plain(c2)
-    if isinstance(b, int):
-        b = Fraction(b)
+    b = Fraction(b) if isinstance(b, int) else b
     lam = -b / 2 if RADICALS[fid][1] == 1 else -b / 2 - 1
     if fid in ("u3", "u4"):
         sign = 1 if fid == "u3" else -1

@@ -17,11 +17,12 @@ excluded values of b, a nonzero mu, a nonzero beta), the degeneracy test
 the catalog and the pipeline use, and the one wave-speed law of all 24
 families: lam solves lam^2 + (b+1)lam + b(b+2)k/4 = 0, so lam = -(b + 1 -
 sign*sqrt(S))/2 with S = `discriminant(b, k)`, and `RADICALS` gives each
-family's radicand k and sign (k = 1 for u3..u10, k = 0 for u11).  A check is a (label, fails(params)) row on
-a dict of parameters, and `violations` is the one walker that turns a
-table of rows into the labels that fail.  `plain` is how every entry
-point takes a caller's number, and `exact` how it takes one as an exact
-rational: a numpy integer's arithmetic wraps at 64 bits.
+family's radicand k and sign (k = 1 for u3..u10, k = 0 for u11).  A check
+is a (label, fails(params)) row on a dict of parameters, and `violations`
+is the one walker that turns a table of rows into the labels that fail.
+`plain` is how every entry point takes a caller's number, and `exact` how
+it takes one as an exact rational: a numpy integer's arithmetic wraps at
+64 bits.
 """
 from __future__ import annotations
 
