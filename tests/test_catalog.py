@@ -70,9 +70,9 @@ def test_wave_speeds_below_b_minus_one(b):
     # b + 1 < 0 flips u11's sign in riccati.RADICALS, so its root -(b+1) > 0
     free = {"u7": {"a2": 3}, "u8": {"a2": 3}, "u9": {"c2": 2}, "u10": {"c2": 2}}
     for fid in rh.FAMILY_IDS:
-        params = {"b": b, **free.get(fid, {})}
-        want = float(rh.coefficients(fid, b, **free.get(fid, {})).lam)
-        assert catalog.wave_speed(fid, params) == want, fid
+        extra = free.get(fid, {})
+        want = float(rh.coefficients(fid, b, **extra).lam)
+        assert catalog.wave_speed(fid, {"b": b, **extra}) == want, fid
     u11 = {"alpha": 1, "beta": 2, "gamma": 1}
     assert catalog.wave_speed("u11", {"b": b, **u11}) == -(b + 1)
     assert pl.ansatz_tuple("u11", b=b, **u11)["lam"] == -(b + 1)
