@@ -7,6 +7,8 @@ Covers:
   - `import mdpwave.cli` loads only `mdpwave.cli` and `mdpwave.errors`
   - each README command loads exactly the modules `_README_MODULES` lists,
     and `pipeline check` loads no wave maker in any case
+  - `import mdpwave.pipeline` starts no thread, and `pipeline solve` at
+    20 seeds does not load `concurrent.futures`
   - `--help` of the program and of every subcommand, and the usage errors,
     byte for byte (sha256 pinned)
 
@@ -138,6 +140,28 @@ def test_readme_command_loads_only_its_modules(readme_runs, i):
     code, loaded = readme_runs[i]
     assert code == want_code
     assert loaded == sorted(modules + ["cli", "errors"])
+
+
+def test_import_pipeline_starts_no_thread():
+    assert _fresh("import json, threading, mdpwave.pipeline; "
+                  "print(json.dumps(threading.active_count()))") == 1
+
+
+_SOLVE_PROBE = """
+import contextlib, io, json, sys
+import mdpwave.cli
+argv = ["pipeline", "solve", "--param", "b=3", "--param", "alpha=0", "--param", "beta=1",
+        "--param", "gamma=-1", "--seeds", "20", "--rng-seed", "0"]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = mdpwave.cli.main(argv)
+print(json.dumps([code, "concurrent.futures" in sys.modules]))
+"""
+
+
+def test_small_pipeline_solve_loads_no_thread_pool():
+    # cli-readme runs `pipeline solve` at 20 seeds, too few to split a
+    # least-squares stack; concurrent.futures brings logging, about 6 ms
+    assert _fresh(_SOLVE_PROBE) == [0, False]
 
 
 # the cases whose families carry sqrt(S), which the README does not run

@@ -22,9 +22,14 @@ Covers:
     paths), the seed-count and parameter-name checks, batch independence
     of the compiled residual and Jacobian, the power table against one
     np.power call bit for bit, the stacked least-squares solve
-    against per-matrix np.linalg.lstsq bit for bit, the compiled stacks
+    against per-matrix np.linalg.lstsq bit for bit (in one call and split
+    across one or three worker threads), the compiled stacks
     against the subs + diff oracles (rational and scaled systems too), and
     the grouped line search against halving one level at a time
+  - the split solve: golden roots at 120-220 seeds on one CPU (no pool)
+    and on three, a worker chunk's NaN rows with no warning under
+    `-W error`, no thread left after a solve, and a worker's exception
+    raised from newton_solve
   - a numpy without the lstsq gufunc's 'ddd->ddid' loop: newton_solve
     raises ImportError before any Newton work, the exact half still runs
   - the subs oracle against term-by-term addition
@@ -37,6 +42,9 @@ import os
 import random
 import subprocess
 import sys
+import threading
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 from pathlib import Path
 from types import SimpleNamespace
@@ -582,6 +590,40 @@ def test_newton_failure_paths_byte_identical(system, label, kwargs, rng_seed, co
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# the same digests at newton-multistart's seed counts, recorded before the
+# least-squares stack was split across threads: large enough stacks that
+# every CPU solves a chunk of them
+_GOLDEN_SPLIT_ROOTS = [
+    ("first", 120, 0, 25, "6c927a734dacd4942e82e3ebeabd106b5b026dc6ca3a89bcd5f1be30683924ff"),
+    ("first", 120, 7, 26, "072a89103aa99cf879154f08bac6bec0afe7e2fca20649ac7d781d511f512c43"),
+    ("second", 180, 0, 34, "4894323dcc43667a53a43e6f4a83cb944c491a88a509518f33daf699ea8d15c3"),
+    ("second", 180, 7, 28, "bf546bf39c113378c0b886852387f5d1dbb3c47bb79298649f754871d30f6e41"),
+    ("third", 220, 0, 26, "987d0b63359806b62490e556274039b5cc6a39ab2c22d387edcba4a86b13931f"),
+    ("third", 220, 7, 30, "c28104bb6c48e1639e698b3678bd8da3f6ec45ccc3e3e2182fff53c6802f6711"),
+]
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a thread pool was opened")
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("case, seeds, rng_seed, count, digest", _GOLDEN_SPLIT_ROOTS,
+                         ids=[f"{row[0]}-{row[1]}-{row[2]}" for row in _GOLDEN_SPLIT_ROOTS])
+def test_newton_split_roots_byte_identical(system, monkeypatch, cpus, case, seeds, rng_seed,
+                                           count, digest):
+    # one CPU opens no pool and solves each stack in one call; three solve
+    # it in three uneven chunks, on this thread and two workers
+    monkeypatch.setattr(pl, "_cpu_count", lambda: cpus)
+    if cpus == 1:
+        import concurrent.futures
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _no_pool)
+    roots = pl.newton_solve(system, _GOLDEN_CASES[case], seeds=seeds, rng_seed=rng_seed)
+    assert len(roots) == count
+    text = report.dumps([list(r) for r in roots])
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_batched_lstsq_matches_numpy_bitwise():
     # pins the private dgelsd gufunc behind newton_solve to the public
     # per-matrix np.linalg.lstsq on the installed numpy
@@ -602,11 +644,66 @@ def test_batched_lstsq_matches_numpy_bitwise():
     B[:10] *= 1e150
     B[10:20] *= 1e-150
     assert A.shape == (219, 15, 6)
-    x = pl._lstsq_stack(A, B)
-    for i in range(len(A)):
-        want = np.linalg.lstsq(A[i], B[i], rcond=None)[0]
-        assert np.array_equal(x[i], want), i
+    want = [np.linalg.lstsq(A[i], B[i], rcond=None)[0] for i in range(len(A))]
+    # one call, then chunks of 110 and 109 rows, then of 54, 55, 55 and 55
+    for workers in (0, 1, 3):
+        with ThreadPoolExecutor(workers or 1) as pool:
+            x = pl._lstsq_stack(A, B, pool if workers else None, workers + 1)
+        for i in range(len(A)):
+            assert np.array_equal(x[i], want[i]), (workers, i)
     assert pl._lstsq_stack(A[:0], B[:0]).shape == (0, 6)
+
+
+def test_lstsq_worker_chunk_warns_nothing():
+    # numpy's errstate does not pass to a pool thread, so the worker's
+    # chunk must silence its own "invalid value" warning
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((2 * pl._SPLIT_ROWS, 15, 6))
+    B = rng.standard_normal((len(A), 15))
+    bad = [pl._SPLIT_ROWS + 3, len(A) - 1]  # both in the second chunk
+    A[bad, 4, 2] = np.nan
+    with ThreadPoolExecutor(1) as pool, warnings.catch_warnings(), \
+            np.errstate(invalid="ignore"):
+        warnings.simplefilter("error", RuntimeWarning)
+        x = pl._lstsq_stack(A, B, pool, 2)
+    assert np.flatnonzero(np.isnan(x).any(axis=1)).tolist() == bad
+    assert np.isnan(x[bad]).all()
+    for i in set(range(len(A))) - set(bad):
+        assert np.array_equal(x[i], np.linalg.lstsq(A[i], B[i], rcond=None)[0]), i
+
+
+def test_newton_leaves_no_thread_behind(system, monkeypatch):
+    monkeypatch.setattr(pl, "_cpu_count", lambda: 3)  # a pool on any host
+    before = threading.active_count()
+    roots = pl.newton_solve(system, _BENCH_CASES["second"], seeds=400, rng_seed=0)
+    assert len(roots) == 55
+    assert threading.active_count() == before
+
+
+def test_newton_raises_a_worker_chunk_error(system, monkeypatch):
+    # the solve runs on a helper thread, so that a hang shows as a timeout;
+    # every _gelsd call on another thread is a worker's chunk
+    pl._load_numpy()
+    gelsd, caught = pl._gelsd, []
+
+    def fails_in_a_worker(*args, **kwargs):
+        if threading.current_thread() is not runner:
+            raise ZeroDivisionError("worker chunk")
+        return gelsd(*args, **kwargs)
+
+    def solve():
+        try:
+            pl.newton_solve(system, _BENCH_CASES["third"], seeds=220, rng_seed=0)
+        except ZeroDivisionError as err:
+            caught.append(err)
+
+    monkeypatch.setattr(pl, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(pl, "_gelsd", fails_in_a_worker)
+    runner = threading.Thread(target=solve, daemon=True)
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive()
+    assert [str(err) for err in caught] == ["worker chunk"]
 
 
 def test_newton_seed_count(system):
