@@ -244,28 +244,34 @@ def ansatz_tuple(fid, alpha, beta, gamma, b):
 
 
 class _Stack(NamedTuple):
-    """Monomials of one compiled stack: `rows[t]` are term t's exponents of
-    the unknowns, `coefs[t]` its float coefficient and `owner[t]` its output
-    bin; `factors[f, t]` indexes the f-th factor of term t in a flattened
-    power table."""
+    """Monomials of one compiled stack in block order (see `_stack`):
+    `rows[t]` are term t's exponents of the unknowns, `coefs[t]` its float
+    coefficient, `owner[t]` its output bin and `mono[t]` its monomial's row;
+    block k is terms `blocks[k]:blocks[k + 1]`, bin b sums in row `place[b]`."""
 
     rows: np.ndarray
     coefs: np.ndarray
     owner: np.ndarray
-    factors: np.ndarray
+    mono: np.ndarray
+    place: np.ndarray
+    blocks: tuple
 
 
-def _stack(rows, coefs, owner, degree):
-    """A `_Stack` whose factors are the powers of the unknowns with a nonzero
-    exponent, in the unknowns' order, padded with column 0 of the table
-    (x^0 = 1.0).  Multiplying by 1.0 is exact for every float, so the product
-    has the bits of multiplying all six powers column by column."""
-    nonzero = rows > 0
-    rank = np.cumsum(nonzero, axis=1) - 1  # place of each factor in its term
-    factors = np.zeros((max(1, int(rank.max(initial=0)) + 1), len(rows)), dtype=np.int64)
-    t, cols = np.nonzero(nonzero)
-    factors[rank[t, cols], t] = cols * degree + rows[t, cols]
-    return _Stack(rows, np.array(coefs, dtype=float), owner, factors)
+def _stack(rows, coefs, owner, width, mono):
+    """A `_Stack` of terms given in stored order over `width` bins, with
+    `mono` their monomials' rows.  Bins are placed by falling term count,
+    and block k holds the k-th term of every bin with more than k terms, in
+    the bins' places, so a bin sums 0.0 plus its terms in stored order, one
+    block at a time: the order np.bincount adds in."""
+    bins, rank, counts = owner.tolist(), [], [0] * width
+    for b in bins:  # each term's rank among its bin's terms
+        rank.append(counts[b])
+        counts[b] += 1
+    place = np.empty(width, dtype=np.int64)
+    place[sorted(range(width), key=lambda b: -counts[b])] = np.arange(width)
+    order = sorted(range(len(bins)), key=lambda t: (rank[t], place[bins[t]]))
+    return _Stack(rows[order], np.array(coefs, dtype=float)[order], owner[order], mono[order],
+                  place, tuple(np.cumsum([0, *np.bincount(rank)]).tolist()))
 
 
 class _CompiledSystem:
@@ -283,10 +289,10 @@ class _CompiledSystem:
     coordinate keeps the rows sorted.  Partial k of equation j lands in bin
     j * 6 + k.
 
-    Each point's row is bitwise what evaluating that point alone gives: the
-    powers come from one table, each monomial is multiplied factor by factor
-    in the unknowns' order, and np.bincount adds each bin's terms in their
-    stored order, one segment per point."""
+    Each point's column is bitwise what evaluating that point alone gives:
+    the monomials (see `powers`) are multiplied factor by factor in the
+    unknowns' order, and each bin adds its terms in stored order, one block
+    at a time (see `_stack`), as np.bincount does."""
 
     def __init__(self, system, fixed):
         _load_numpy()
@@ -304,7 +310,6 @@ class _CompiledSystem:
         E = np.array(rows, dtype=np.int64).reshape(-1, n_unk)
         self.degree = 1 + int(E.max(initial=0))
         owner = np.array(owner, dtype=np.int64)
-        self.res = _stack(E, [n / den for n in nums], owner, self.degree)
         jac_rows, jac_coefs, jac_owner = [], [], []
         for k in range(n_unk):
             hit = np.flatnonzero(E[:, k])
@@ -313,53 +318,67 @@ class _CompiledSystem:
             jac_rows.append(lowered)
             jac_coefs += [nums[i] * rows[i][k] / den for i in hit]
             jac_owner.append(owner[hit] * n_unk + k)
-        self.jac = _stack(np.concatenate(jac_rows), jac_coefs,
-                          np.concatenate(jac_owner), self.degree)
+        jac_rows = np.concatenate(jac_rows)
+        # each distinct monomial once: factors[:, m] are monomial m's powers
+        # with a nonzero exponent, in the unknowns' order, padded with row 0
+        # (x^0 = 1.0), as multiplying by 1.0 is exact for every float
+        keys = list(map(tuple, np.concatenate([E, jac_rows]).tolist()))
+        at = {e: m for m, e in enumerate(dict.fromkeys(keys))}
+        mono = np.array([at[e] for e in keys], dtype=np.int64)
+        facs = [[j * self.degree + k for j, k in enumerate(e) if k] for e in at]
+        depth = max([1, *map(len, facs)])
+        self.factors = np.array([f + [0] * (depth - len(f)) for f in facs],
+                                dtype=np.int64).reshape(-1, depth).T
+        # the power rows read, with exponent k >= 2
+        self.pows = np.array(sorted({f for fs in facs for f in fs if f % self.degree > 1}),
+                             dtype=np.int64)
+        self.exps = (self.pows % self.degree)[:, None].astype(float)
+        self.res = _stack(E, [n / den for n in nums], owner, self.n_eq, mono[:len(E)])
+        self.jac = _stack(jac_rows, jac_coefs, np.concatenate(jac_owner),
+                          self.n_eq * n_unk, mono[len(E):])
 
     def powers(self, X):
-        """Table of X[s, j] ** k for k < degree, shared by every stack.
-
-        Columns 0 and 1 are 1.0 and X, the bits np.power gives there.  The
-        np.power call takes at least two exponents: given the one exponent 2,
-        numpy squares by x * x, which can differ from pow by an ulp."""
-        table = np.empty(X.shape + (self.degree,))
-        table[:, :, 0] = 1.0
-        if self.degree > 1:
-            table[:, :, 1] = X
-        lo = 1 if self.degree == 3 else 2
-        table[:, :, lo:] = np.power(X[:, :, None], np.arange(lo, self.degree))
-        return table
-
-    @staticmethod
-    def _terms(stack, table):
-        n, n_unk, degree = table.shape
-        flat = table.reshape(n, n_unk * degree)
-        terms = flat[:, stack.factors[0]]
-        for f in stack.factors[1:]:
-            terms *= flat[:, f]
-        terms *= stack.coefs
-        return terms
+        """The (monomials, points) table at the points X (points, unknowns):
+        row m is the product of rows `factors[:, m]` of a power table whose
+        row j * degree + k, if read, is X[:, j] ** k, by one np.power call on
+        a full exponent array: given a stride-0 exponent 2, numpy squares by
+        x * x, which can differ from pow by an ulp."""
+        n = len(X)
+        table = np.empty((len(UNKNOWNS), self.degree, n))
+        table[0, 0] = 1.0
+        table[:, 1:2] = X.T[:, None]
+        table = table.reshape(len(UNKNOWNS) * self.degree, n)
+        table[self.pows] = np.power(X.T[self.pows // self.degree], np.repeat(self.exps, n, axis=1))
+        monos = table[self.factors[0]]
+        for f in self.factors[1:]:
+            monos *= table[f]
+        return monos
 
     @staticmethod
-    def _sums(owner, width, *weights):
-        """Per point, the sum of each weight stack's terms in `width` bins."""
-        n = len(weights[0])
-        bins = (np.arange(n)[:, None] * width + owner).ravel()
-        return [np.bincount(bins, weights=w.ravel(), minlength=n * width).reshape(n, width)
-                for w in weights]
+    def _terms(stack, table, out=None):
+        terms = table[stack.mono]
+        return np.multiply(terms, stack.coefs[:, None], out=terms if out is None else out)
+
+    @staticmethod
+    def _sums(stack, terms):
+        """(bins, ...) sums of a (terms, ...) stack, one add per block."""
+        out = np.zeros((len(stack.place),) + terms.shape[1:])
+        for lo, hi in zip(stack.blocks, stack.blocks[1:]):
+            out[:hi - lo] += terms[lo:hi]
+        return out[stack.place]
 
     def residual_scaled(self, table):
         """(residual, |residual| / max(1, sum of term magnitudes)) per point."""
-        terms = self._terms(self.res, table)
-        vals, scale = self._sums(self.res.owner, self.n_eq, terms, np.abs(terms))
-        return vals, np.abs(vals) / np.maximum(1.0, scale)
+        both = np.empty((len(self.res.mono), 2, table.shape[1]))
+        np.abs(self._terms(self.res, table, both[:, 0]), out=both[:, 1])
+        sums = self._sums(self.res, both)
+        vals = sums[:, 0].T
+        return vals, np.abs(vals) / np.maximum(1.0, sums[:, 1].T)
 
     def jacobian(self, table):
         """(points, equations, unknowns) stack of partials, in one pass."""
-        n_unk = len(UNKNOWNS)
-        terms = self._terms(self.jac, table)
-        out, = self._sums(self.jac.owner, self.n_eq * n_unk, terms)
-        return out.reshape(len(table), self.n_eq, n_unk)
+        out = self._sums(self.jac, self._terms(self.jac, table)).T
+        return out.reshape(len(out), self.n_eq, len(UNKNOWNS))
 
 
 # Least-squares stacks of at least 2 * _SPLIT_ROWS matrices are solved in
@@ -416,6 +435,7 @@ def _lstsq_stack(A, B, pool=None, cpus=1):
 
 # step-halving levels m tried together, one residual call per group
 _HALVING_GROUPS = ((0, 1), (1, 2), (2, 4), (4, 8), (8, 16), (16, 31))
+_LEVELS, _TAIL_POINTS = 31, 256  # one call tries all levels left at <= 256 candidates
 
 
 def _line_search(compiled, X, step, norm):
@@ -425,39 +445,36 @@ def _line_search(compiled, X, step, norm):
 
     The levels are evaluated in `_HALVING_GROUPS`, every level of a group in
     one residual call, so a point costs at most six calls and at most twice
-    the levels it needs.  The step is halved by repeated division by two, so
-    each candidate has exactly the bits of halving one level at a time.
-    Returns the accepted mask and, in the rows of the accepted points, the
-    new points with their power table, residual and scaled residual.
+    the levels it needs, or in one call once (points trying) * (levels left)
+    is at most _TAIL_POINTS.  Each halving is an exact multiplication by
+    0.5, with the bits of halving one level at a time.  Returns the accepted
+    points' indices, in the order accepted, and their new points, monomial
+    table columns, residual and scaled residual.
     """
-    n, n_unk = X.shape
-    new_X = np.empty_like(X)
-    table = np.empty((n, n_unk, compiled.degree))
-    r = np.empty((n, compiled.n_eq))
-    scaled = np.empty_like(r)
-    accepted = np.zeros(n, dtype=bool)
-    trying = np.arange(n)
+    n_unk = X.shape[1]
+    trying = np.arange(len(X))
+    found = []
     for lo, hi in _HALVING_GROUPS:
-        if not trying.size:
-            break
-        levels = []
-        for _ in range(lo, hi):
-            levels.append(step)
-            step = step / 2
-        cand = (X + np.stack(levels)).reshape(-1, n_unk)
-        ctable = compiled.powers(cand)
-        cr, cscaled = compiled.residual_scaled(ctable)
-        nn = np.max(np.abs(cr), axis=1).reshape(hi - lo, trying.size)
+        if trying.size * (_LEVELS - lo) <= _TAIL_POINTS:
+            hi = _LEVELS
+        levels = np.empty((hi - lo,) + step.shape)
+        levels[0], levels[1:] = step, 0.5
+        levels = np.multiply.accumulate(levels)
+        cand = (X + levels).reshape(-1, n_unk)
+        table = compiled.powers(cand)
+        r, scaled = compiled.residual_scaled(table)
+        nn = np.max(np.abs(r), axis=1).reshape(hi - lo, trying.size)
         good = np.isfinite(nn) & (nn <= norm)
         hit = good.any(axis=0)
         src = good[:, hit].argmax(axis=0) * trying.size + np.flatnonzero(hit)
-        rows = trying[hit]
-        new_X[rows], table[rows], r[rows], scaled[rows] = (
-            cand[src], ctable[src], cr[src], cscaled[src])
-        accepted[rows] = True
+        found.append((trying[hit], cand[src], table[:, src], r[src], scaled[src]))
+        if hi == _LEVELS or hit.all():
+            break
         miss = ~hit
-        trying, X, step, norm = trying[miss], X[miss], step[miss], norm[miss]
-    return accepted, new_X, table, r, scaled
+        trying, X, step, norm = trying[miss], X[miss], levels[-1, miss] * 0.5, norm[miss]
+    idx, new_X, table, r, scaled = zip(*found)
+    return (np.concatenate(idx), np.concatenate(new_X), np.concatenate(table, axis=1),
+            np.concatenate(r), np.concatenate(scaled))
 
 
 def _dedup(roots, tol):
@@ -489,9 +506,11 @@ def newton_solve(system, fixed, seeds, rng_seed=0, box=(-20.0, 20.0),
     every step has the bits of a per-seed np.linalg.lstsq call on any
     number of CPUs.  Steps are then halved
     (up to 30 halvings on residual increase), several halvings per residual
-    call (see `_line_search`); the residual found at an accepted point starts
-    the next iteration.  A start whose Jacobian or step is non-finite (a
-    failed dgelsd returns NaN) or that stops improving is abandoned, never
+    call and every level left in one call for the last few seeds (see
+    `_line_search`); the monomial table columns and residuals found at
+    accepted points start the next iteration.  A start whose Jacobian or
+    step is non-finite (a failed dgelsd returns NaN) or that stops
+    improving is abandoned, never
     perturbed.  A seed does exactly the float operations, in the same order,
     that it would do iterated alone, so the roots are byte-identical to a
     per-seed loop.  Convergence requires the scaled residual infinity-norm
@@ -533,19 +552,18 @@ def newton_solve(system, fixed, seeds, rng_seed=0, box=(-20.0, 20.0),
             done = finite & (np.max(scaled, axis=1) < converge_tol)
             converged[live[done]] = True
             keep = finite & ~done
-            live, table, r, norm = live[keep], table[keep], r[keep], norm[keep]
+            live, table, r, norm = live[keep], table[:, keep], r[keep], norm[keep]
             if not live.size:
                 break
             J = compiled.jacobian(table)
-            step = np.zeros((live.size, len(UNKNOWNS)))
-            trying = np.flatnonzero(np.all(np.isfinite(J), axis=(1, 2)))
-            step[trying] = _lstsq_stack(J[trying], -r[trying], pool, cpus)
-            trying = trying[np.all(np.isfinite(step[trying]), axis=1)]
-            accepted, new_X, table, r, scaled = _line_search(
-                compiled, X[live[trying]], step[trying], norm[trying])
-            live = live[trying[accepted]]
-            X[live] = new_X[accepted]
-            table, r, scaled = table[accepted], r[accepted], scaled[accepted]
+            trying = np.flatnonzero(np.isfinite(J).all(axis=(1, 2)))
+            step = _lstsq_stack(J[trying], -r[trying], pool, cpus)
+            finite = np.isfinite(step).all(axis=1)
+            trying, step = trying[finite], step[finite]
+            idx, new_X, table, r, scaled = _line_search(
+                compiled, X[live[trying]], step, norm[trying])
+            live = live[trying[idx]]
+            X[live] = new_X
 
     roots = sorted(tuple(float(v) for v in X[i]) for i in np.flatnonzero(converged))
     return _dedup(roots, dedup_tol)

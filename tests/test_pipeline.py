@@ -592,7 +592,11 @@ def test_newton_failure_paths_byte_identical(system, label, kwargs, rng_seed, co
 
 # the same digests at newton-multistart's seed counts, recorded before the
 # least-squares stack was split across threads: large enough stacks that
-# every CPU solves a chunk of them
+# every CPU solves a chunk of them.  The last two were recorded on one CPU
+# and on three before the monomial stacks put the points along their last
+# axis: rng_seed 1001 runs the first case through all 80 iterations, ending
+# in the one-call halving tail, and rng_seed 4107076 is the third-case call
+# whose roots miss u16 (newton-multistart's failed operation at --seed 4107)
 _GOLDEN_SPLIT_ROOTS = [
     ("first", 120, 0, 25, "6c927a734dacd4942e82e3ebeabd106b5b026dc6ca3a89bcd5f1be30683924ff"),
     ("first", 120, 7, 26, "072a89103aa99cf879154f08bac6bec0afe7e2fca20649ac7d781d511f512c43"),
@@ -600,6 +604,8 @@ _GOLDEN_SPLIT_ROOTS = [
     ("second", 180, 7, 28, "bf546bf39c113378c0b886852387f5d1dbb3c47bb79298649f754871d30f6e41"),
     ("third", 220, 0, 26, "987d0b63359806b62490e556274039b5cc6a39ab2c22d387edcba4a86b13931f"),
     ("third", 220, 7, 30, "c28104bb6c48e1639e698b3678bd8da3f6ec45ccc3e3e2182fff53c6802f6711"),
+    ("first", 120, 1001, 25, "d63f11b259be44b5525bd1ad6cb3d43fa4ad3166e556bf781c28eaac5fd2e1bf"),
+    ("third", 220, 4107076, 31, "06ab1168e84851ae40998faa5340cb4f5a58311e038096602a24bcd2e0b4e86c"),
 ]
 
 
@@ -747,23 +753,44 @@ def test_compiled_system_rows_are_batch_independent(system):
                 assert J[s, i, j] == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
+def _power_stub(degree):
+    # a compiled system whose monomials are the whole power table: row
+    # j * degree + k is x_j ** k, with x_j ** 0 read from row 0
+    rows = np.arange(len(pl.UNKNOWNS) * degree)
+    pows = rows[rows % degree > 1]
+    return SimpleNamespace(degree=degree, factors=np.where(rows % degree > 0, rows, 0)[None],
+                           pows=pows, exps=(pows % degree)[:, None].astype(float))
+
+
 def test_power_table_matches_one_np_power_call_bitwise(system):
     rng = np.random.default_rng(5)
     special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
                         1e300, -1e300, 1.0, -1.0])
     compiled = pl._CompiledSystem(system, _BENCH_CASES["first"])
-    # degree 3 leaves one exponent above 1, where numpy would square by x * x
-    stubs = [compiled] + [SimpleNamespace(degree=d) for d in (1, 2, 3, 5, 6)]
-    for n in (1, 2, 7, 150, 1000):
-        X = rng.uniform(-3.0, 3.0, size=(n, len(pl.UNKNOWNS)))
+    n_unk = len(pl.UNKNOWNS)
+    # degree 3 leaves the one exponent 2, which numpy squares by x * x when
+    # it comes as a stride-0 exponent; with the points along the table's
+    # rows a broadcast exponent would be stride-0 at every size
+    stubs = [compiled] + [_power_stub(d) for d in (1, 2, 3, 5, 6)]
+    for n in (1, 2, 7, 150, 1000, 4000):
+        X = rng.uniform(-3.0, 3.0, size=(n, n_unk))
         k = min(X.size, special.size)
         X.flat[rng.choice(X.size, size=k, replace=False)] = special[:k]
         for c in stubs:
             with np.errstate(all="ignore"):  # 1e300 ** k overflows
                 got = pl._CompiledSystem.powers(c, X)
-                want = np.power(X[:, :, None], np.arange(c.degree))
-            assert got.shape == want.shape == X.shape + (c.degree,)
-            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (n, c.degree)
+                powers = np.power(X[:, :, None], np.arange(c.degree))
+                # each monomial multiplies all six powers in the unknowns'
+                # order, x ** 0 = 1.0 included
+                exps = np.zeros((c.factors.shape[1], n_unk), dtype=np.int64)
+                for f in c.factors:
+                    m = np.flatnonzero(f)
+                    exps[m, f[m] // c.degree] = f[m] % c.degree
+                want = powers[:, 0, exps[:, 0]]
+                for j in range(1, n_unk):
+                    want = want * powers[:, j, exps[:, j]]
+            assert got.shape == (len(exps), n)
+            assert np.array_equal(got.view(np.int64), want.T.view(np.int64)), (n, c.degree)
 
 
 def _reference_stacks(system, fixed):
@@ -805,22 +832,70 @@ def test_compiled_stacks_match_subs_and_diff(system, binding, scale):
     compiled = pl._CompiledSystem(system, fixed)
     for got, (rows, coefs, owner) in zip((compiled.res, compiled.jac),
                                          _reference_stacks(system, fixed)):
-        assert got.rows.tolist() == rows
-        assert got.coefs.tolist() == coefs
-        assert got.owner.tolist() == owner
-    # multiplying only the factors with a nonzero exponent has the bits of
-    # the product over all six columns, non-finite points included
+        # block k holds the k-th term, in stored order, of every bin with
+        # more than k terms, at the bin's place; places follow falling counts
+        members = [[] for _ in got.place]
+        for e, c, b in zip(rows, coefs, owner):
+            members[b].append((e, c))
+        counts = [len(m) for m in members]
+        assert sorted(got.place.tolist()) == list(range(len(counts)))
+        assert [counts[b] for b in np.argsort(got.place)] == sorted(counts, reverse=True)
+        sizes = [sum(c > k for c in counts) for k in range(max(counts))]
+        assert got.blocks == tuple(np.cumsum([0] + sizes).tolist())
+        for k, (lo, hi) in enumerate(zip(got.blocks, got.blocks[1:])):
+            for i, t in enumerate(range(lo, hi)):
+                b = got.owner[t]
+                assert got.place[b] == i
+                assert (got.rows[t].tolist(), got.coefs[t]) == members[b][k]
+    # multiplying only the factors with a nonzero exponent, each distinct
+    # monomial once, has the bits of the product over all six powers,
+    # non-finite points included
     X = np.random.default_rng(2).uniform(-3.0, 3.0, size=(6, len(pl.UNKNOWNS)))
     X[0, 2], X[1, 5], X[2, 0] = np.inf, np.nan, -0.0
     table = compiled.powers(X)
+    degree = 1 + int(compiled.res.rows.max())
+    with np.errstate(all="ignore"):
+        powers = np.power(X[:, :, None], np.arange(degree))
     for stack in (compiled.res, compiled.jac):
-        want = table[:, 0, stack.rows[:, 0]]
+        want = powers[:, 0, stack.rows[:, 0]]
         for j in range(1, len(pl.UNKNOWNS)):
-            want = want * table[:, j, stack.rows[:, j]]
+            want = want * powers[:, j, stack.rows[:, j]]
         want = want * stack.coefs
         with np.errstate(invalid="ignore"):
             got = pl._CompiledSystem._terms(stack, table)
-        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(got, want.T, equal_nan=True)
+
+
+@pytest.mark.parametrize("binding", sorted(_STACK_BINDINGS))
+def test_stack_sums_match_bincount_bitwise(system, binding):
+    # np.bincount adds each bin's terms in stored order from 0.0, and so must
+    # the block sums: columns of -0.0 (0.0 + -0.0 is 0.0), of +-inf (inf +
+    # -inf is NaN) and of NaN, and terms spread over 2^-60..2^60, where any
+    # other order rounds differently
+    compiled = pl._CompiledSystem(system, _STACK_BINDINGS[binding])
+    rng = np.random.default_rng(8)
+    special = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324])
+    for stack in (compiled.res, compiled.jac):
+        n_terms, width = len(stack.owner), len(stack.place)
+        for n in (0, 1, 2, 5, 64, 220):
+            terms = (rng.standard_normal((n_terms, n))
+                     * np.exp2(rng.integers(-60, 61, (n_terms, n))))
+            terms[:, :1] = -0.0
+            for col, value in ((1, np.inf), (2, np.inf), (2, -np.inf), (3, -np.inf)):
+                if col < n:
+                    terms[rng.random(n_terms) < 0.2, col] = value
+            picks = rng.random(terms.shape) < 0.02
+            terms[picks] = rng.choice(special, size=picks.sum())
+            both = np.stack((terms, np.abs(terms)), axis=1)
+            with np.errstate(invalid="ignore", over="ignore"):
+                got = pl._CompiledSystem._sums(stack, terms)
+                got_both = pl._CompiledSystem._sums(stack, both)
+                want = [np.array([np.bincount(stack.owner, weights=w[:, p], minlength=width)
+                                  for p in range(n)]).reshape(n, width).T
+                        for w in (terms, np.abs(terms))]
+            assert got.shape == (width, n) and got_both.shape == (width, 2, n)
+            for g, w in ((got, want[0]), (got_both[:, 0], want[0]), (got_both[:, 1], want[1])):
+                assert np.array_equal(g.view(np.int64), w.view(np.int64)), (n, binding)
 
 
 def _line_search_one_level_at_a_time(compiled, X, step, norm):
@@ -841,7 +916,7 @@ def _line_search_one_level_at_a_time(compiled, X, step, norm):
     return level, X
 
 
-def test_line_search_accepts_at_every_level_like_one_halving_at_a_time(system):
+def _halving_case(system):
     # seed m starts at the u12 root and steps 2^30 * d_m away, so the
     # residual norm of its level-k candidate falls as k rises; the norm bound
     # of seed m is its level-m norm, so it is accepted at exactly m.  One
@@ -862,21 +937,67 @@ def test_line_search_accepts_at_every_level_like_one_halving_at_a_time(system):
     with np.errstate(all="ignore"):
         levels = [compiled.residual_scaled(compiled.powers(X + step / 2.0 ** m))[0]
                   for m in range(31)]
-        nn = np.max(np.abs(np.array(levels)), axis=2)
-        norm = np.full(n, np.inf)
-        norm[:31] = nn[np.arange(31), np.arange(31)]
-        norm[31] = nn[:, 31].min() / 2
+    nn = np.max(np.abs(np.array(levels)), axis=2)
+    norm = np.full(n, np.inf)
+    norm[:31] = nn[np.arange(31), np.arange(31)]
+    norm[31] = nn[:, 31].min() / 2
+    return compiled, X, step, norm
+
+
+def _assert_line_search_like_one_halving_at_a_time(compiled, X, step, norm):
+    with np.errstate(all="ignore"):
         level, want_X = _line_search_one_level_at_a_time(compiled, X, step, norm)
         accepted, new_X, table, r, scaled = pl._line_search(compiled, X, step, norm)
-        assert level[:32].tolist() == list(range(31)) + [-1]
-        assert 0 < level[32] < 31 and level[33] == -1
-        assert accepted.tolist() == (level >= 0).tolist()
-        assert np.array_equal(new_X[accepted], want_X[accepted])
+        # each accepted point once, in the order the points were accepted
+        assert sorted(accepted.tolist()) == np.flatnonzero(level >= 0).tolist()
+        assert np.array_equal(new_X, want_X[accepted])
         want_table = compiled.powers(want_X[accepted])
         want_r, want_scaled = compiled.residual_scaled(want_table)
-    assert np.array_equal(table[accepted], want_table)
-    assert np.array_equal(r[accepted], want_r)
-    assert np.array_equal(scaled[accepted], want_scaled)
+    assert np.array_equal(table, want_table)
+    assert np.array_equal(r, want_r)
+    assert np.array_equal(scaled, want_scaled)
+    return level
+
+
+def test_line_search_accepts_at_every_level_like_one_halving_at_a_time(system):
+    compiled, X, step, norm = _halving_case(system)
+    level = _assert_line_search_like_one_halving_at_a_time(compiled, X, step, norm)
+    assert level[:32].tolist() == list(range(31)) + [-1]
+    assert 0 < level[32] < 31 and level[33] == -1
+
+
+def test_line_search_tail_tries_every_level_left_in_one_call(system, monkeypatch):
+    # up to 8 points (the first case's last seeds) try all 31 levels in one
+    # residual call, accepted at any level or at none
+    compiled, X, step, norm = _halving_case(system)
+    residual_scaled = compiled.residual_scaled
+
+    def calls_of(idx):
+        calls = []
+        monkeypatch.setattr(compiled, "residual_scaled",
+                            lambda table: calls.append(table.shape[1]) or residual_scaled(table))
+        with np.errstate(all="ignore"):
+            pl._line_search(compiled, X[idx], step[idx], norm[idx])
+        monkeypatch.undo()
+        return calls
+
+    picks = [3, 9, 17, 25, 30, 2, 13, 31]  # 31 is never accepted
+    for k in range(1, len(picks) + 1):
+        idx = picks[:k]
+        level = _assert_line_search_like_one_halving_at_a_time(
+            compiled, X[idx], step[idx], norm[idx])
+        assert level.tolist() == [m if m < 31 else -1 for m in idx]
+        assert calls_of(idx) == [31 * k]
+    for idx, calls in (
+            ([0, 1, 31], [3 * 31]),
+            # 9 points try level 0 alone; the 8 left try 1-30 in one call
+            ([0] + picks, [9, 8 * 30]),
+            # 10 points take levels 0-3 by groups; the 8 left take 4-30
+            ([2, 3, 5, 9, 13, 17, 25, 30, 31, 7], [10, 10, 20, 8 * 27])):
+        level = _assert_line_search_like_one_halving_at_a_time(
+            compiled, X[idx], step[idx], norm[idx])
+        assert level.tolist() == [m if m < 31 else -1 for m in idx]
+        assert calls_of(idx) == calls
 
 
 # Runs in a fresh interpreter: takes the lstsq gufunc away ("removed") or
