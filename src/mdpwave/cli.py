@@ -457,7 +457,25 @@ def _join_negative_values(argv):
 
 
 def main(argv=None):
-    argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
+    """Run one command line and return its exit code.  On the process's
+    own command line (no `argv`) the cyclic collector is off until the
+    return, which freezes the heap so that shutdown neither walks nor
+    frees it; `main(argv)` leaves the caller's collector alone."""
+    if argv is not None:
+        return _run(argv)
+    import gc
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(sys.argv[1:])
+    finally:
+        gc.freeze()
+        if enabled:
+            gc.enable()
+
+
+def _run(argv):
+    argv = _join_negative_values(argv)
     args = _build_parser(argv).parse_args(argv)
     if args.out:  # every report below goes to --out, so it must open first
         try:

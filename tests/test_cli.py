@@ -22,11 +22,17 @@ Covers:
     (verify, pipeline check, cole-hopf, rh), where u11's root changes sign
   - numpy stays unloaded by the imports and the exact or metadata-only
     commands, and loads on the first array evaluation
+  - `main(argv)` leaves the caller's collector on or off and unfrozen;
+    `main()` on the process's own command line makes no collection,
+    freezes the heap and restores the collector, with the same bytes;
+    three commands through the console entry (`python -c`), an `--out`
+    file and two exit-2 paths, against the README and usage pins
 """
 import hashlib
 import io
 import json
 import contextlib
+import gc
 import os
 import re
 import subprocess
@@ -718,3 +724,93 @@ def test_numpy_loads_on_first_array_evaluation():
     for argv, code, digest, numpy_loaded in rows[1:]:
         assert [code, digest] == list(readme[tuple(argv)]), argv
         assert numpy_loaded is (argv == first_array), argv
+
+
+def _collector():
+    return gc.isenabled(), gc.get_freeze_count()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_main_with_argv_leaves_the_collector_alone(enabled):
+    # an embedder's (or this suite's) collector is neither frozen nor
+    # switched, on a pass, an exit 2 from a command and one from parse_args
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        before = _collector()
+        assert run(["catalog", "list"])[0] == 0
+        assert _collector() == before
+        assert run(["verify", "--family", "u1", "--param", "b=3", "--param", "mu=2"])[0] == 2
+        assert _collector() == before
+        with contextlib.redirect_stderr(io.StringIO()), pytest.raises(SystemExit):
+            main(["pipeline", "check", "--case", "fifth"])
+        assert _collector() == before
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+# Runs in a fresh interpreter: sets sys.argv to argv[1] (JSON) with the
+# collector on or off as argv[2] says, calls main() and prints (exit code,
+# sha256 of stdout, collections made during the call, collector enabled
+# after it, frozen object count after it).
+_OWN_ARGV_PROBE = """
+import contextlib, gc, hashlib, io, json, sys
+from mdpwave.cli import main
+argv, enabled = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+if not enabled:
+    gc.disable()
+sys.argv = ["mdpwave", *argv]
+collections = lambda: sum(s["collections"] for s in gc.get_stats())
+buf, made = io.StringIO(), collections()
+with contextlib.redirect_stdout(buf):
+    code = main()
+made = collections() - made
+digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+print(json.dumps([code, digest, made, gc.isenabled(), gc.get_freeze_count()]))
+"""
+
+
+def _python(*args, **kwargs):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+               **kwargs.pop("env", {}))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          timeout=120, **kwargs)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("index", [1, 3], ids=["verify-u6", "verify-u1-mu2"])
+def test_main_on_its_own_argv_makes_no_collection_and_freezes_the_heap(index, enabled):
+    argv, want_code, digest = _README_COMMANDS[index]
+    proc = _python("-c", _OWN_ARGV_PROBE, json.dumps(argv), json.dumps(enabled))
+    assert proc.returncode == 0, proc.stderr
+    code, got_digest, made, enabled_after, frozen = json.loads(proc.stdout)
+    assert [code, got_digest] == [want_code, digest]
+    assert made == 0
+    assert enabled_after is enabled
+    assert frozen > 0
+
+
+def test_readme_commands_through_the_console_entry(tmp_path):
+    # `python -c CLI_ENTRY`, as the console script and perfbench run it:
+    # the exit code, stdout, stderr and an --out file written in full
+    # before the interpreter exits with a frozen heap
+    from test_imports import _EMPTY, _HELP_AND_USAGE
+    readme = {tuple(argv): (code, digest) for argv, code, digest in _README_COMMANDS}
+    entry = "import sys; from mdpwave.cli import main; sys.exit(main())"
+    sha = lambda data: hashlib.sha256(data).hexdigest()
+    argv = ["plot-data", "--family", "u6", "--param", "b=3", "--t", "0"]
+    out = tmp_path / "u6.csv"
+    proc = _python("-c", entry, *argv, "--out", str(out))
+    assert [proc.returncode, sha(out.read_bytes())] == list(readme[tuple(argv)])
+    assert proc.stdout == proc.stderr == b""
+    argv = ["verify", "--family", "u1", "--param", "b=3", "--param", "mu=2"]
+    proc = _python("-c", entry, *argv)
+    assert [proc.returncode, sha(proc.stdout)] == list(readme[tuple(argv)])
+    assert proc.stderr == b""
+    # exit 2 from parse_args, through main's `finally`
+    [(argv, want_code, out_digest, err_digest)] = [
+        row for row in _HELP_AND_USAGE if row[0] == ["pipeline", "check", "--case", "fifth"]]
+    proc = _python("-c", entry, *argv, env={"COLUMNS": "80"})
+    assert [proc.returncode, sha(proc.stdout)] == [want_code, out_digest] == [2, _EMPTY]
+    if sys.version_info[:2] == (3, 11):  # digests are of Python 3.11's argparse layout
+        assert sha(proc.stderr) == err_digest
