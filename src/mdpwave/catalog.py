@@ -37,7 +37,7 @@ from .riccati import (AG16, AG256, BASE_CHECKS, BETA4, BETA_CHECK, DELTA2, MU4,
 
 __all__ = [
     "family_ids", "list_families", "validate", "build", "build_wave",
-    "profile", "wave_speed", "singular_denominator",
+    "profile", "singular_denominator",
 ]
 
 XI = ex.var("xi")
@@ -282,11 +282,6 @@ def profile(fid, params):
     return _made(fid, params, False)[0]
 
 
-def wave_speed(fid, params):
-    """lam such that the waveform depends on (x, t) only through x + lam*t."""
-    return float(ex.evaluate_many(_made(fid, params, False)[1], {}, {}))
-
-
 def singular_denominator(fid, params):
     """Expression in xi whose zero set is the family's pole locus
     (the constant 1 for pole-free families/parameters)."""
@@ -304,8 +299,8 @@ def build_guard_xt(fid, params):
 
 
 def build_wave(fid, params):
-    """(`build`, `build_guard_xt`, `wave_speed`) from one check of `params`
-    and one call of the family's maker, which builds u and the guard at one
-    x + lam*t node."""
+    """(`build`, `build_guard_xt`, the float wave speed lam) from one check
+    of `params` and one call of the family's maker, which builds u and the
+    guard at one x + lam*t node."""
     prof, lam, guard = _made(fid, params, True)
     return prof, guard, float(ex.evaluate_many(lam, {}, {}))

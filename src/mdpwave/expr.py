@@ -1,7 +1,7 @@
 """Immutable symbolic expression trees.
 
 Nodes are exact-rational constants, variables, n-ary sums/products,
-quotients, constant powers, and a closed set of elementary functions.
+quotients, integer powers, and a closed set of elementary functions.
 Constructors fold the trivial identities (0*e, 1*e, e+0, e^1,
 rational-constant arithmetic) and nothing else; correctness downstream
 rests on numeric agreement, not on normal forms.  `add` and `mul` keep a
@@ -75,7 +75,7 @@ class Expr:
 
     The op is the tape's name for the node: "rat" (payload the Fraction),
     "var" (the name), "add" and "mul" (the terms or factors as children),
-    "div" (children `(num, den)`), "pow" (the exponent, children
+    "div" (children `(num, den)`), "pow" (the int exponent, children
     `(base,)`) or a function kind (children `(arg,)`).  Payloads are None
     where no op is named.  The key holds the named slots' own objects.
     """
@@ -154,7 +154,7 @@ class Div(Expr):
 
 
 class Pow(Expr):
-    """Constant exponent only: a Fraction (covers integers) or a float."""
+    """An integer power: the exponent is a Python int."""
 
     __slots__ = ("base", "exponent")
 
@@ -280,19 +280,15 @@ def div(num, den):
 
 
 def pow_(base, exponent):
-    """Constant power.  Integral float exponents become Fractions, so
-    `pow_(e, 2.0) == pow_(e, 2)` and a rational base folds exactly."""
+    """Integer power, a rational base folded exactly.  A numpy integer
+    exponent becomes its int; a float, Fraction or Rational raises TypeError."""
     base = as_expr(base)
-    e = exponent.value if isinstance(exponent, Rational) else _plain(exponent)
-    if isinstance(e, float) and not e.is_integer():
-        return Pow(base, e)
-    if type(e) is not Fraction:
-        e = Fraction(e)
+    e = operator.index(exponent)
     if e == 1:
         return base
     if e == 0:
         return ONE
-    if isinstance(base, Rational) and e.denominator == 1:
+    if isinstance(base, Rational):
         if base.value == 0 and e < 0:
             raise ZeroDivisionError("zero base with negative exponent")
         return Rational(base.value ** e)
@@ -358,7 +354,7 @@ def var(name):
 
 
 def differentiate(e, v, memo=None):
-    """Exact structural derivative of `e` with respect to variable `v`.
+    """Exact structural derivative of `e` with respect to the `Var` `v`.
 
     Total on well-formed trees.  `memo` maps nodes already differentiated
     with respect to `v` to their derivatives.  A caller taking several
@@ -368,7 +364,7 @@ def differentiate(e, v, memo=None):
     Keys are the nodes themselves, compared structurally, and the dict
     holds them alive.  Without `memo` each call starts from an empty one.
     """
-    name = v.name if isinstance(v, Var) else v
+    name = v.name
     if memo is None:
         memo = {}
 
@@ -612,9 +608,9 @@ def to_prefix(e):
 
     A rational prints as `str` of its Fraction (`3`, `-1/2`) and a variable
     as its name; a sum, product, quotient and power print as `+ * / ^`
-    and a function as its kind.  A power's exponent follows its base, a
-    Fraction as `1/2` and a float as its repr (`2.5`).  `mdpwave riccati`
-    prints its `phi` in this form, so the bytes are part of the report.
+    and a function as its kind.  A power's integer exponent follows its
+    base (`(^ x -3)`).  `mdpwave riccati` prints its `phi` in this form, so
+    the bytes are part of the report.
     """
     parts = []
 

@@ -130,18 +130,6 @@ class AlgebraicSystem:
             ],
         }
 
-    @classmethod
-    def from_json_dict(cls, d):
-        for key, layout in (("variables", VARS), ("unknowns", UNKNOWNS),
-                            ("parameters", PARAMETERS)):
-            if tuple(d[key]) != layout:
-                raise ValueError(f"{key} layout mismatch")
-        eqs = tuple(
-            MultiPoly({tuple(e): Fraction(num, den) for e, num, den in eq})
-            for eq in d["equations"]
-        )
-        return cls(equations=eqs, powers=tuple(d["powers"]))
-
 
 def generate_system():
     """Form the residual of the order-2 ansatz, clear phi^-7, and collect.

@@ -35,8 +35,8 @@ from .errors import AllPointsSkipped
 from .riccati import exact
 
 __all__ = [
-    "GridSpec", "ResidualReport", "mdp_residual", "mdp_residual_terms",
-    "ode_residual", "ode_residual_terms", "verify_on_grid",
+    "GridSpec", "ResidualReport", "mdp_residual_terms", "ode_residual_terms",
+    "verify_on_grid",
     "DEFAULT_TOL_SYMBOLIC", "DEFAULT_TOL_FINITE_DIFF",
 ]
 
@@ -160,11 +160,6 @@ def mdp_residual_terms(u, b):
     )
 
 
-def mdp_residual(u, b):
-    """Full symbolic residual in (x, t)."""
-    return ex.add(*mdp_residual_terms(u, b))
-
-
 def ode_residual_terms(U, b, lam):
     """The five terms of the traveling-wave form, as expressions in xi.
 
@@ -182,11 +177,6 @@ def ode_residual_terms(U, b, lam):
         ex.mul(lam, u1),
         ex.mul(-b, u1, u2),
     )
-
-
-def ode_residual(U, b, lam):
-    """Full symbolic traveling-wave residual in xi."""
-    return ex.add(*ode_residual_terms(U, b, lam))
 
 
 def _workspace(tape, n, symbolic):

@@ -5,8 +5,7 @@ Covers:
   - build values at hand-derived points, wave speeds (pinned bit for bit
     by a digest, equal to the formula `catalog list` prints, and at b < -1
     equal to `rational_hyperbolic`'s for u3..u10 and to -(b+1) for u11),
-    `build_wave` against `build`, `build_guard_xt` and `wave_speed`,
-    validation verdicts
+    `build_wave` against `build` and `build_guard_xt`, validation verdicts
   - u11 degeneracy decided exactly, and alike, by catalog and pipeline
   - singular denominators (structural, and every sample's guard tree
     pinned by a digest)
@@ -30,6 +29,11 @@ from mdpwave.errors import ConstraintViolation
 from mdpwave.riccati import discriminant
 
 XI = ex.var("xi")
+
+
+def _speed(fid, params):
+    """The float wave speed `build_wave` gives."""
+    return catalog.build_wave(fid, params)[2]
 
 
 def test_listing_has_24_families():
@@ -59,10 +63,10 @@ def test_build_u1_value():
 
 
 def test_wave_speeds():
-    assert catalog.wave_speed("u6", {"b": 3}) == -2.5
-    assert catalog.wave_speed("u3", {"b": 3}) == -1.5
+    assert _speed("u6", {"b": 3}) == -2.5
+    assert _speed("u3", {"b": 3}) == -1.5
     for b in (1, 3, 5):
-        assert catalog.wave_speed("u11", {"b": b, "alpha": 1, "beta": 2, "gamma": 1}) == -b - 1
+        assert _speed("u11", {"b": b, "alpha": 1, "beta": 2, "gamma": 1}) == -b - 1
 
 
 @pytest.mark.parametrize("b", [F(-3), F(-3, 2)])
@@ -72,21 +76,21 @@ def test_wave_speeds_below_b_minus_one(b):
     for fid in rh.FAMILY_IDS:
         extra = free.get(fid, {})
         want = float(rh.coefficients(fid, b, **extra).lam)
-        assert catalog.wave_speed(fid, {"b": b, **extra}) == want, fid
+        assert _speed(fid, {"b": b, **extra}) == want, fid
     u11 = {"alpha": 1, "beta": 2, "gamma": 1}
-    assert catalog.wave_speed("u11", {"b": b, **u11}) == -(b + 1)
+    assert _speed("u11", {"b": b, **u11}) == -(b + 1)
     assert pl.ansatz_tuple("u11", b=b, **u11)["lam"] == -(b + 1)
 
 
 # sha256 of the "<family> <report.format_float(wave speed)>" lines of every
-# conftest sample, in CATALOG_SAMPLES order, recorded when `wave_speed` still
-# used a scalar tree walker of its own; 14 of the 76 speeds carry an
+# conftest sample, in CATALOG_SAMPLES order, recorded when the catalog's wave
+# speed still used a scalar tree walker of its own; 14 of the 76 speeds carry an
 # irrational radical
 WAVE_SPEED_DIGEST = "5aa749a8bcbbc9762d20caf4e0f21cd101ab063db0220247c4979cbdb0c466f2"
 
 
 def test_wave_speed_digest(catalog_samples):
-    speeds = [(fid, catalog.wave_speed(fid, p))
+    speeds = [(fid, _speed(fid, p))
               for fid, samples in catalog_samples.items() for p in samples]
     assert len(speeds) == 76 and all(type(lam) is float for _, lam in speeds)
     text = "\n".join(f"{fid} {report.format_float(lam)}" for fid, lam in speeds)
@@ -118,7 +122,7 @@ def test_printed_wave_speed_is_the_evaluated_one(catalog_samples):
             sign = (1 if op == "-" else -1) * (p["branch"] if branch else 1)
             root = math.sqrt(discriminant(F(p["b"]), PRINTED_RADICANDS[s_text](p)))
             want = -(p["b"] + 1 - sign * root) / 2
-            assert math.isclose(catalog.wave_speed(fid, p), want, rel_tol=1e-12), (fid, p)
+            assert math.isclose(_speed(fid, p), want, rel_tol=1e-12), (fid, p)
     assert len(radical) == 15
 
 
@@ -128,7 +132,7 @@ def test_build_wave_is_build_guard_and_speed_at_once(catalog_samples):
             u, guard, lam = catalog.build_wave(fid, p)
             assert u == catalog.build(fid, p), fid
             assert guard == catalog.build_guard_xt(fid, p), fid
-            assert lam == catalog.wave_speed(fid, p), fid
+            # lam's bits are pinned by WAVE_SPEED_DIGEST
             # one maker call builds the guard from u's own x + lam*t node,
             # and these families' guards are subtrees of u
             if fid in ("u11", "u12", "u13", "u22", "u23"):
@@ -237,7 +241,7 @@ def _extremum_position(u, t, lo, hi):
 
 def test_tracked_phase_velocity_matches_wave_speed():
     for fid, params in (("u6", {"b": 3}), ("u1", {"b": 3, "mu": 1})):
-        lam = catalog.wave_speed(fid, params)
+        lam = _speed(fid, params)
         u = catalog.build(fid, params)
         x0 = _extremum_position(u, 0.0, -4.0, 4.0)
         x1 = _extremum_position(u, 2.0, -4.0 - 2 * lam, 4.0 - 2 * lam)
@@ -289,7 +293,7 @@ def test_profile_and_build_agree_through_frame_shift(catalog_samples):
     xt = {"x": x, "t": t}
     for fid, samples in catalog_samples.items():
         for p in samples:
-            xi = {"xi": x + catalog.wave_speed(fid, p) * t}
+            xi = {"xi": x + _speed(fid, p) * t}
             g = ex.evaluate_many(catalog.singular_denominator(fid, p), {}, xi) + 0 * x
             keep = np.isfinite(g) & (np.abs(g) > 1e-2)
             for a, b in ((catalog.build(fid, p), catalog.profile(fid, p)),

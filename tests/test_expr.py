@@ -16,9 +16,13 @@ Covers:
     its own
   - in-place sums and products: caller arrays untouched, broadcasting to a
     larger shape, scalar points, no RuntimeWarning on non-finite values
-  - the structural key: exact prefix text for every node kind, float and
-    Fraction exponents as one node, nodes differing in kind or order
-    unequal
+  - the structural key: exact prefix text for every node kind, integer
+    exponents of every int type as one node, nodes differing in kind or
+    order unequal
+  - integer powers only: a float, Fraction or Rational exponent raises
+    TypeError, and every power of every tree the package builds for the
+    samples (waves, guards, residual terms, Riccati forms, collocation
+    roots) holds a Python int
   - every catalog residual's and collocation root's prefix text and tape
     instructions, pinned by sha256
   - interned constants: numpy scalars build what Python numbers build,
@@ -39,7 +43,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from mdpwave import catalog, report, verifier
+from mdpwave import catalog, report, riccati, verifier
 from mdpwave import expr as ex
 from mdpwave import rational_hyperbolic as rh
 from mdpwave.errors import UnboundSymbol
@@ -225,14 +229,14 @@ def test_evaluate_errors():
         ex.evaluate_many(X, {}, {})
 
 
-def test_pow_normalises_integral_float_exponent():
-    e = ex.pow_(X, 2.0)
-    assert e == ex.pow_(X, 2)
-    assert type(e.exponent) is F
-    assert ex.evaluate_many(e, {}, {"x": -3.0}) == 9.0
-    assert ex.pow_(X, 2.5).exponent == 2.5
-    # a Pow built with 2.0 equals the normalised one and shares its tape slot
-    assert ex.Pow(X, 2.0) == e and len(ex.Tape([ex.Pow(X, 2.0), e]).code) == 2
+def test_pow_takes_integer_exponents_only():
+    for bad in (2.5, F(1, 2), 2.0, ex.Rational(2), np.float64(2.0)):
+        with pytest.raises(TypeError):
+            ex.pow_(X, bad)
+    e = ex.pow_(X, np.int64(3))
+    assert type(e.exponent) is int and e.exponent == 3
+    assert ex.evaluate_many(e, {}, {"x": -3.0}) == -27.0
+    assert ex.pow_(ex.Rational(F(2, 3)), -2) == ex.Rational(F(9, 4))
 
 
 def test_differentiate_constant_is_zero():
@@ -634,20 +638,21 @@ def test_prefix_rendering_of_every_node_kind():
     e = ex.add(
         ex.mul(F(-3, 2), X),
         ex.div(ex.exp(X), ex.sinh(T)),
-        ex.pow_(X, F(1, 2)),
-        ex.pow_(ex.cosh(X), 2.5),
+        ex.pow_(X, 3),
+        ex.pow_(ex.cosh(X), -3),
         ex.tanh(ex.tan(X)),
         ex.cot(ex.csc(ex.sqrt(T))),
     )
-    assert ex.to_prefix(e) == ("(+ (* -3/2 x) (/ (exp x) (sinh t)) (^ x 1/2) (^ (cosh x) 2.5)"
+    assert ex.to_prefix(e) == ("(+ (* -3/2 x) (/ (exp x) (sinh t)) (^ x 3) (^ (cosh x) -3)"
                                " (tanh (tan x)) (cot (csc (sqrt t))))")
-    assert repr(ex.pow_(X, F(-1, 3))) == "(^ x -1/3)"
+    assert repr(ex.pow_(X, -3)) == "(^ x -3)"
 
 
-def test_float_and_fraction_exponents_are_one_node():
-    half, exact = ex.pow_(X, 0.5), ex.pow_(X, F(1, 2))
-    assert half == exact and hash(half) == hash(exact)
-    assert len(ex.Tape([half, exact]).code) == 2
+def test_integer_exponents_of_every_int_type_are_one_node():
+    three = ex.pow_(X, 3)
+    for other in (ex.pow_(X, np.int64(3)), ex.pow_(X, np.int32(3)), ex.pow_(X, np.uint8(3))):
+        assert other == three and hash(other) == hash(three)
+        assert len(ex.Tape([three, other]).code) == 2
 
 
 def test_nodes_differing_only_in_kind_or_order_are_unequal():
@@ -669,6 +674,10 @@ def _pinned_root_sets(samples):
     for fid, rows in samples.items():
         for params in rows:
             yield verifier.mdp_residual_terms(catalog.build(fid, params), params["b"])
+    yield from _collocation_root_sets(samples)
+
+
+def _collocation_root_sets(samples):
     for fid in rh.FAMILY_IDS:
         for params in samples[fid]:
             free = {k: v for k, v in params.items() if k != "b"}
@@ -698,6 +707,35 @@ def test_residual_trees_and_tapes_are_pinned(catalog_samples):
     assert tapes.hexdigest() == "d78e7e0904f601065afadb25e3bedd87ac33dc30f968385268065b78eea4437f"
 
 
+# one (alpha, beta, gamma) per Riccati case, cases 1..7 in order
+_RICCATI_TRIPLES = ((0, 1, -1), (0, 0, 1), (1, 1, 0), (1, 0, 2), (1, 2, 1), (1, 1, 1), (2, 3, 1))
+
+
+def test_every_built_power_holds_an_int_exponent(catalog_samples):
+    roots = []
+    for fid, rows in catalog_samples.items():
+        for params in rows:
+            u, guard, _ = catalog.build_wave(fid, params)
+            roots += [u, guard, *verifier.mdp_residual_terms(u, params["b"])]
+    for case, (a, b, g) in enumerate(_RICCATI_TRIPLES, 1):
+        c = riccati.RiccatiCoefficients(F(a), F(b), F(g))
+        assert riccati.classify(c) == case
+        phi = riccati.phi_expr(c)
+        roots += [phi, riccati.riccati_residual(phi, c), riccati.pole_guard(c)]
+    for roots_of_one in _collocation_root_sets(catalog_samples):
+        roots += roots_of_one
+    seen, stack, powers = set(), list(roots), 0
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            if isinstance(node, ex.Pow):
+                assert type(node.exponent) is int, ex.to_prefix(node)
+                powers += 1
+            stack.extend(_children(node))
+    assert powers > 0
+
+
 # each call takes its integers through `i` and its floats through `f`: numpy
 # scalars build the trees that the Python numbers they hold build, with no
 # 64-bit wrap and no warning
@@ -708,9 +746,10 @@ def test_residual_trees_and_tapes_are_pinned(catalog_samples):
     lambda i, f: ex.mul(ex.Rational(F(i(2 ** 40), 3)), ex.Rational(F(i(2 ** 40))), X),
     lambda i, f: ex.mul(i(3), X),
     lambda i, f: ex.pow_(X, i(3)),
-    lambda i, f: ex.pow_(X, f(2.5)),
+    lambda i, f: ex.pow_(ex.add(f(2.5), X), i(-3)),
     lambda i, f: ex.add(f(0.5), X, ex.as_expr(i(-5))),
-], ids=["rational-square", "rational-sum", "fraction-product", "mul", "pow-int", "pow-float", "as-expr"])
+], ids=["rational-square", "rational-sum", "fraction-product", "mul", "pow-int", "pow-float-base",
+     "as-expr"])
 @pytest.mark.parametrize("floats", [np.float64, np.float32])
 def test_numpy_scalars_build_as_python_numbers(call, floats):
     assert ex.to_prefix(call(np.int64, floats)) == ex.to_prefix(call(int, float))

@@ -15,8 +15,9 @@ Covers:
     a0 + a1 phi + a2 phi^2 + c1/phi + c2/phi^2 from the solved tuple
   - polyalg.bind against Fraction oracles on seeded random polynomials,
     full and partial bindings, and a group that cancels
-  - serialization round trip through report.dumps, bit exact, and the
-    variable-layout checks on load; numpy scalars in report.format_value
+  - serialization through report.dumps: every coefficient exact in the
+    text, the fixed name layouts, the same bytes from a fresh system;
+    numpy scalars in report.format_value
   - multistart root recovery and root self-consistency
   - byte-identical Newton roots (golden hashes, also on the failure
     paths), the seed-count and parameter-name checks, batch independence
@@ -61,7 +62,7 @@ from mdpwave.errors import ConstraintViolation
 from mdpwave.polyalg import (VARS, MultiPoly, laurent, laurent_coeff, laurent_derivative,
                              laurent_support)
 from mdpwave.riccati import RiccatiCoefficients, classify, phi_expr, pole_guard
-from mdpwave.verifier import GridSpec, ode_residual, verify_on_grid
+from mdpwave.verifier import GridSpec, ode_residual_terms, verify_on_grid
 
 
 @pytest.fixture(scope="module")
@@ -462,9 +463,14 @@ def test_check_assignment_rejects_non_finite_values(system, bad):
 
 def test_serialization_round_trip_bit_exact(system):
     text = report.dumps(system.to_json_dict())
-    loaded = pl.AlgebraicSystem.from_json_dict(json.loads(text))
-    assert loaded == system
-    assert report.dumps(loaded.to_json_dict()) == text
+    doc = json.loads(text)
+    assert (doc["variables"], doc["unknowns"], doc["parameters"]) == (
+        list(VARS), list(pl.UNKNOWNS), list(pl.PARAMETERS))
+    # each [[e0, ..., e9], n, d] triple is one coefficient n/d, exactly
+    assert doc["powers"] == list(system.powers)
+    assert ([{tuple(e): F(n, d) for e, n, d in eq} for eq in doc["equations"]]
+            == [eq.terms for eq in system.equations])
+    assert report.dumps(pl.generate_system().to_json_dict()) == text
 
 
 def test_format_value_numpy_scalars():
@@ -474,13 +480,6 @@ def test_format_value_numpy_scalars():
     assert report.format_value(np.float64(0.1)) == "0.10000000000000001"
     assert report.format_value(np.float32(0.5)) == "0.5"
     assert report.dumps([np.bool_(True), np.int64(-7), np.float32(np.inf)]) == '[true, -7, "inf"]\n'
-
-
-def test_deserialization_rejects_reordered_unknowns(system):
-    doc = system.to_json_dict()
-    doc["unknowns"] = doc["unknowns"][::-1]
-    with pytest.raises(ValueError, match="unknowns layout mismatch"):
-        pl.AlgebraicSystem.from_json_dict(doc)
 
 
 def test_newton_recovers_second_case_tuple(system):
@@ -519,7 +518,7 @@ def test_round_trip_root_to_waveform(system):
 
     phi, U = waveform(ex.var("xi"))
     assert phi == phi_expr(RiccatiCoefficients(0.0, 1.0, -1.0))
-    res = ode_residual(U, 3, F(lam))
+    res = ex.add(*ode_residual_terms(U, 3, F(lam)))
     xs = np.linspace(-3, 3, 41)
     vals = ex.evaluate_many(res, {}, {"xi": xs})
     assert np.max(np.abs(vals)) < 1e-6
