@@ -358,35 +358,32 @@ def _equiv_side(fid, params):
         raise ConstraintViolation([f"{fid}: {v}" for v in err.violations]) from None
 
 
-def _sample_points(us, guards, n, seed):
-    """Deterministic (x, t) samples where every side is regular."""
+def _sample_difference(us, guards, n, seed):
+    """Left minus right side (`us`) at seeded (x, t) samples where all are regular."""
     import numpy as np
     from . import expr as ex
     rng = np.random.default_rng(seed)
     tape = ex.Tape(guards + us)
-    xs_out, ts_out = [], []
+    diffs, found = [], 0
     for _ in range(50):
-        need = n - len(xs_out)
+        need = n - found
         if need <= 0:
             break
         xs = rng.uniform(-5.0, 5.0, size=4 * need)
         ts = rng.uniform(0.0, 2.0, size=4 * need)
-        vals = ex.evaluate_many(tape, {}, {"x": xs, "t": ts})
-        ok = np.ones(xs.shape, dtype=bool)
-        for gv in vals[:len(guards)]:
+        *gvs, lv, rv = ex.evaluate_many(tape, {}, {"x": xs, "t": ts})
+        ok = np.isfinite(lv) & np.isfinite(rv)
+        for gv in gvs:
             ok &= np.abs(gv) >= 1e-3
-        for uv in vals[len(guards):]:
-            ok &= np.isfinite(uv)
-        xs_out.extend(xs[ok][:need])
-        ts_out.extend(ts[ok][:need])
-    if len(xs_out) < n:
+        diffs.append(lv[ok][:need] - rv[ok][:need])
+        found += diffs[-1].size
+    if found < n:
         raise ValueError("could not find enough regular sample points")
-    return np.array(xs_out), np.array(ts_out)
+    return np.concatenate(diffs)
 
 
 def _cmd_equiv(args):
     import numpy as np
-    from . import expr as ex
     left_params = _params(args.left_param, flag="--left-param")
     right_params = _params(args.right_param, flag="--right-param")
     if args.points < 1:
@@ -396,9 +393,8 @@ def _cmd_equiv(args):
     _check_tol(args.tol)
     (lu, lg), (ru, rg) = (_equiv_side(args.left, left_params),
                           _equiv_side(args.right, right_params))
-    xs, ts = _sample_points([lu, ru], [lg, rg], args.points, args.seed)
-    lv, rv = ex.evaluate_many([lu, ru], {}, {"x": xs, "t": ts})
-    max_diff = float(np.max(np.abs(lv - rv)))
+    diff = _sample_difference([lu, ru], [lg, rg], args.points, args.seed)
+    max_diff = float(np.max(np.abs(diff)))
     passed = bool(max_diff < args.tol)
     doc = {
         "config": {"command": "equiv", "left": args.left,
@@ -407,7 +403,7 @@ def _cmd_equiv(args):
                    "right_params": right_params,
                    "points": args.points, "tol": args.tol, "seed": args.seed},
         "max_abs_difference": max_diff,
-        "points_compared": int(xs.size),
+        "points_compared": int(diff.size),
         "passed": passed,
     }
     _emit(doc, args.out)

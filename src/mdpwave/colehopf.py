@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from . import catalog
 from . import expr as ex
 from .errors import ConstraintViolation
-from .riccati import MU_CHECK, exact, plain, radical, speed, violations
+from .riccati import MU_CHECK, exact, plain, plain_fields, radical, speed, violations
 
 __all__ = ["ColeHopfParams", "cole_hopf_u", "system_residuals", "branch_params"]
 
@@ -38,8 +38,7 @@ class ColeHopfParams:
     delta: float = 0.0
 
     def __post_init__(self):
-        for name in ("A", "B", "mu", "lam", "delta"):
-            object.__setattr__(self, name, plain(getattr(self, name)))
+        plain_fields(self, ("A", "B", "mu", "lam", "delta"))
 
 
 # (label, fails) rows on the fields of a ColeHopfParams

@@ -587,16 +587,7 @@ def evaluate_many(e, params=None, point=None):
     shape = np.broadcast_shapes(*(a.shape for a in point.values())) if point else ()
     work = [np.empty(shape) for _ in range(tape.rows)]
     with np.errstate(all="ignore"):
-        vals = tape.run(point, work)
-    rows = {id(r) for r in work}
-    out = []
-    for v in vals:  # a row is handed out once; a point array or a repeat is copied
-        if np.ndim(v) == 0:
-            v = np.full(shape, float(v))
-        elif id(v) not in rows:
-            v = v.copy()
-        rows.discard(id(v))
-        out.append(v)
+        out = [np.array(np.broadcast_to(v, shape)) for v in tape.run(point, work)]
     return out[0] if single else out
 
 

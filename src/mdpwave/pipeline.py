@@ -93,8 +93,6 @@ def balance():
     """
     out = set()
     for (s1, o1), (s2, o2) in _BALANCE_PAIRS:
-        if s1 == s2:
-            continue
         m = Fraction(o2 - o1, s1 - s2)
         if m.denominator == 1 and m >= 0:
             out.add(int(m))

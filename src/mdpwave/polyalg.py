@@ -53,12 +53,7 @@ class MultiPoly:
     def __eq__(self, other):
         if isinstance(other, MultiPoly):
             return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self == MultiPoly.const(other)
         return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -105,19 +100,8 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def sorted_terms(self):
-        """Deterministic term order for serialization and display."""
+        """Deterministic term order for serialization."""
         return sorted(self.terms.items())
-
-    def __repr__(self):
-        if self.is_zero:
-            return "0"
-        bits = []
-        for e, c in self.sorted_terms():
-            names = ("phi",) * (len(e) - _NVARS) + VARS
-            mono = "*".join(f"{names[i]}^{k}" if k != 1 else names[i]
-                            for i, k in enumerate(e) if k)
-            bits.append(f"{c}" + (f"*{mono}" if mono else ""))
-        return " + ".join(bits)
 
 
 def bind(polys, values):

@@ -2,7 +2,7 @@
 
     u(xi) = (a0 + a1*sinh(xi) + a2*cosh(xi)) / (1 + c1*sinh(xi) + c2*cosh(xi))
 
-with the eight solved parameter families u3..u10, certified by a
+with the eight solved parameter families u3..u10, checked by a
 collocation identity test.  Each family's wave speed is its
 `riccati.RADICALS` row, k = 1 and so S = 1: sign +1 gives lam = -b/2
 (u3, u4, u7, u8) and sign -1 gives lam = -b/2 - 1.  The admissibility
@@ -10,11 +10,11 @@ of the eight families is the catalog's u3..u10 rows: `family_violations`
 checks through `catalog.validate`.  FREE_PARAMETER names the coefficient
 u7..u10 keep free, and FREE_RADICANDS its radicand.
 
-The certificate exploits the exponential substitution zeta = exp(xi):
-the traveling-wave residual times the 5th power of the ansatz denominator
-is a polynomial in zeta of degree at most DEGREE_BOUND (see
-docs/collocation_degree_bound.md for the counting argument), so vanishing
-at DEGREE_BOUND + 1 distinct sample points proves it vanishes identically.
+The test exploits zeta = exp(xi): the traveling-wave residual times the
+5th power of the ansatz denominator is a polynomial in zeta of degree at
+most DEGREE_BOUND (docs/collocation_degree_bound.md), so exact vanishing
+at DEGREE_BOUND + 1 distinct points would certify it; the float test
+(|R| < COLLOCATION_RTOL * scale) is a numerical witness, not a proof.
 """
 from __future__ import annotations
 
@@ -140,16 +140,16 @@ class CollocationReport:
 
 
 def collocation_identity_check(u, b, lam, denominator=None):
-    """Certify that `u(xi)` solves the traveling-wave equation.
+    """Check numerically that `u(xi)` solves the traveling-wave equation.
 
     `u` must be rational in {sinh(xi), cosh(xi)} with numerator and
     denominator degree <= 1 in each (the ansatz shape); `denominator` is
     its denominator (defaults to the constant 1 for polynomial input).
-    Evaluates the residual times denominator^5 at DEGREE_BOUND + 1 sample
-    points; since that product is a polynomial of degree <= DEGREE_BOUND
-    in exp(xi), vanishing at all samples proves the identity.  Sample
-    points landing on poles are jittered deterministically, at most
-    MAX_RESAMPLES times each.
+    Evaluates the residual times denominator^5, a polynomial of degree <=
+    DEGREE_BOUND in exp(xi), at DEGREE_BOUND + 1 sample points: exact zeros
+    there would certify the identity, and |sum| < COLLOCATION_RTOL * scale
+    in floats is a numerical witness, not a proof.  Sample points landing
+    on poles are jittered deterministically, at most MAX_RESAMPLES times each.
     """
     import numpy as np
     den = ex.ONE if denominator is None else ex.as_expr(denominator)

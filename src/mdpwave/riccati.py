@@ -26,6 +26,7 @@ it takes one as an exact rational: a numpy integer's arithmetic wraps at
 """
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,7 +38,7 @@ __all__ = [
     "RiccatiCoefficients", "classify", "phi_expr",
     "riccati_residual", "pole_guard", "is_degenerate",
     "BASE_CHECKS", "MU_CHECK", "BETA_CHECK", "S_LABEL", "violations",
-    "discriminant", "delta_of", "RADICALS", "radical", "speed", "plain", "exact",
+    "discriminant", "delta_of", "RADICALS", "radical", "speed", "plain", "plain_fields", "exact",
 ]
 
 XI = ex.var("xi")
@@ -59,22 +60,24 @@ class RiccatiCoefficients:
         return self.beta * self.beta - 4 * self.alpha * self.gamma
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "gamma"):
-            object.__setattr__(self, name, plain(getattr(self, name)))
+        plain_fields(self, ("alpha", "beta", "gamma"))
         if self.alpha == 0 and self.beta == 0 and self.gamma == 0:
             raise ValueError("coefficient triple must not be identically zero")
 
 
 def is_degenerate(alpha, beta, gamma):
-    """beta^2 == 4*alpha*gamma: exactly when all three are exact rationals
-    (int or Fraction), otherwise up to a relative guard for round-trip
-    noise."""
-    alpha, beta, gamma = plain(alpha), plain(beta), plain(gamma)
-    b2 = beta * beta
-    fourac = 4 * alpha * gamma
-    if all(isinstance(v, (int, Fraction)) for v in (alpha, beta, gamma)):
+    """beta^2 == 4*alpha*gamma: exactly when all three are ints or
+    Fractions, otherwise on their exact values up to a relative guard for
+    round-trip noise.  Raises ValueError on a non-finite value."""
+    vals = [plain(v) for v in (alpha, beta, gamma)]
+    try:
+        a, b, g = (Fraction(v if isinstance(v, (int, Fraction)) else float(v)) for v in vals)
+    except (OverflowError, ValueError):
+        raise ValueError(f"(alpha, beta, gamma) = {tuple(vals)} is not finite") from None
+    b2, fourac = b * b, 4 * a * g
+    if all(isinstance(v, (int, Fraction)) for v in vals):
         return b2 == fourac
-    return abs(b2 - fourac) <= DEGENERACY_RTOL * max(1.0, abs(b2), abs(fourac))
+    return abs(b2 - fourac) <= Fraction(DEGENERACY_RTOL) * max(1, abs(b2), abs(fourac))
 
 
 # Admissibility facts shared by every family of the equation: b is never -1
@@ -94,6 +97,15 @@ def violations(checks, p):
 def plain(v):
     """`v` with an integer of any type as a Python int, anything else as is."""
     return int(v) if isinstance(v, numbers.Integral) else v
+
+
+def plain_fields(obj, names):
+    """Apply `plain` to each named field of `obj`; ValueError names a non-finite one."""
+    for name in names:
+        v = plain(getattr(obj, name))
+        if not isinstance(v, (int, Fraction)) and not math.isfinite(v):
+            raise ValueError(f"{name} = {v!r} is not a finite number")
+        object.__setattr__(obj, name, v)
 
 
 def exact(v):

@@ -147,6 +147,30 @@ def test_equiv_and_plot_data_build_each_side_once(monkeypatch, argv, built, want
     assert code == want and calls == built
 
 
+def test_equiv_compiles_one_tape_beyond_each_wave_speed(monkeypatch):
+    # build_wave evaluates each side's wave speed on a tape of its own; the
+    # sample points and the difference there come from one more
+    from mdpwave import expr as ex
+    tapes = []
+    init = ex.Tape.__init__
+
+    def counting_init(self, roots):
+        tapes.append(self)
+        init(self, roots)
+
+    monkeypatch.setattr(ex.Tape, "__init__", counting_init)
+    (argv,) = [argv for argv, _, _ in _README_COMMANDS if argv[0] == "equiv"]
+    code, _ = run(argv)
+    assert code == 0 and len(tapes) == 3
+
+
+def test_equiv_names_the_side_whose_parameters_fail():
+    code, out = run(["equiv", "--left", "u5", "--left-param", "b=-1", "--right", "u1",
+                     "--right-param", "b=3", "--right-param", "mu=1"])
+    assert code == 2
+    assert json.loads(out) == {"error": "constraint-violation", "violations": ["u5: b != -1"]}
+
+
 def test_riccati_subcommand():
     code, out = run(["riccati", "--param", "alpha=1", "--param", "beta=2",
                      "--param", "gamma=1"])

@@ -109,6 +109,13 @@ def test_non_finite_parameters_raise_value_error(name, value):
             branch_params(branch, params["b"], params["mu"])
 
 
+@pytest.mark.parametrize("field", ["A", "B", "mu", "lam", "delta"])
+def test_params_reject_a_non_finite_field(field):
+    values = {"A": 1, "B": 1, "mu": 1, "lam": 1, "delta": 0, field: math.inf}
+    with pytest.raises(ValueError, match=f"{field} = inf is not a finite number"):
+        ColeHopfParams(**values)
+
+
 def test_branch_decides_s_exactly_for_float_inputs():
     # exact S is about +1.03e-15 here while the float S is about -8.9e-16
     for branch in ("plus", "minus"):

@@ -229,6 +229,16 @@ def test_evaluate_errors():
         ex.evaluate_many(X, {}, {})
 
 
+def test_construction_folds_and_errors():
+    assert ex.pow_(X, 0) is ex.ONE
+    with pytest.raises(ZeroDivisionError):
+        ex.div(X, 0)
+    with pytest.raises(ValueError, match="unknown function 'sin'"):
+        ex.fun("sin", X)  # a sine exists only inside a tape, lowered from csc or cot
+    with pytest.raises(ValueError):
+        ex.sym_sqrt(-1)
+
+
 def test_pow_takes_integer_exponents_only():
     for bad in (2.5, F(1, 2), 2.0, ex.Rational(2), np.float64(2.0)):
         with pytest.raises(TypeError):

@@ -482,6 +482,12 @@ def test_format_value_numpy_scalars():
     assert report.dumps([np.bool_(True), np.int64(-7), np.float32(np.inf)]) == '[true, -7, "inf"]\n'
 
 
+def test_format_value_null_and_unknown_types():
+    assert report.format_value(None) == "null"
+    with pytest.raises(TypeError, match="cannot serialize object"):
+        report.format_value(object())
+
+
 def test_newton_recovers_second_case_tuple(system):
     fixed = dict(alpha=F(0), beta=F(1), gamma=F(-1), b=F(3))
     roots = pl.newton_solve(system, fixed, seeds=400, rng_seed=0)

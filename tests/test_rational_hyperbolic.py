@@ -22,7 +22,7 @@ import pytest
 from mdpwave import catalog
 from mdpwave import expr as ex
 from mdpwave import rational_hyperbolic as rh
-from mdpwave.errors import ConstraintViolation
+from mdpwave.errors import ConstraintViolation, SampleAtPole
 from mdpwave.rational_hyperbolic import (FAMILY_IDS, RHAnsatzParams,
                                          collocation_identity_check,
                                          family_params, rh_ansatz,
@@ -189,6 +189,12 @@ def test_perturbed_u6_fails():
 def test_zero_solution_passes():
     rep = collocation_identity_check(ex.ZERO, 3, F(-5, 2))
     assert rep.passed
+
+
+def test_samples_stuck_at_a_pole_raise():
+    # |denominator| = 1e-7 < POLE_EPS at every point, however far it moves
+    with pytest.raises(SampleAtPole, match=r"17 collocation sample\(s\) stuck at a pole"):
+        collocation_identity_check(ex.ONE, 3, 0, denominator=ex.Rational(F(1, 10**7)))
 
 
 def test_pole_samples_get_resampled():

@@ -7,6 +7,7 @@ Covers:
     acceptance sweep)
   - discriminant caching consistency
 """
+import math
 import random
 from fractions import Fraction as F
 
@@ -47,6 +48,32 @@ def test_degeneracy_guard_accepts_roundoff():
     assert not is_degenerate(1, 2, 1.001)
     # exact inputs get no tolerance
     assert not is_degenerate(1, 2, 1 + F(1, 10**14))
+
+
+@pytest.mark.parametrize("triple", [(math.inf, 2, 1), (1, math.inf, 1), (0, 0, math.inf),
+                                    (1, 2, math.nan), (-math.inf, 0, 1)])
+def test_non_finite_coefficients_raise_value_error(triple):
+    with pytest.raises(ValueError, match="is not a finite number"):
+        RiccatiCoefficients(*triple)
+    with pytest.raises(ValueError, match="is not finite"):
+        is_degenerate(*triple)
+
+
+def test_huge_degenerate_triple_is_case_5():
+    # beta^2 = 4*alpha*gamma exactly, though both float products overflow
+    assert is_degenerate(1e200, 2e200, 1e200)
+    assert classify(RiccatiCoefficients(1e200, 2e200, 1e200)) == 5
+
+
+def test_float_degenerate_triples_are_case_5_and_nearby_ones_are_not():
+    rng = np.random.default_rng(37)
+    alphas = rng.uniform(0.1, 10, 1000) * rng.choice([-1, 1], 1000)
+    betas = rng.uniform(0.1, 10, 1000) * rng.choice([-1, 1], 1000)
+    for a, b in zip(alphas.tolist(), betas.tolist()):
+        g = b * b / (4 * a)
+        assert classify(RiccatiCoefficients(a, b, g)) == 5
+        assert classify(RiccatiCoefficients(a, b, g * (1 + 1e-9))) in (6, 7)
+        assert classify(RiccatiCoefficients(a, b, g * (1 - 1e-9))) in (6, 7)
 
 
 def test_phi_values():

@@ -622,6 +622,17 @@ def test_grid_points_from_bounds_of_any_number_type(monkeypatch):
     assert rep == verify_on_grid(u, 3, guard=guard)
 
 
+def test_grid_points_cache_starts_over_past_16_grids(monkeypatch):
+    monkeypatch.setattr(verifier, "_POINTS", {})
+    grids = [GridSpec(nx=2 + k, nt=2) for k in range(17)]
+    first = [g.points() for g in grids][0]
+    assert len(verifier._POINTS) <= 16 and first[0] is not grids[0].points()[0]
+    xs, ts = grids[0].points()
+    xx, tt = np.meshgrid(np.linspace(-10.0, 10.0, 2), np.linspace(0.0, 2.0, 2), indexing="ij")
+    assert not xs.flags.writeable and not ts.flags.writeable
+    assert [xs.tobytes(), ts.tobytes()] == [xx.ravel().tobytes(), tt.ravel().tobytes()]
+
+
 def test_grid_spec_unchanged_by_points():
     for grid in (GridSpec(), GridSpec(x_min=-0.0, nx=7), BIG_GRID):
         before = dataclasses.asdict(grid), hash(grid), pickle.dumps(grid)
